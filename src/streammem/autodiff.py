@@ -1,8 +1,10 @@
 """Minimal reverse-mode tape used to verify the analytic derivatives.
 
 Only the handful of operations needed by the attention / layer-norm /
-feed-forward kernels are implemented. Production forward paths stay in plain
-numpy; this tape exists so gradient checks compare an analytic reverse pass
+feed-forward kernels are implemented, on arrays with any number of leading
+batch axes. The tensor and perceiver functions have a single forward
+implementation that runs on plain ndarrays in production and on Vars here,
+so gradient checks compare the reverse pass of that same composition
 against central finite differences.
 """
 
@@ -72,35 +74,33 @@ class Var:
         return Var(-self.value, (self,), (lambda g: -g,))
 
     def __matmul__(self, other):
+        """Batched matmul over the trailing two axes; a 2-D operand
+        broadcasts over the other's batch axes and its gradient is summed
+        back over them."""
         other = as_var(other)
         return Var(self.value @ other.value, (self, other),
-                   (lambda g: g @ other.value.T,
-                    lambda g: self.value.T @ g))
+                   (lambda g: _unbroadcast(g @ other.value.swapaxes(-1, -2),
+                                           self.shape),
+                    lambda g: _unbroadcast(self.value.swapaxes(-1, -2) @ g,
+                                           other.shape)))
 
     def __rmatmul__(self, other):
         return as_var(other).__matmul__(self)
 
-    @property
-    def T(self):
-        return Var(self.value.T, (self,), (lambda g: g.T,))
-
     # -- shape ops ----------------------------------------------------------
 
-    def rows(self, a, b):
+    def swapaxes(self, a, b):
+        return Var(self.value.swapaxes(a, b), (self,),
+                   (lambda g: g.swapaxes(a, b),))
+
+    def __getitem__(self, index):
+        """Basic (slice) indexing, e.g. `x[..., a:b]` for a column block."""
         def vjp(g):
             out = np.zeros_like(self.value)
-            out[a:b] = g
+            out[index] = g
             return out
 
-        return Var(self.value[a:b], (self,), (vjp,))
-
-    def cols(self, a, b):
-        def vjp(g):
-            out = np.zeros_like(self.value)
-            out[:, a:b] = g
-            return out
-
-        return Var(self.value[:, a:b], (self,), (vjp,))
+        return Var(self.value[index], (self,), (vjp,))
 
     def sum(self):
         return Var(self.value.sum(), (self,),
@@ -111,54 +111,45 @@ def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
-def concat_rows(parts) -> Var:
+def concat_last(parts) -> Var:
+    """Concatenate along the last axis."""
     parts = [as_var(p) for p in parts]
-    sizes = [p.value.shape[0] for p in parts]
+    sizes = [p.value.shape[-1] for p in parts]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
 
     def make_vjp(i):
-        return lambda g: g[offsets[i]:offsets[i + 1]]
+        return lambda g: g[..., offsets[i]:offsets[i + 1]]
 
-    return Var(np.concatenate([p.value for p in parts], axis=0),
-               tuple(parts), tuple(make_vjp(i) for i in range(len(parts))))
-
-
-def concat_cols(parts) -> Var:
-    parts = [as_var(p) for p in parts]
-    sizes = [p.value.shape[1] for p in parts]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-
-    def make_vjp(i):
-        return lambda g: g[:, offsets[i]:offsets[i + 1]]
-
-    return Var(np.concatenate([p.value for p in parts], axis=1),
+    return Var(np.concatenate([p.value for p in parts], axis=-1),
                tuple(parts), tuple(make_vjp(i) for i in range(len(parts))))
 
 
 def softmax_rows_v(x: Var) -> Var:
+    """Softmax over the last axis."""
     x = as_var(x)
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
+    shifted = x.value - x.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return y * (g - (g * y).sum(axis=1, keepdims=True))
+        return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
     return Var(y, (x,), (vjp,))
 
 
 def layer_norm_v(x: Var, gain: Var, bias: Var, eps: float) -> Var:
+    """Layer norm over the last axis."""
     x, gain, bias = as_var(x), as_var(gain), as_var(bias)
-    mu = x.value.mean(axis=1, keepdims=True)
-    var = x.value.var(axis=1, keepdims=True)
+    mu = x.value.mean(axis=-1, keepdims=True)
+    var = x.value.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.value - mu) * inv_std
     y = xhat * gain.value + bias.value
 
     def vjp_x(g):
         gx = g * gain.value
-        return inv_std * (gx - gx.mean(axis=1, keepdims=True)
-                          - xhat * (gx * xhat).mean(axis=1, keepdims=True))
+        return inv_std * (gx - gx.mean(axis=-1, keepdims=True)
+                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
 
     return Var(y, (x, gain, bias),
                (vjp_x,

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import sq_dist_matrix
 from .memory import MemoryBank
 from .stream import InstructionEncoding
 
@@ -86,16 +85,32 @@ def select_top_L(scores, L: int, bank: MemoryBank,
                         L=L)
 
 
-def local_density(vectors: np.ndarray, K: int) -> np.ndarray:
+def sq_dist_matrix(z: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, (n, n), by explicit differences.
+
+    The difference form (rather than the Gram-matrix trick) keeps results
+    accurate enough to compare against loop oracles at 1e-12.
+    """
+    diff = z[:, None, :] - z[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _pairwise(vectors: np.ndarray) -> np.ndarray:
+    return sq_dist_matrix(np.ascontiguousarray(vectors, dtype=np.float64))
+
+
+def local_density(vectors: np.ndarray, K: int, dists=None) -> np.ndarray:
     """exp of the negative mean squared distance to the K nearest neighbors,
-    self excluded; K is clamped to |Z|-1."""
+    self excluded; K is clamped to |Z|-1. `dists` is the candidates'
+    sq_dist_matrix when the caller already has it."""
     n = vectors.shape[0]
     if n < 2:
         raise ValueError("local density needs at least two candidates")
     if K < 1:
         raise ValueError("K must be at least 1")
     K = min(K, n - 1)
-    dists = sq_dist_matrix(np.ascontiguousarray(vectors, dtype=np.float64))
+    if dists is None:
+        dists = _pairwise(vectors)
     sigma = np.empty(n)
     for l in range(n):
         row = np.delete(dists[l], l)
@@ -104,11 +119,14 @@ def local_density(vectors: np.ndarray, K: int) -> np.ndarray:
     return sigma
 
 
-def distance_index(vectors: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def distance_index(vectors: np.ndarray, sigma: np.ndarray,
+                   dists=None) -> np.ndarray:
     """Squared distance to the nearest strictly-denser candidate; candidates
-    of globally maximal density take the farthest distance instead."""
+    of globally maximal density take the farthest distance instead.
+    `dists` is as for local_density."""
     n = vectors.shape[0]
-    dists = sq_dist_matrix(np.ascontiguousarray(vectors, dtype=np.float64))
+    if dists is None:
+        dists = _pairwise(vectors)
     rho = np.empty(n)
     for l in range(n):
         higher = sigma > sigma[l]
@@ -129,8 +147,9 @@ def dpc_knn_select(candidates: CandidateSet, K: int,
         return ClusterDiagnostics(sigma=np.array([1.0]), rho=np.array([0.0]),
                                   weighted=np.array([0.0]),
                                   centers=list(candidates.frames))
-    sigma = local_density(candidates.vectors, K)
-    rho = distance_index(candidates.vectors, sigma)
+    dists = _pairwise(candidates.vectors)
+    sigma = local_density(candidates.vectors, K, dists)
+    rho = distance_index(candidates.vectors, sigma, dists)
     weighted = sigma * rho
     order = sorted(range(n),
                    key=lambda i: (-weighted[i], candidates.frames[i]))

@@ -180,15 +180,21 @@ def read_context(bank: MemoryBank, queries: QueryBank,
     return attended
 
 
-def write_frame(perceived: np.ndarray, queries: QueryBank, frame_index: int,
-                subclip_index: int) -> MemoryEntry:
-    """Distill one frame's perceived tokens into W compact memory tokens."""
-    if perceived.ndim != 2 or perceived.shape[1] != queries.write_queries.shape[1]:
-        raise ValueError("perceived tokens must be N_Q x d")
+def write_frame(perceived: np.ndarray, queries: QueryBank, start_frame: int,
+                subclip_index: int) -> list:
+    """Distill each frame of a sub-clip into W compact memory tokens.
+
+    `perceived` holds the sub-clip's stacked (F, N_Q, d) states, frame
+    `start_frame` first; one batched attention call writes all F frames.
+    Returns the F entries in frame order.
+    """
+    if perceived.ndim != 3 or perceived.shape[2] != queries.write_queries.shape[1]:
+        raise ValueError("perceived tokens must be F x N_Q x d")
     tokens = attention(queries.write_queries, perceived, perceived,
                        queries.write_attention)
-    return MemoryEntry(frame_index=frame_index, subclip_index=subclip_index,
-                       tokens=tokens)
+    return [MemoryEntry(frame_index=start_frame + j,
+                        subclip_index=subclip_index, tokens=tokens[j])
+            for j in range(len(tokens))]
 
 
 def save_bank(bank: MemoryBank, path) -> None:

@@ -8,15 +8,16 @@ position-wise feed-forward. In "final" temporal mode the temporal sublayer
 runs once after the whole stack (using the last layer's temporal weights)
 instead of inside every layer.
 
-The sublayer helpers accept autodiff Vars as well as ndarrays so gradient
-checks exercise the same composition as the production path.
+A sub-clip's F frames are processed together: the state is one stacked
+(F, N_Q, d) array and each sublayer is one batched call. The sublayers
+accept autodiff Vars as well as ndarrays, so gradient checks run this same
+forward.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Var, concat_rows
 from .memory import (FeatureBuffer, MemoryBank, QueryBank, append,
                      buffer_store, read_context, write_frame)
 from .stream import FrameTokenStream, InstructionEncoding, SubClip, iter_subclips
@@ -46,10 +47,12 @@ class PerceiverParams:
 @dataclass
 class PerceivedClip:
     subclip_index: int
-    frames: list  # one (N_Q, d) matrix per frame of the sub-clip
+    frames: np.ndarray  # (F, N_Q, d): one query-state matrix per frame
 
 
 def cross_sublayer(state, kv, layer: PerceiverLayerParams):
+    """Cross-attention of the (F, N_Q, d) states onto the (F, P+I, d) keys,
+    frame by frame. A shared (N_Q, d) state broadcasts over the F frames."""
     normed = layer_norm(state, layer.cross.ln_gain, layer.cross.ln_bias)
     return state + attention(normed, kv, kv, layer.cross)
 
@@ -61,33 +64,22 @@ def ffn_sublayer(state, layer: PerceiverLayerParams):
 
 def temporal_sublayer(states, params: AttentionParams):
     """Bidirectional self-attention over the frame axis, independently at
-    each query index. `states` is a list of F (N_Q, d) matrices."""
-    n_frames = len(states)
-    if isinstance(states[0], Var):
-        n_q = states[0].shape[0]
-        per_query = []
-        for q in range(n_q):
-            seq = concat_rows([s.rows(q, q + 1) for s in states])
-            normed = layer_norm(seq, params.ln_gain, params.ln_bias)
-            per_query.append(seq + attention(normed, normed, normed, params))
-        return [concat_rows([per_query[q].rows(j, j + 1) for q in range(n_q)])
-                for j in range(n_frames)]
-    stacked = np.stack(states)  # (F, N_Q, d)
-    out = np.empty_like(stacked)
-    for q in range(stacked.shape[1]):
-        seq = stacked[:, q, :]
-        normed = layer_norm(seq, params.ln_gain, params.ln_bias)
-        out[:, q, :] = seq + attention(normed, normed, normed, params)
-    return [out[j] for j in range(n_frames)]
+    each query index: attention over the (N_Q, F, d) view of the
+    (F, N_Q, d) states."""
+    seq = states.swapaxes(0, 1)
+    normed = layer_norm(seq, params.ln_gain, params.ln_bias)
+    return (seq + attention(normed, normed, normed, params)).swapaxes(0, 1)
 
 
-def _frame_keys(clip_frames, instruction: InstructionEncoding):
-    """Per-frame key/value matrices: raw frame tokens with the instruction
-    rows appended."""
+def _frame_keys(clip_frames, instruction: InstructionEncoding) -> np.ndarray:
+    """Stacked (F, P+I, d) key/value matrices: raw frame tokens with the
+    instruction rows appended to every frame."""
+    frames = np.asarray(clip_frames, dtype=np.float64)
     if instruction.tokens.shape[0] == 0:
-        return [np.asarray(f, dtype=np.float64) for f in clip_frames]
-    return [np.concatenate([f, instruction.tokens], axis=0)
-            for f in clip_frames]
+        return frames
+    rows = np.broadcast_to(instruction.tokens,
+                           (len(frames),) + instruction.tokens.shape)
+    return np.concatenate([frames, rows], axis=1)
 
 
 def perceive_subclip(clip: SubClip, context, instruction: InstructionEncoding,
@@ -99,19 +91,17 @@ def perceive_subclip(clip: SubClip, context, instruction: InstructionEncoding,
     """
     if len(clip) < 1:
         raise ValueError("sub-clip is empty")
-    ctx_shape = context.shape if not isinstance(context, Var) else context.value.shape
-    if ctx_shape != (params.n_queries, params.d):
+    if context.shape != (params.n_queries, params.d):
         raise ValueError("context must be N_Q x d")
     keys = _frame_keys(clip.frames, instruction)
-    if isinstance(context, Var):
-        states = [context for _ in range(len(clip))]
-    else:
-        states = [context.copy() for _ in range(len(clip))]
+    # the (N_Q, d) context broadcasts against the (F, P+I, d) keys, so the
+    # first cross-attention yields the stacked (F, N_Q, d) state
+    states = context
     for layer in params.layers:
-        states = [cross_sublayer(s, kv, layer) for s, kv in zip(states, keys)]
+        states = cross_sublayer(states, keys, layer)
         if params.temporal_mode == "per_layer":
             states = temporal_sublayer(states, layer.temporal)
-        states = [ffn_sublayer(s, layer) for s in states]
+        states = ffn_sublayer(states, layer)
     if params.temporal_mode == "final":
         states = temporal_sublayer(states, params.layers[-1].temporal)
     return PerceivedClip(subclip_index=clip.index, frames=states)
@@ -123,8 +113,9 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
     """Run the full read-perceive-write cycle over a stream.
 
     Sub-clips are processed strictly in order; per sub-clip the bank is read
-    once, the clip perceived, and every frame buffered raw and written to
-    memory. Returns the populated (bank, buffer).
+    once, the clip perceived, every frame buffered raw, and all of its
+    frames written to memory in one call. Returns the populated
+    (bank, buffer).
     """
     W = queries.n_write
     bank = MemoryBank(W=W, d=params.d)
@@ -132,10 +123,10 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
     for clip in iter_subclips(stream, F):
         context = read_context(bank, queries, residual=residual_read)
         perceived = perceive_subclip(clip, context, instruction, params)
-        for offset, frame_index in enumerate(range(clip.start, clip.end)):
-            buffer_store(buffer, frame_index, clip.frames[offset])
-            entry = write_frame(perceived.frames[offset], queries,
-                                frame_index, clip.index)
+        for frame_index, raw in zip(range(clip.start, clip.end), clip.frames):
+            buffer_store(buffer, frame_index, raw)
+        for entry in write_frame(perceived.frames, queries, clip.start,
+                                 clip.index):
             append(bank, entry)
         if on_subclip is not None:
             on_subclip(clip, bank, buffer)

@@ -1,9 +1,11 @@
 """Dense numeric core: row softmax, layer norm, multi-head attention,
 and the finite-difference gradient checker.
 
-Every public function accepts either plain float64 ndarrays (fast path,
-optionally numba-compiled, see kernels.py) or autodiff Vars (tape path used
-for derivative verification). Both paths compute the same arithmetic.
+Every function works over the last axis, so a stack of matrices with any
+leading batch axes goes through one call. Inputs are float64 ndarrays in
+production or autodiff Vars for derivative verification; softmax, layer
+norm and GELU dispatch to the tape's op for a Var, and attention is one
+composition of matmul, slicing and concatenation that runs on either.
 """
 
 from dataclasses import dataclass
@@ -12,9 +14,8 @@ import numpy as np
 from scipy.special import erf
 
 from . import autodiff
-from .autodiff import Var, backward
+from .autodiff import Var
 from .errors import NumericError
-from .kernels import attention_core
 
 DEFAULT_EPS = 1e-5
 
@@ -56,22 +57,27 @@ class AttentionParams:
                 _require_finite(w, f"attention weight {name}")
 
 
-def softmax_rows(m):
-    """Row-wise softmax, shift-invariant (max subtracted before exp)."""
+def _softmax_last(m):
     if isinstance(m, Var):
         return autodiff.softmax_rows_v(m)
-    m = np.asarray(m, dtype=np.float64)
-    _require_finite(m, "softmax input")
-    shifted = m - m.max(axis=1, keepdims=True)
+    shifted = m - m.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_rows(m):
+    """Row-wise softmax, shift-invariant (max subtracted before exp)."""
+    if not isinstance(m, Var):
+        m = np.asarray(m, dtype=np.float64)
+        _require_finite(m, "softmax input")
+    return _softmax_last(m)
 
 
 def layer_norm(x, gain, bias, eps: float = DEFAULT_EPS):
     """Per-row normalization to zero mean / unit variance, then gain and bias."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cols = x.shape[1]
+    cols = x.shape[-1]
     if np.shape(gain) != (cols,) and np.shape(gain) != (1, cols):
         raise ValueError("gain length must match column count")
     if np.shape(bias) != np.shape(gain):
@@ -79,8 +85,8 @@ def layer_norm(x, gain, bias, eps: float = DEFAULT_EPS):
     if _any_var(x, gain, bias):
         return autodiff.layer_norm_v(x, gain, bias, eps)
     x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps) * np.asarray(gain) + np.asarray(bias)
 
 
@@ -91,52 +97,47 @@ def gelu(x):
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def _value(x):
-    return x.value if isinstance(x, Var) else np.asarray(x)
+def _float64(x):
+    return x if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
+def _concat_last(parts):
+    if _any_var(*parts):
+        return autodiff.concat_last(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 def attention(q, k, v, params: AttentionParams):
     """Multi-head scaled dot-product attention with learned projections.
 
-    Shapes: q (n_q, d), k and v (n_kv, d); returns (n_q, d). Per-head logits
-    are scaled by 1/sqrt(d/heads). Raises on an empty key set: callers that
-    attend over growing stores must guard the empty case themselves.
+    Shapes: q (..., n_q, d), k and v (..., n_kv, d); returns (..., n_q, d).
+    Leading batch axes broadcast, so a 2-D q attends over every element of
+    a stacked k/v. Each batch element goes through the same per-head gemms
+    as a 2-D call, so the values are identical to one call per element.
+    Per-head logits are scaled by 1/sqrt(d/heads). Raises on an empty key
+    set: callers that attend over growing stores must guard the empty case
+    themselves.
     """
     d = params.dim_model
-    qv, kv_, vv = _value(q), _value(k), _value(v)
-    if qv.shape[1] != d or kv_.shape[1] != d or vv.shape[1] != d:
+    if q.shape[-1] != d or k.shape[-1] != d or v.shape[-1] != d:
         raise ValueError("q/k/v column count must equal dim_model")
-    if kv_.shape[0] != vv.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise ValueError("k and v must have the same row count")
-    if kv_.shape[0] == 0:
+    if k.shape[-2] == 0:
         raise ValueError("attention over an empty key set")
-
-    if _any_var(q, k, v, params.w_q, params.w_k, params.w_v, params.w_o):
-        return _attention_tape(q, k, v, params)
-
     params.validate_finite()
-    qp = np.asarray(q, dtype=np.float64) @ params.w_q
-    kp = np.asarray(k, dtype=np.float64) @ params.w_k
-    vp = np.asarray(v, dtype=np.float64) @ params.w_v
-    ctx = attention_core(np.ascontiguousarray(qp), np.ascontiguousarray(kp),
-                         np.ascontiguousarray(vp), params.heads)
-    return ctx @ params.w_o
 
-
-def _attention_tape(q, k, v, params: AttentionParams) -> Var:
-    d = params.dim_model
     dh = d // params.heads
     scale = 1.0 / np.sqrt(dh)
-    qp = autodiff.as_var(q) @ params.w_q
-    kp = autodiff.as_var(k) @ params.w_k
-    vp = autodiff.as_var(v) @ params.w_v
+    qp = _float64(q) @ params.w_q
+    kp = _float64(k) @ params.w_k
+    vp = _float64(v) @ params.w_v
     heads_out = []
     for h in range(params.heads):
-        a, b = h * dh, (h + 1) * dh
-        scores = (qp.cols(a, b) @ kp.cols(a, b).T) * scale
-        weights = autodiff.softmax_rows_v(scores)
-        heads_out.append(weights @ vp.cols(a, b))
-    return autodiff.concat_cols(heads_out) @ params.w_o
+        sl = slice(h * dh, (h + 1) * dh)
+        scores = (qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)) * scale
+        heads_out.append(_softmax_last(scores) @ vp[..., sl])
+    return _concat_last(heads_out) @ params.w_o
 
 
 def grad_check(f, theta: np.ndarray, h: float = 1e-5,
@@ -147,8 +148,8 @@ def grad_check(f, theta: np.ndarray, h: float = 1e-5,
     `f(theta)` must return `(scalar_value, gradient_vector)` where the
     gradient comes from the kernel's reverse pass. Per coordinate the error
     is |analytic - central| / max(1, |analytic|). When `value_fn` is given
-    it is used for the difference evaluations (e.g. the plain-numpy forward
-    of the same kernel), which also cross-checks the two forward paths.
+    it is used for the difference evaluations (e.g. the same forward on
+    plain ndarrays, without building a tape).
     """
     if not (1e-6 <= h <= 1e-4):
         raise ValueError("step h must lie in [1e-6, 1e-4]")

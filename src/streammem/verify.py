@@ -10,10 +10,9 @@ import math
 
 import numpy as np
 
-from . import autodiff
 from .autodiff import Var, backward
 from .dfs import CandidateSet, dpc_knn_select
-from .memory import MemoryBank, MemoryEntry, QueryBank, append, write_frame
+from .memory import MemoryBank, QueryBank, append, write_frame
 from .perceiver import (PerceiverLayerParams, cross_sublayer, ffn_sublayer,
                         temporal_sublayer)
 from .tensor import AttentionParams, attention, gelu, grad_check, layer_norm
@@ -113,7 +112,9 @@ def perceiver_layer_grad_error(seed: int, d: int = 8, heads: int = 2,
                                n_q: int = 2, n_frames: int = 2, n_keys: int = 3,
                                h: float = 1e-5) -> float:
     """One full perceiver layer (cross + temporal + FFN sublayers) with the
-    loss over all per-frame outputs; theta covers the layer parameters."""
+    loss over all per-frame outputs; theta covers the layer parameters.
+    Both passes run the production batched sublayers: on Vars for the
+    reverse pass, on ndarrays for the differences."""
     rng = np.random.default_rng(seed)
     hidden = 4 * d
     attn_shapes = [(d, d)] * 4 + [(d,), (d,)]
@@ -121,7 +122,7 @@ def perceiver_layer_grad_error(seed: int, d: int = 8, heads: int = 2,
                                           (hidden, d), (d,), (d,), (d,)]
     init = [rng.standard_normal(s) * 0.5 for s in shapes]
     context = rng.standard_normal((n_q, d))
-    keys = [rng.standard_normal((n_keys, d)) for _ in range(n_frames)]
+    keys = rng.standard_normal((n_frames, n_keys, d))
     theta0 = _pack(init)
 
     def _layer_from(parts):
@@ -133,27 +134,19 @@ def perceiver_layer_grad_error(seed: int, d: int = 8, heads: int = 2,
             temporal=AttentionParams(heads, d, twq, twk, twv, two, tg, tb),
             w1=w1, b1=b1, w2=w2, b2=b2, ffn_ln_gain=fg, ffn_ln_bias=fb)
 
-    def _run_layer(layer, start_states):
-        states = [cross_sublayer(s, kv, layer)
-                  for s, kv in zip(start_states, keys)]
+    def _run_layer(layer):
+        states = cross_sublayer(context, keys, layer)
         states = temporal_sublayer(states, layer.temporal)
-        return [ffn_sublayer(s, layer) for s in states]
+        return ffn_sublayer(states, layer).sum()
 
     def f(theta):
         leaves = [Var(a) for a in _unpack(theta, shapes)]
-        layer = _layer_from(leaves)
-        states = _run_layer(layer,
-                            [autodiff.as_var(context)] * n_frames)
-        loss = states[0].sum()
-        for s in states[1:]:
-            loss = loss + s.sum()
+        loss = _run_layer(_layer_from(leaves))
         backward(loss)
         return float(loss.value), _collect_grads(leaves)
 
     def value_only(theta):
-        layer = _layer_from(_unpack(theta, shapes))
-        states = _run_layer(layer, [context.copy() for _ in range(n_frames)])
-        return float(sum(s.sum() for s in states))
+        return float(_run_layer(_layer_from(_unpack(theta, shapes))))
 
     return grad_check(f, theta0, h, value_fn=value_only)
 
@@ -258,8 +251,9 @@ def run_linearity_suite(frame_counts=(16, 64, 256), W: int = 2, d: int = 8):
     for T in frame_counts:
         bank = MemoryBank(W=W, d=d)
         for t in range(T):
-            perceived = rng.standard_normal((4, d))
-            append(bank, write_frame(perceived, queries, t, t))
+            perceived = rng.standard_normal((1, 4, d))
+            for entry in write_frame(perceived, queries, t, t):
+                append(bank, entry)
         results.append((T, bank.token_count(), bank.token_count() == W * T))
     return results
 

@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written with plain Python loops and no
+The kernel oracles are deliberately written with plain Python loops and no
 shared helpers from the package, so a bug in a production path cannot hide
-in its own oracle.
+in its own oracle. The two composition oracles at the end are the
+exception: they call the package's 2-D kernels one frame at a time, to pin
+the batched perceiver to that composition bit for bit.
 """
 
 import math
@@ -80,3 +82,74 @@ def attention_oracle(q, k, v, params):
                          params.w_v.tolist(), params.w_o.tolist(),
                          params.heads)
     return np.array(out)
+
+
+def perceive_subclip_loop(frames, context, instruction_tokens, perceiver):
+    """The perceiver as one 2-D attention call per frame (cross-attention)
+    and per query index (temporal attention), returning (F, N_Q, d).
+
+    Unlike the loops above this composes the package's own 2-D attention,
+    layer_norm and gelu: it pins the batched forward to the frame-by-frame
+    composition bit for bit, not the arithmetic of each kernel.
+    """
+    import numpy as np
+    from streammem.tensor import attention, gelu, layer_norm
+
+    if len(instruction_tokens):
+        keys = [np.concatenate([f, instruction_tokens], axis=0)
+                for f in frames]
+    else:
+        keys = [np.asarray(f, dtype=np.float64) for f in frames]
+
+    def cross(state, kv, layer):
+        normed = layer_norm(state, layer.cross.ln_gain, layer.cross.ln_bias)
+        return state + attention(normed, kv, kv, layer.cross)
+
+    def temporal(states, t):
+        stacked = np.stack(states)
+        out = np.empty_like(stacked)
+        for q in range(stacked.shape[1]):
+            seq = stacked[:, q, :]
+            normed = layer_norm(seq, t.ln_gain, t.ln_bias)
+            out[:, q, :] = seq + attention(normed, normed, normed, t)
+        return [out[j] for j in range(len(states))]
+
+    def ffn(state, layer):
+        normed = layer_norm(state, layer.ffn_ln_gain, layer.ffn_ln_bias)
+        return state + (gelu(normed @ layer.w1 + layer.b1) @ layer.w2
+                        + layer.b2)
+
+    states = [context.copy() for _ in frames]
+    for layer in perceiver.layers:
+        states = [cross(s, kv, layer) for s, kv in zip(states, keys)]
+        if perceiver.temporal_mode == "per_layer":
+            states = temporal(states, layer.temporal)
+        states = [ffn(s, layer) for s in states]
+    if perceiver.temporal_mode == "final":
+        states = temporal(states, perceiver.layers[-1].temporal)
+    return np.stack(states)
+
+
+def process_stream_loop(frames, instruction_tokens, queries, perceiver, F,
+                        residual_read=True):
+    """Read-perceive-write over a list of frames with one 2-D write
+    attention per frame; returns the memory tokens per frame, in order."""
+    import numpy as np
+    from streammem.tensor import attention
+
+    written = []
+    for start in range(0, len(frames), F):
+        if written:
+            mem = np.concatenate(written, axis=0)
+            context = attention(queries.read_queries, mem, mem,
+                                queries.read_attention)
+            if residual_read:
+                context = queries.read_queries + context
+        else:
+            context = queries.read_queries.copy()
+        states = perceive_subclip_loop(frames[start:start + F], context,
+                                       instruction_tokens, perceiver)
+        for state in states:
+            written.append(attention(queries.write_queries, state, state,
+                                     queries.write_attention))
+    return written

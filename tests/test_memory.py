@@ -103,18 +103,29 @@ class TestReadContext:
 class TestWriteFrame:
     def test_matches_loop_oracle(self):
         queries = _query_bank(7)
-        perceived = np.random.default_rng(7).standard_normal((5, 8))
-        entry = write_frame(perceived, queries, frame_index=9, subclip_index=2)
-        assert (entry.frame_index, entry.subclip_index) == (9, 2)
-        expected = attention_oracle(queries.write_queries, perceived,
-                                    perceived, queries.write_attention)
-        assert np.allclose(entry.tokens, expected, atol=1e-10, rtol=0)
+        perceived = np.random.default_rng(7).standard_normal((3, 5, 8))
+        entries = write_frame(perceived, queries, start_frame=9,
+                              subclip_index=2)
+        assert [(e.frame_index, e.subclip_index) for e in entries] == \
+            [(9, 2), (10, 2), (11, 2)]
+        for entry, frame in zip(entries, perceived):
+            expected = attention_oracle(queries.write_queries, frame, frame,
+                                        queries.write_attention)
+            assert np.allclose(entry.tokens, expected, atol=1e-10, rtol=0)
+
+    def test_batch_matches_one_frame_at_a_time(self):
+        queries = _query_bank(10)
+        perceived = np.random.default_rng(10).standard_normal((4, 5, 8))
+        batched = write_frame(perceived, queries, 0, 0)
+        for j in range(4):
+            (single,) = write_frame(perceived[j:j + 1], queries, j, 0)
+            assert np.array_equal(batched[j].tokens, single.tokens)
 
     def test_identical_rows_collapse(self):
         queries = _query_bank(8)
         row = np.random.default_rng(8).standard_normal(8)
-        perceived = np.tile(row, (6, 1))
-        entry = write_frame(perceived, queries, 0, 0)
+        perceived = np.tile(row, (1, 6, 1))
+        (entry,) = write_frame(perceived, queries, 0, 0)
         expected = np.tile(
             (row @ queries.write_attention.w_v) @ queries.write_attention.w_o,
             (queries.n_write, 1))
@@ -123,7 +134,12 @@ class TestWriteFrame:
     def test_dim_mismatch_rejected(self):
         queries = _query_bank(9)
         with pytest.raises(ValueError):
-            write_frame(np.zeros((4, 7)), queries, 0, 0)
+            write_frame(np.zeros((1, 4, 7)), queries, 0, 0)
+
+    def test_unstacked_states_rejected(self):
+        queries = _query_bank(9)
+        with pytest.raises(ValueError):
+            write_frame(np.zeros((4, 8)), queries, 0, 0)
 
 
 class TestFeatureBuffer:

@@ -13,7 +13,8 @@ from streammem.perceiver import (PerceiverParams, perceive_subclip,
 from streammem.stream import (InstructionEncoding, SubClip, empty_instruction,
                               encode_instruction, synth_stream)
 
-from oracles import attention_loop, layer_norm_two_pass
+from oracles import (attention_loop, layer_norm_two_pass,
+                     perceive_subclip_loop, process_stream_loop)
 
 
 def _config(**overrides):
@@ -35,7 +36,7 @@ class TestTemporalSublayer:
         params = init_model_params(_config())
         layer = params.perceiver.layers[0]
         state = np.random.default_rng(1).standard_normal((3, 8))
-        (out,) = temporal_sublayer([state], layer.temporal)
+        (out,) = temporal_sublayer(state[None], layer.temporal)
         # one frame gives each query index a one-key softmax, weight 1
         for q in range(3):
             normed = np.array(layer_norm_two_pass(
@@ -49,7 +50,7 @@ class TestTemporalSublayer:
         params = init_model_params(_config())
         layer = params.perceiver.layers[0]
         rng = np.random.default_rng(2)
-        states = [rng.standard_normal((3, 8)) for _ in range(4)]
+        states = rng.standard_normal((4, 3, 8))
         out = temporal_sublayer(states, layer.temporal)
         t = layer.temporal
         for q in range(3):
@@ -68,11 +69,10 @@ class TestTemporalSublayer:
         params = init_model_params(_config())
         layer = params.perceiver.layers[0]
         rng = np.random.default_rng(3)
-        states = [rng.standard_normal((2, 8)) for _ in range(5)]
+        states = rng.standard_normal((5, 2, 8))
         perm = [3, 0, 4, 1, 2]
         out = temporal_sublayer(states, layer.temporal)
-        out_perm = temporal_sublayer([states[j] for j in perm],
-                                     layer.temporal)
+        out_perm = temporal_sublayer(states[perm], layer.temporal)
         for pos, j in enumerate(perm):
             assert np.allclose(out_perm[pos], out[j], atol=1e-12)
 
@@ -166,8 +166,42 @@ class TestPerceiveSubclip:
                                  params.perceiver)
         taped = perceive_subclip(clip, Var(context), empty_instruction(8),
                                  params.perceiver)
-        for fa, fb in zip(plain.frames, taped.frames):
-            assert np.allclose(fa, fb.value, atol=1e-12)
+        assert np.allclose(plain.frames, taped.frames.value, atol=1e-12)
+
+
+class TestBatchedForwardBitExact:
+    """The batched forward equals the frame-by-frame composition of 2-D
+    attention calls byte for byte, not only to a tolerance."""
+
+    @pytest.mark.parametrize("temporal", ["per_layer", "final"])
+    @pytest.mark.parametrize("n_frames", [1, 3, 4])
+    @pytest.mark.parametrize("text", ["", "find the red car"])
+    def test_perceive_subclip(self, temporal, n_frames, text):
+        params = init_model_params(_config(temporal=temporal))
+        clip = _clip(30 + n_frames, n_frames=n_frames)
+        context = np.random.default_rng(30).standard_normal((3, 8))
+        instr = encode_instruction(text, 8) if text else empty_instruction(8)
+        out = perceive_subclip(clip, context, instr, params.perceiver)
+        expected = perceive_subclip_loop(clip.frames, context, instr.tokens,
+                                         params.perceiver)
+        assert out.frames.shape == expected.shape
+        assert np.array_equal(out.frames, expected)
+
+    @pytest.mark.parametrize("temporal", ["per_layer", "final"])
+    @pytest.mark.parametrize("F", [1, 4])
+    @pytest.mark.parametrize("text", ["", "summarize"])
+    def test_process_stream(self, temporal, F, text):
+        # T=21 with F=4 leaves a one-frame last sub-clip
+        params = init_model_params(_config(temporal=temporal))
+        stream = synth_stream(31, 21, 4, 8)
+        instr = encode_instruction(text, 8) if text else empty_instruction(8)
+        bank, _ = process_stream(stream, instr, params.query_bank,
+                                 params.perceiver, F=F)
+        expected = process_stream_loop(stream.frames, instr.tokens,
+                                       params.query_bank, params.perceiver, F)
+        assert len(bank.entries) == len(expected) == 21
+        for entry, tokens in zip(bank.entries, expected):
+            assert np.array_equal(entry.tokens, tokens)
 
 
 class TestProcessStream:

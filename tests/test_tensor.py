@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streammem.errors import NumericError
-from streammem.kernels import (NUMBA_AVAILABLE, attention_core_numba,
-                               attention_core_numpy)
 from streammem.tensor import (AttentionParams, attention, grad_check,
                               layer_norm, make_attention_params, softmax_rows)
 
@@ -142,18 +140,6 @@ class TestAttention:
             AttentionParams(heads=3, dim_model=8, w_q=np.eye(8),
                             w_k=np.eye(8), w_v=np.eye(8), w_o=np.eye(8),
                             ln_gain=np.ones(8), ln_bias=np.zeros(8))
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not importable")
-class TestKernelVariantsAgree:
-    @pytest.mark.parametrize("n_kv", [1, 5, 33])
-    def test_attention_core(self, n_kv):
-        rng = np.random.default_rng(n_kv)
-        qp = rng.standard_normal((4, 8))
-        kp = rng.standard_normal((n_kv, 8))
-        vp = rng.standard_normal((n_kv, 8))
-        assert np.allclose(attention_core_numpy(qp, kp, vp, 2),
-                           attention_core_numba(qp, kp, vp, 2), atol=1e-12)
 
 
 class TestGradCheck:
