@@ -8,13 +8,12 @@ high-resolution tokens. Everything is deterministic for a fixed seed.
 
 from .assembly import LLMInputSequence, assemble, load_llm_input, save_llm_input
 from .config import RunConfig, format_config, load_config, parse_config
-from .dfs import (CandidateSet, ClusterDiagnostics, FrameScore,
-                  SelectionResult, dfs_select, distance_index, dpc_knn_select,
-                  frame_relevance, local_density, pool_tokens, select_top_L,
-                  uniform_select)
+from .dfs import (CandidateSet, ClusterDiagnostics, SelectionResult,
+                  dfs_select, distance_index, dpc_knn_select, frame_relevance,
+                  local_density, pool_tokens, select_top_L, uniform_select)
 from .errors import (BadMagicError, BadVersionError, ConfigError, EngineError,
-                     FormatError, NonFiniteDataError, NumericError,
-                     TruncatedPayloadError)
+                     FormatError, MalformedArtifactError,
+                     NonFiniteDataError, NumericError, TruncatedPayloadError)
 from .memory import (AccountingReport, DiskFeatureBuffer, FeatureBuffer,
                      MemoryBank, MemoryEntry, QueryBank, accounting_report,
                      append, buffer_store, load_bank, read_context, save_bank,

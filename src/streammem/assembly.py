@@ -36,7 +36,7 @@ def assemble(bank: MemoryBank, selection: SelectionResult,
              tau: np.ndarray) -> LLMInputSequence:
     """Memory tokens in temporal order, one separator row, then pooled tokens
     of the selected frames in ascending frame order."""
-    if not bank.entries:
+    if len(bank) == 0:
         raise ValueError("cannot assemble from an empty memory bank")
     if tau.shape != (bank.d,):
         raise ValueError("separator row must have length d")

@@ -13,11 +13,7 @@ import numpy as np
 from .memory import MemoryBank
 from .stream import InstructionEncoding
 
-
-@dataclass
-class FrameScore:
-    frame_index: int
-    relevance: float
+_DIST_BLOCK = 32
 
 
 @dataclass
@@ -45,54 +41,63 @@ class SelectionResult:
     strategy: str = "dfs"
 
 
-def frame_relevance(bank: MemoryBank, instruction_mean: np.ndarray):
+def frame_relevance(bank: MemoryBank,
+                    instruction_mean: np.ndarray) -> np.ndarray:
     """Per frame, the max over its W memory tokens of the scaled dot product
-    with the mean instruction vector. Raw logits: the row softmax the
-    selection is defined through is monotone, so the top-L ranking is the
-    same and the logits are kept for numerical simplicity."""
-    if not bank.entries:
+    with the mean instruction vector, as a (T,) array in bank order. Raw
+    logits: the row softmax the selection is defined through is monotone,
+    so the top-L ranking is the same and the logits are kept for numerical
+    simplicity.
+
+    The stacked (T, W, d) @ (d,) product runs one gemv per frame, as a
+    per-frame loop would; one flattened (T*W, d) gemv rounds differently.
+    """
+    if len(bank) == 0:
         raise ValueError("cannot score an empty memory bank")
     if instruction_mean.shape != (bank.d,):
         raise ValueError("instruction mean must have length d")
     scale = 1.0 / math.sqrt(bank.d)
-    return [FrameScore(e.frame_index, float((e.tokens @ instruction_mean).max() * scale))
-            for e in bank.entries]
+    return (bank.tokens @ instruction_mean).max(axis=1) * scale
 
 
-def _candidate_vector(entry_tokens: np.ndarray, z_repr: str) -> np.ndarray:
+def _candidate_vectors(tokens: np.ndarray, z_repr: str) -> np.ndarray:
+    """(n, W, d) memory tokens -> (n, dz) candidate representations."""
     if z_repr == "mean":
-        return entry_tokens.mean(axis=0)
+        return tokens.mean(axis=1)
     if z_repr == "concat":
-        return entry_tokens.reshape(-1)
+        return tokens.reshape(len(tokens), -1)
     raise ValueError(f"unknown z_repr mode {z_repr!r}")
 
 
-def select_top_L(scores, L: int, bank: MemoryBank,
+def select_top_L(relevance: np.ndarray, L: int, bank: MemoryBank,
                  z_repr: str = "mean") -> CandidateSet:
-    """The min(L, |scores|) highest-relevance frames; ties toward smaller
-    frame index."""
+    """The min(L, T) highest-relevance frames; ties toward smaller frame
+    index. `relevance` is frame_relevance of this bank."""
     if L < 1:
         raise ValueError("L must be at least 1")
-    order = sorted(range(len(scores)),
-                   key=lambda i: (-scores[i].relevance, scores[i].frame_index))
-    chosen = order[:min(L, len(scores))]
-    by_frame = {e.frame_index: e for e in bank.entries}
-    frames = [scores[i].frame_index for i in chosen]
-    vectors = np.stack([_candidate_vector(by_frame[f].tokens, z_repr)
-                        for f in frames])
-    relevance = np.array([scores[i].relevance for i in chosen])
-    return CandidateSet(frames=frames, vectors=vectors, relevance=relevance,
-                        L=L)
+    if relevance.shape != (len(bank),):
+        raise ValueError("relevance must hold one score per bank frame")
+    chosen = np.lexsort((bank.frames, -relevance))[:L]
+    return CandidateSet(frames=bank.frames[chosen].tolist(),
+                        vectors=_candidate_vectors(bank.tokens[chosen],
+                                                   z_repr),
+                        relevance=relevance[chosen], L=L)
 
 
 def sq_dist_matrix(z: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, (n, n), by explicit differences.
 
     The difference form (rather than the Gram-matrix trick) keeps results
-    accurate enough to compare against loop oracles at 1e-12.
+    accurate enough to compare against loop oracles at 1e-12. Rows go in
+    blocks, so the difference temporary is (_DIST_BLOCK, n, d), not
+    (n, n, d); each entry is the same sum either way.
     """
-    diff = z[:, None, :] - z[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    n = z.shape[0]
+    out = np.empty((n, n))
+    for start in range(0, n, _DIST_BLOCK):
+        diff = z[start:start + _DIST_BLOCK, None, :] - z[None, :, :]
+        out[start:start + _DIST_BLOCK] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
 
 
 def _pairwise(vectors: np.ndarray) -> np.ndarray:

@@ -27,6 +27,11 @@ class TruncatedPayloadError(FormatError):
     pass
 
 
+class MalformedArtifactError(FormatError):
+    """An artifact's content breaks its format: malformed manifest JSON,
+    frame indices out of order, a record of the wrong shape."""
+
+
 class ConfigError(EngineError):
     exit_code = 3
 

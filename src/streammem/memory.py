@@ -2,25 +2,51 @@
 accounting.
 
 The bank is the only Stage-1 state that grows with stream length: W compact
-tokens per processed frame, kept in strict temporal order. Raw frame tokens
-go to a passive feature buffer that is never read during Stage 1.
+tokens per processed frame, kept in strict temporal order. It is stored as
+one growable (capacity, W, d) array plus frame and sub-clip index arrays,
+so appends are amortised O(1) and readers see views, never copies. Raw
+frame tokens go to a passive feature buffer that is never read during
+Stage 1.
 """
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadMagicError, BadVersionError, NonFiniteDataError,
-                     TruncatedPayloadError)
+from .errors import (BadMagicError, BadVersionError, MalformedArtifactError,
+                     NonFiniteDataError, TruncatedPayloadError)
 from .stream import read_rwfs_bytes, rwfs_record_bytes
-from .tensor import AttentionParams, attention
+from .tensor import AttentionParams, attend, attention
 
 RWMB_MAGIC = b"RWMB"
 RWMB_VERSION = 1
 _BANK_HEADER = struct.Struct("<4sIIII")
-_ENTRY_HEADER = struct.Struct("<II")
+_RWFS_HEADER = struct.Struct("<4sIIII")
+_MIN_CAPACITY = 16
+
+
+def _record_dtype(W: int, d: int) -> np.dtype:
+    """One RWMB entry: frame index, sub-clip index, W x d float32 tokens."""
+    return np.dtype([("frame", "<u4"), ("subclip", "<u4"),
+                     ("tokens", "<f4", (W, d))])
+
+
+def _reserve(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """`buf` if it holds `needed` rows, else a copy of its first `used` rows
+    in a buffer of at least double the capacity."""
+    if needed <= len(buf):
+        return buf
+    grown = np.empty((max(needed, 2 * len(buf), _MIN_CAPACITY),)
+                     + buf.shape[1:], dtype=buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
+
+
+def _readonly(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -30,29 +56,101 @@ class MemoryEntry:
     tokens: np.ndarray  # (W, d)
 
 
-@dataclass
 class MemoryBank:
-    W: int
-    d: int
-    entries: list = field(default_factory=list)
+    """W memory tokens per frame in strict frame order.
+
+    `tokens`, `frames`, `subclips` and `all_tokens()` are read-only views
+    of the live rows. The bank also caches the read attention's projected
+    K/V rows (`projected_kv`): attention weights are fixed at inference,
+    so the cache assumes they are never changed in place.
+    """
+
+    def __init__(self, W: int, d: int):
+        self.W = W
+        self.d = d
+        self._count = 0
+        self._tokens = np.empty((0, W, d))
+        self._frames = np.empty(0, dtype=np.int64)
+        self._subclips = np.empty(0, dtype=np.int64)
+        self._kv_params = None
+        self._kv_rows = 0
+        self._k = np.empty((0, d))
+        self._v = np.empty((0, d))
 
     def __len__(self):
-        return len(self.entries)
+        return self._count
+
+    @property
+    def tokens(self) -> np.ndarray:
+        """(len, W, d) memory tokens, frame order."""
+        return _readonly(self._tokens[:self._count])
+
+    @property
+    def frames(self) -> np.ndarray:
+        return _readonly(self._frames[:self._count])
+
+    @property
+    def subclips(self) -> np.ndarray:
+        return _readonly(self._subclips[:self._count])
+
+    @property
+    def entries(self) -> list:
+        """The bank as per-frame entries whose tokens are views of it."""
+        return [MemoryEntry(f, s, t) for f, s, t in
+                zip(self.frames.tolist(), self.subclips.tolist(), self.tokens)]
 
     def token_count(self) -> int:
-        return self.W * len(self.entries)
+        return self.W * self._count
 
     def frame_indices(self):
-        return [e.frame_index for e in self.entries]
+        return self.frames.tolist()
 
     def all_tokens(self) -> np.ndarray:
         """All memory tokens flattened in temporal order, (W * len, d)."""
-        if not self.entries:
-            return np.zeros((0, self.d))
-        return np.concatenate([e.tokens for e in self.entries], axis=0)
+        return self.tokens.reshape(self.token_count(), self.d)
 
     def resident_bytes(self) -> int:
-        return sum(e.tokens.nbytes for e in self.entries)
+        """Bytes of the live rows (tokens and frame and sub-clip indices)
+        plus the cached K/V rows. Spare capacity is never written, so it is
+        not counted."""
+        n, rows = self._count, self._kv_rows
+        return sum(a.nbytes for a in (self._tokens[:n], self._frames[:n],
+                                      self._subclips[:n], self._k[:rows],
+                                      self._v[:rows]))
+
+    def _push(self, frames, subclips, tokens) -> None:
+        """Store rows after the live ones; callers validate them."""
+        n, end = self._count, self._count + len(frames)
+        self._tokens = _reserve(self._tokens, n, end)
+        self._frames = _reserve(self._frames, n, end)
+        self._subclips = _reserve(self._subclips, n, end)
+        self._tokens[n:end] = tokens
+        self._frames[n:end] = frames
+        self._subclips[n:end] = subclips
+        self._count = end
+
+    def projected_kv(self, params: AttentionParams):
+        """The memory rows projected through `params.w_k` and `params.w_v`,
+        each (W * len, d). Rows appended since the last call are projected
+        now; a different `params` object restarts the cache.
+
+        numpy sends a one-row product to gemv, which rounds differently
+        from gemm, so every projected block spans at least two rows unless
+        the whole bank is one row: the rows then equal one full projection
+        of all_tokens() bit for bit.
+        """
+        rows = self.token_count()
+        if params is not self._kv_params:
+            self._kv_params, self._kv_rows = params, 0
+        if self._kv_rows < rows:
+            start = 0 if self._kv_rows < 2 else min(self._kv_rows, rows - 2)
+            self._k = _reserve(self._k, start, rows)
+            self._v = _reserve(self._v, start, rows)
+            block = self.all_tokens()[start:]
+            self._k[start:rows] = block @ params.w_k
+            self._v[start:rows] = block @ params.w_v
+            self._kv_rows = rows
+        return _readonly(self._k[:rows]), _readonly(self._v[:rows])
 
 
 def append(bank: MemoryBank, entry: MemoryEntry) -> None:
@@ -62,11 +160,13 @@ def append(bank: MemoryBank, entry: MemoryEntry) -> None:
         raise ValueError("entry tokens must be W x d")
     if not np.all(np.isfinite(entry.tokens)):
         raise ValueError("entry tokens must be finite")
-    if bank.entries and entry.frame_index <= bank.entries[-1].frame_index:
+    n = len(bank)
+    if n and entry.frame_index <= bank._frames[n - 1]:
         raise ValueError(
             f"out-of-order append: frame {entry.frame_index} after "
-            f"{bank.entries[-1].frame_index}")
-    bank.entries.append(entry)
+            f"{bank._frames[n - 1]}")
+    bank._push([entry.frame_index], [entry.subclip_index],
+               entry.tokens[None])
 
 
 class FeatureBuffer:
@@ -120,8 +220,15 @@ class DiskFeatureBuffer:
 
     def __init__(self, data_path, manifest_path):
         with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        self._offsets = {int(i): int(off) for i, off in manifest["frames"]}
+            try:
+                manifest = json.load(fh)
+                self._offsets = {int(i): int(off)
+                                 for i, off in manifest["frames"]}
+            except (ValueError, KeyError, TypeError) as exc:
+                raise MalformedArtifactError(
+                    f"malformed buffer manifest: {exc!r}") from exc
+        if any(off < 0 for off in self._offsets.values()):
+            raise MalformedArtifactError("negative offset in buffer manifest")
         self._data_path = data_path
 
     def frame_indices(self):
@@ -136,13 +243,23 @@ class DiskFeatureBuffer:
         return len(self._offsets) * self.get(self.frame_indices()[0]).shape[0]
 
     def get(self, frame_index: int) -> np.ndarray:
-        offset = self._offsets[frame_index]
+        offset = self._offsets.get(frame_index)
+        if offset is None:
+            raise MalformedArtifactError(
+                f"frame {frame_index} is not in the buffer manifest")
         with open(self._data_path, "rb") as fh:
             fh.seek(offset)
-            header = fh.read(20)
-            _, _, T, P, d = struct.unpack("<4sIIII", header)
+            header = fh.read(_RWFS_HEADER.size)
+            if len(header) < _RWFS_HEADER.size:
+                raise TruncatedPayloadError(
+                    f"buffer record of frame {frame_index} at offset "
+                    f"{offset} is truncated")
+            _, _, T, P, d = _RWFS_HEADER.unpack(header)
             body = fh.read(T * P * d * 4)
-        _, _, _, values = read_rwfs_bytes(header + body)
+        T, _, _, values = read_rwfs_bytes(header + body)
+        if T != 1:
+            raise MalformedArtifactError(
+                f"buffer record of frame {frame_index} holds {T} frames")
         return values[0]
 
 
@@ -168,13 +285,15 @@ def read_context(bank: MemoryBank, queries: QueryBank,
 
     An empty bank returns the read queries unchanged (their learned initial
     content); otherwise cross-attention over all flattened memory tokens,
-    with an optional residual connection back onto the queries.
+    with an optional residual connection back onto the queries. The memory
+    side's K/V projections come from the bank's cache, so a read projects
+    only the rows written since the previous one.
     """
-    if not bank.entries:
+    if len(bank) == 0:
         return queries.read_queries.copy()
-    memory_tokens = bank.all_tokens()
-    attended = attention(queries.read_queries, memory_tokens, memory_tokens,
-                         queries.read_attention)
+    params = queries.read_attention
+    kp, vp = bank.projected_kv(params)
+    attended = attend(queries.read_queries @ params.w_q, kp, vp, params)
     if residual:
         return queries.read_queries + attended
     return attended
@@ -203,12 +322,13 @@ def save_bank(bank: MemoryBank, path) -> None:
 
 
 def bank_bytes(bank: MemoryBank) -> bytes:
-    parts = [_BANK_HEADER.pack(RWMB_MAGIC, RWMB_VERSION, len(bank.entries),
-                               bank.W, bank.d)]
-    for e in bank.entries:
-        parts.append(_ENTRY_HEADER.pack(e.frame_index, e.subclip_index))
-        parts.append(np.ascontiguousarray(e.tokens, dtype=np.float32).tobytes())
-    return b"".join(parts)
+    records = np.empty(len(bank), dtype=_record_dtype(bank.W, bank.d))
+    records["frame"] = bank.frames
+    records["subclip"] = bank.subclips
+    records["tokens"] = bank.tokens
+    return (_BANK_HEADER.pack(RWMB_MAGIC, RWMB_VERSION, len(bank), bank.W,
+                              bank.d)
+            + records.tobytes())
 
 
 def load_bank(path) -> MemoryBank:
@@ -221,22 +341,25 @@ def load_bank(path) -> MemoryBank:
         raise BadMagicError(f"bad magic {magic!r}, expected {RWMB_MAGIC!r}")
     if version != RWMB_VERSION:
         raise BadVersionError(f"unsupported RWMB version {version}")
-    entry_size = _ENTRY_HEADER.size + W * d * 4
-    expected = _BANK_HEADER.size + count * entry_size
+    try:
+        record = _record_dtype(W, d)
+    except ValueError as exc:
+        raise MalformedArtifactError(
+            f"RWMB entry shape {W} x {d} is not representable") from exc
+    expected = _BANK_HEADER.size + count * record.itemsize
     if len(data) != expected:
         raise TruncatedPayloadError(
             f"bank file holds {len(data)} bytes, expected {expected}")
+    records = np.frombuffer(data, dtype=record, count=count,
+                            offset=_BANK_HEADER.size)
+    if not np.all(np.isfinite(records["tokens"])):
+        raise NonFiniteDataError("RWMB payload contains non-finite values")
+    frames = records["frame"].astype(np.int64)
+    if np.any(np.diff(frames) <= 0):
+        raise MalformedArtifactError(
+            "RWMB frame indices are not strictly increasing")
     bank = MemoryBank(W=W, d=d)
-    pos = _BANK_HEADER.size
-    for _ in range(count):
-        frame_index, subclip_index = _ENTRY_HEADER.unpack_from(data, pos)
-        pos += _ENTRY_HEADER.size
-        tokens = np.frombuffer(data[pos:pos + W * d * 4],
-                               dtype="<f4").astype(np.float64).reshape(W, d)
-        pos += W * d * 4
-        if not np.all(np.isfinite(tokens)):
-            raise NonFiniteDataError("RWMB payload contains non-finite values")
-        append(bank, MemoryEntry(frame_index, subclip_index, tokens))
+    bank._push(frames, records["subclip"], records["tokens"])
     return bank
 
 
@@ -272,7 +395,7 @@ def accounting_report(bank: MemoryBank, buffer, config) -> AccountingReport:
     LLM-input length is W*T + 1 + p*min(K_c, T): the separator row is always
     present, and at most T frames can be selected.
     """
-    T = len(bank.entries)
+    T = len(bank)
     W = bank.W
     d = bank.d
     memory_tokens = W * T

@@ -111,10 +111,11 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
                                instruction_text: str) -> int:
     """Allocation-accounting harness for Stage 1.
 
-    Tracks, after every sub-clip, the bytes held by the bank and buffer plus
-    the transient workspace of the next read (the N_R x W*t score matrix)
-    and the per-clip cross-attention keys. The peak demonstrates the absence
-    of any state that grows faster than linearly in T.
+    Tracks, after every sub-clip, the bytes allocated by the bank (its
+    projected K/V cache included) and held by the buffer, plus the
+    transient workspace of the next read (the N_R x W*t score matrix) and
+    the per-clip cross-attention keys. The peak demonstrates the absence of
+    any state that grows faster than linearly in T.
     """
     config.validate()
     params = init_model_params(config)

@@ -114,24 +114,28 @@ def attention(q, k, v, params: AttentionParams):
     Leading batch axes broadcast, so a 2-D q attends over every element of
     a stacked k/v. Each batch element goes through the same per-head gemms
     as a 2-D call, so the values are identical to one call per element.
-    Per-head logits are scaled by 1/sqrt(d/heads). Raises on an empty key
-    set: callers that attend over growing stores must guard the empty case
-    themselves.
+    Raises on an empty key set: callers that attend over growing stores
+    must guard the empty case themselves.
     """
     d = params.dim_model
     if q.shape[-1] != d or k.shape[-1] != d or v.shape[-1] != d:
         raise ValueError("q/k/v column count must equal dim_model")
-    if k.shape[-2] != v.shape[-2]:
+    return attend(_float64(q) @ params.w_q, _float64(k) @ params.w_k,
+                  _float64(v) @ params.w_v, params)
+
+
+def attend(qp, kp, vp, params: AttentionParams):
+    """The attention core on rows already projected through w_q, w_k and
+    w_v: per-head softmax of the logits scaled by 1/sqrt(d/heads), the
+    weighted values, and the output projection w_o."""
+    if kp.shape[-2] != vp.shape[-2]:
         raise ValueError("k and v must have the same row count")
-    if k.shape[-2] == 0:
+    if kp.shape[-2] == 0:
         raise ValueError("attention over an empty key set")
     params.validate_finite()
 
-    dh = d // params.heads
+    dh = params.dim_model // params.heads
     scale = 1.0 / np.sqrt(dh)
-    qp = _float64(q) @ params.w_q
-    kp = _float64(k) @ params.w_k
-    vp = _float64(v) @ params.w_v
     heads_out = []
     for h in range(params.heads):
         sl = slice(h * dh, (h + 1) * dh)

@@ -167,6 +167,57 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "o")]) == 1
 
 
+@pytest.fixture
+def processed(tmp_path, config_path, stream_path):
+    out_dir = tmp_path / "run"
+    assert main(["process", "--stream", stream_path, "--instruction", "x",
+                 "--config", config_path, "--out-dir", str(out_dir)]) == 0
+    return out_dir
+
+
+class TestMalformedArtifactExitCodes:
+    """Malformed artifacts exit 2 with an error line, never a traceback."""
+
+    def _select(self, out_dir, config_path):
+        return main(["select", "--bank", str(out_dir / "memory.rwmb"),
+                     "--buffer-manifest", str(out_dir / "buffer.manifest"),
+                     "--instruction", "x", "--config", config_path,
+                     "--out", str(out_dir / "sel.txt")])
+
+    @pytest.mark.parametrize("frame", [0, 1])
+    def test_bank_frame_order_is_2(self, processed, config_path, capsys,
+                                   frame):
+        # entry 1 gets frame 0 (duplicate) or keeps 1 while entry 2 gets 1
+        path = processed / "memory.rwmb"
+        raw = bytearray(path.read_bytes())
+        entry = 8 + 2 * 8 * 4
+        slot = 20 + (1 if frame == 0 else 2) * entry
+        raw[slot:slot + 4] = frame.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        assert self._select(processed, config_path) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{not json", '{"version": 1}'])
+    def test_malformed_manifest_is_2(self, processed, config_path, capsys,
+                                     text):
+        (processed / "buffer.manifest").write_text(text)
+        assert self._select(processed, config_path) == 2
+        assert main(["report", "--out-dir", str(processed)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_selected_frame_missing_from_manifest_is_2(self, processed,
+                                                       config_path, capsys):
+        (processed / "buffer.manifest").write_text('{"frames": [[0, 0]]}')
+        assert self._select(processed, config_path) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_manifest_offset_past_end_is_2(self, processed, capsys):
+        (processed / "buffer.manifest").write_text(
+            '{"frames": [[0, 1000000]]}')
+        assert main(["report", "--out-dir", str(processed)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_check_linearity_suite(capsys):
     assert main(["check", "--suite", "linearity"]) == 0
     out = capsys.readouterr().out

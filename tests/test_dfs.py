@@ -6,10 +6,14 @@ import pytest
 from streammem.dfs import (dfs_select, distance_index, dpc_knn_select,
                            format_selection_report, frame_relevance,
                            local_density, parse_selection_centers,
-                           pool_tokens, select_top_L, uniform_select)
+                           pool_tokens, select_top_L, sq_dist_matrix,
+                           uniform_select)
 from streammem.memory import FeatureBuffer, MemoryBank, MemoryEntry, append
 from streammem.stream import InstructionEncoding
 from streammem.verify import dpc_bruteforce, random_cluster_instance
+
+from oracles import (frame_relevance_loop, select_top_L_loop,
+                     sq_dist_matrix_unblocked)
 
 
 def _bank_from_tokens(token_list, d):
@@ -31,16 +35,14 @@ class TestFrameRelevance:
         bank = _scored_bank([3.0, 1.0, 2.0])
         scores = frame_relevance(bank, np.ones(4))
         scale = 1.0 / math.sqrt(4)
-        assert [s.frame_index for s in scores] == [0, 1, 2]
-        assert np.allclose([s.relevance for s in scores],
-                           [3 * scale, 1 * scale, 2 * scale])
+        assert np.allclose(scores, [3 * scale, 1 * scale, 2 * scale])
 
     def test_max_over_tokens(self):
         tokens = np.zeros((2, 4))
         tokens[1] = 2.5 / 4
         bank = _bank_from_tokens([tokens], 4)
-        (score,) = frame_relevance(bank, np.ones(4))
-        assert np.isclose(score.relevance, 2.5 / math.sqrt(4))
+        (relevance,) = frame_relevance(bank, np.ones(4))
+        assert np.isclose(relevance, 2.5 / math.sqrt(4))
 
     def test_empty_bank_rejected(self):
         with pytest.raises(ValueError):
@@ -49,7 +51,7 @@ class TestFrameRelevance:
     def test_zero_instruction_flat_scores(self):
         bank = _scored_bank([3.0, 1.0, 2.0])
         scores = frame_relevance(bank, np.zeros(4))
-        assert all(s.relevance == 0.0 for s in scores)
+        assert np.all(scores == 0.0)
 
 
 class TestSelectTopL:
@@ -86,6 +88,43 @@ class TestSelectTopL:
         bank = _scored_bank([1.0])
         with pytest.raises(ValueError):
             select_top_L(frame_relevance(bank, np.ones(4)), 0, bank)
+
+    def test_scores_of_another_bank_rejected(self):
+        scores = frame_relevance(_scored_bank([1.0, 2.0]), np.ones(4))
+        with pytest.raises(ValueError):
+            select_top_L(scores, 1, _scored_bank([1.0, 2.0, 3.0]))
+
+
+class TestStage2MatchesEntryLoop:
+    """The array forms equal per-entry loops bit for bit."""
+
+    @pytest.mark.parametrize("seed,T,W,d", [(0, 1, 2, 4), (1, 37, 2, 64),
+                                            (2, 300, 3, 16), (3, 64, 1, 8)])
+    def test_relevance_and_top_L(self, seed, T, W, d):
+        rng = np.random.default_rng(seed)
+        bank = MemoryBank(W=W, d=d)
+        for t in range(T):
+            tokens = rng.standard_normal((W, d))
+            if t % 5 == 3:  # exact ties with the previous frame
+                tokens = bank.entries[-1].tokens.copy()
+            append(bank, MemoryEntry(3 * t + 1, t // 8, tokens))
+        mean = rng.standard_normal(d)
+        _, relevance = frame_relevance_loop(bank, mean)
+        scores = frame_relevance(bank, mean)
+        assert np.array_equal(scores, relevance)
+        for z_repr in ("mean", "concat"):
+            for L in (1, T // 2 + 1, T + 5):
+                cand = select_top_L(scores, L, bank, z_repr)
+                top, vectors, rel = select_top_L_loop(bank, mean, L, z_repr)
+                assert cand.frames == top
+                assert np.array_equal(cand.vectors, vectors)
+                assert np.array_equal(cand.relevance, rel)
+
+    @pytest.mark.parametrize("n,d", [(1, 4), (31, 3), (32, 64), (33, 64),
+                                     (100, 128), (256, 64)])
+    def test_blocked_distances(self, n, d):
+        z = np.random.default_rng(n).standard_normal((n, d))
+        assert np.array_equal(sq_dist_matrix(z), sq_dist_matrix_unblocked(z))
 
 
 class TestDensityAndDistance:

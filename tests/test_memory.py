@@ -1,17 +1,21 @@
+import struct
+
 import numpy as np
 import pytest
 
 from streammem.config import RunConfig
 from streammem.errors import (BadMagicError, BadVersionError,
-                              TruncatedPayloadError)
+                              MalformedArtifactError, NonFiniteDataError,
+                              NumericError, TruncatedPayloadError)
 from streammem.memory import (DiskFeatureBuffer, FeatureBuffer, MemoryBank,
                               MemoryEntry, QueryBank, accounting_report,
                               append, bank_bytes, buffer_store, load_bank,
                               read_context, save_bank, save_buffer_spill,
                               write_frame)
-from streammem.tensor import make_attention_params
+from streammem.stream import rwfs_record_bytes
+from streammem.tensor import attention, make_attention_params
 
-from oracles import attention_oracle
+from oracles import attention_oracle, bank_bytes_loop
 
 
 def _query_bank(seed, d=8, heads=2, n_read=4, n_write=2):
@@ -62,6 +66,22 @@ class TestAppend:
         with pytest.raises(ValueError):
             append(bank, MemoryEntry(0, 0, tokens))
 
+    def test_growth_keeps_rows_and_views_are_read_only(self):
+        rng = np.random.default_rng(17)
+        bank = MemoryBank(W=2, d=8)
+        written = [rng.standard_normal((2, 8)) for _ in range(40)]
+        for t, tokens in enumerate(written):
+            append(bank, MemoryEntry(2 * t, t // 4, tokens))
+        assert np.array_equal(bank.tokens, np.stack(written))
+        assert np.array_equal(bank.all_tokens(), np.concatenate(written))
+        assert bank.frame_indices() == list(range(0, 80, 2))
+        assert [e.subclip_index for e in bank.entries] == \
+            [t // 4 for t in range(40)]
+        with pytest.raises(ValueError):
+            bank.all_tokens()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            bank.entries[0].tokens[0, 0] = 1.0
+
 
 class TestReadContext:
     def test_empty_bank_returns_queries(self):
@@ -98,6 +118,64 @@ class TestReadContext:
             (row @ queries.read_attention.w_v) @ queries.read_attention.w_o,
             (queries.n_read, 1))
         assert np.allclose(out, expected, atol=1e-12)
+
+
+class TestReadKVCache:
+    """The cached read must equal one uncached attention over all memory
+    rows bit for bit, however the rows arrived."""
+
+    @staticmethod
+    def _uncached(bank, queries, residual=True):
+        mem = bank.all_tokens()
+        out = attention(queries.read_queries, mem, mem,
+                        queries.read_attention)
+        return queries.read_queries + out if residual else out
+
+    @pytest.mark.parametrize("W,batch", [(1, 1), (2, 1), (2, 3), (3, 16)])
+    def test_bit_exact_after_each_append(self, W, batch):
+        # W=1 with one frame per read projects single rows, which numpy
+        # would send to gemv; 40 frames cross the capacity doublings
+        rng = np.random.default_rng(20 + W + batch)
+        queries = _query_bank(20, n_write=W)
+        bank = MemoryBank(W=W, d=8)
+        for t in range(40):
+            append(bank, MemoryEntry(t, t // batch,
+                                     rng.standard_normal((W, 8))))
+            if (t + 1) % batch:
+                continue
+            for residual in (True, False):
+                assert np.array_equal(read_context(bank, queries, residual),
+                                      self._uncached(bank, queries, residual))
+            params = queries.read_attention
+            kp, vp = bank.projected_kv(params)
+            assert np.array_equal(kp, bank.all_tokens() @ params.w_k)
+            assert np.array_equal(vp, bank.all_tokens() @ params.w_v)
+
+    def test_second_query_bank_rebuilds_cache(self):
+        first, second = _query_bank(21), _query_bank(22)
+        bank = _filled_bank(23, frames=5)
+        for queries in (first, second, first):
+            assert np.array_equal(read_context(bank, queries),
+                                  self._uncached(bank, queries))
+            append(bank, MemoryEntry(len(bank), 0,
+                                     np.full((2, 8), 0.1 * len(bank))))
+            assert np.array_equal(read_context(bank, second),
+                                  self._uncached(bank, second))
+
+    def test_non_finite_weights_raise_on_cached_read(self):
+        queries = _query_bank(24)
+        bank = _filled_bank(25)
+        read_context(bank, queries)
+        queries.read_attention.w_o[0, 0] = np.inf
+        with pytest.raises(NumericError):
+            read_context(bank, queries)
+
+    def test_resident_bytes_count_the_cache(self):
+        bank = _filled_bank(26, frames=6)
+        before = bank.resident_bytes()
+        assert before >= bank.tokens.nbytes
+        read_context(bank, _query_bank(27))
+        assert bank.resident_bytes() >= before + 2 * bank.all_tokens().nbytes
 
 
 class TestWriteFrame:
@@ -185,6 +263,52 @@ class TestFeatureBuffer:
             assert np.array_equal(disk.get(t),
                                   raw.astype(np.float32).astype(np.float64))
 
+    def _spilled(self, tmp_path, frames=3):
+        buffer = FeatureBuffer()
+        for t in range(frames):
+            buffer_store(buffer, t, np.full((2, 4), float(t)))
+        data = tmp_path / "buffer.bin"
+        manifest = tmp_path / "buffer.manifest"
+        save_buffer_spill(buffer, data, manifest)
+        return data, manifest
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", "{}",
+                                      '{"frames": [[0]]}',
+                                      '{"frames": [["a", 0]]}',
+                                      '{"frames": [[0, -20]]}'])
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        data, manifest = self._spilled(tmp_path)
+        manifest.write_text(text)
+        with pytest.raises(MalformedArtifactError):
+            DiskFeatureBuffer(data, manifest)
+
+    def test_offset_past_end_is_truncated(self, tmp_path):
+        data, manifest = self._spilled(tmp_path)
+        manifest.write_text('{"frames": [[0, 100000]]}')
+        with pytest.raises(TruncatedPayloadError):
+            DiskFeatureBuffer(data, manifest).get(0)
+
+    @pytest.mark.parametrize("frames", [0, 2])
+    def test_record_of_wrong_frame_count_rejected(self, tmp_path, frames):
+        data, manifest = self._spilled(tmp_path)
+        data.write_bytes(rwfs_record_bytes(np.zeros((frames, 2, 4))))
+        manifest.write_text('{"frames": [[0, 0]]}')
+        with pytest.raises(MalformedArtifactError):
+            DiskFeatureBuffer(data, manifest).get(0)
+
+    def test_frame_missing_from_manifest_rejected(self, tmp_path):
+        data, manifest = self._spilled(tmp_path)
+        with pytest.raises(MalformedArtifactError):
+            DiskFeatureBuffer(data, manifest).get(3)
+
+    def test_short_record_body_is_truncated(self, tmp_path):
+        data, manifest = self._spilled(tmp_path)
+        data.write_bytes(data.read_bytes()[:-4])
+        disk = DiskFeatureBuffer(data, manifest)
+        disk.get(0)
+        with pytest.raises(TruncatedPayloadError):
+            disk.get(2)
+
 
 class TestBankFile:
     def test_round_trip_bitwise(self, tmp_path):
@@ -218,6 +342,48 @@ class TestBankFile:
         path.write_bytes(bank_bytes(bank)[:-3])
         with pytest.raises(TruncatedPayloadError):
             load_bank(path)
+
+    @pytest.mark.parametrize("W,d,frames", [(2, 8, 0), (2, 8, 1), (3, 5, 37),
+                                            (1, 64, 20)])
+    def test_bytes_match_entry_loop(self, W, d, frames):
+        bank = _filled_bank(18 + frames, W=W, d=d, frames=frames)
+        assert bank_bytes(bank) == bank_bytes_loop(bank)
+
+    def test_unrepresentable_entry_shape_rejected(self, tmp_path):
+        path = tmp_path / "m.rwmb"
+        path.write_bytes(struct.pack("<4sIIII", b"RWMB", 1, 0, 2**20, 2**20))
+        with pytest.raises(MalformedArtifactError):
+            load_bank(path)
+
+    def test_oversized_rejected(self, tmp_path):
+        path = tmp_path / "m.rwmb"
+        path.write_bytes(bank_bytes(_filled_bank(19, frames=2)) + b"\0")
+        with pytest.raises(TruncatedPayloadError):
+            load_bank(path)
+
+    def test_non_finite_rejected(self, tmp_path):
+        raw = bytearray(bank_bytes(_filled_bank(28, frames=3)))
+        # last float32 of the last entry
+        raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path = tmp_path / "m.rwmb"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NonFiniteDataError):
+            load_bank(path)
+
+    @pytest.mark.parametrize("second", [0, 1, 7])
+    def test_frame_order_rejected(self, tmp_path, second):
+        # frames (1, second, 8): a regression, a duplicate, then in order
+        raw = bytearray(bank_bytes(_filled_bank(29, frames=3)))
+        entry = 8 + 2 * 8 * 4
+        for i, frame in enumerate((1, second, 8)):
+            raw[20 + i * entry:24 + i * entry] = frame.to_bytes(4, "little")
+        path = tmp_path / "m.rwmb"
+        path.write_bytes(bytes(raw))
+        if second == 7:
+            assert load_bank(path).frame_indices() == [1, 7, 8]
+        else:
+            with pytest.raises(MalformedArtifactError):
+                load_bank(path)
 
 
 class TestAccounting:
