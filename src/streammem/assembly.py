@@ -78,8 +78,9 @@ def load_llm_input(path) -> LLMInputSequence:
     if len(data) != expected:
         raise TruncatedPayloadError(
             f"RWLI file holds {len(data)} bytes, expected {expected}")
-    values = np.frombuffer(data[_HEADER.size:],
-                           dtype="<f4").astype(np.float64).reshape(total, d)
+    values = np.frombuffer(data, dtype="<f4", count=total * d,
+                           offset=_HEADER.size).astype(np.float64)
+    values = values.reshape(total, d)
     if not np.all(np.isfinite(values)):
         raise NonFiniteDataError("RWLI payload contains non-finite values")
     return LLMInputSequence(memory_tokens=values[:mem_rows],

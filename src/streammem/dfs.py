@@ -107,7 +107,12 @@ def _pairwise(vectors: np.ndarray) -> np.ndarray:
 def local_density(vectors: np.ndarray, K: int, dists=None) -> np.ndarray:
     """exp of the negative mean squared distance to the K nearest neighbors,
     self excluded; K is clamped to |Z|-1. `dists` is the candidates'
-    sq_dist_matrix when the caller already has it."""
+    sq_dist_matrix when the caller already has it.
+
+    Each row of `dists` is sorted once. A candidate's distance to itself is
+    an exact 0, the row minimum, so the sorted row without its first
+    column holds the same values as the row without the self entry.
+    """
     n = vectors.shape[0]
     if n < 2:
         raise ValueError("local density needs at least two candidates")
@@ -116,12 +121,9 @@ def local_density(vectors: np.ndarray, K: int, dists=None) -> np.ndarray:
     K = min(K, n - 1)
     if dists is None:
         dists = _pairwise(vectors)
-    sigma = np.empty(n)
-    for l in range(n):
-        row = np.delete(dists[l], l)
-        row.sort()
-        sigma[l] = math.exp(-row[:K].sum() / K)
-    return sigma
+    nearest = np.sort(dists, axis=1)[:, 1:K + 1]
+    # math.exp, not np.exp: numpy's SIMD exp may round differently
+    return np.array([math.exp(-total / K) for total in nearest.sum(axis=1)])
 
 
 def distance_index(vectors: np.ndarray, sigma: np.ndarray,
@@ -129,17 +131,11 @@ def distance_index(vectors: np.ndarray, sigma: np.ndarray,
     """Squared distance to the nearest strictly-denser candidate; candidates
     of globally maximal density take the farthest distance instead.
     `dists` is as for local_density."""
-    n = vectors.shape[0]
     if dists is None:
         dists = _pairwise(vectors)
-    rho = np.empty(n)
-    for l in range(n):
-        higher = sigma > sigma[l]
-        if higher.any():
-            rho[l] = dists[l][higher].min()
-        else:
-            rho[l] = dists[l].max()
-    return rho
+    higher = sigma[None, :] > sigma[:, None]
+    nearest_denser = np.where(higher, dists, np.inf).min(axis=1)
+    return np.where(higher.any(axis=1), nearest_denser, dists.max(axis=1))
 
 
 def dpc_knn_select(candidates: CandidateSet, K: int,
@@ -156,9 +152,8 @@ def dpc_knn_select(candidates: CandidateSet, K: int,
     sigma = local_density(candidates.vectors, K, dists)
     rho = distance_index(candidates.vectors, sigma, dists)
     weighted = sigma * rho
-    order = sorted(range(n),
-                   key=lambda i: (-weighted[i], candidates.frames[i]))
-    centers = [candidates.frames[i] for i in order[:min(K_c, n)]]
+    order = np.lexsort((candidates.frames, -weighted))[:min(K_c, n)]
+    centers = [candidates.frames[i] for i in order]
     return ClusterDiagnostics(sigma=sigma, rho=rho, weighted=weighted,
                               centers=centers)
 

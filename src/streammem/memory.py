@@ -6,7 +6,10 @@ tokens per processed frame, kept in strict temporal order. It is stored as
 one growable (capacity, W, d) array plus frame and sub-clip index arrays,
 so appends are amortised O(1) and readers see views, never copies. Raw
 frame tokens go to a passive feature buffer that is never read during
-Stage 1.
+Stage 1. The buffer keeps a reference, not a copy, to a frame whose memory
+nobody can write (a view of a loaded stream's bytes, as `load_stream`
+returns); it copies every other frame, so a caller's later writes never
+reach it.
 """
 
 import json
@@ -169,8 +172,26 @@ def append(bank: MemoryBank, entry: MemoryEntry) -> None:
                entry.tokens[None])
 
 
+def _immutable(raw: np.ndarray) -> bool:
+    """Whether `raw` views memory that nothing can write: its chain of
+    bases ends in a bytes object. A read-only view of a writable array
+    does not count, since the array it views can still change."""
+    base = raw
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
+
+
 class FeatureBuffer:
-    """In-memory raw-token store keyed by frame index; bit-exact retrieval."""
+    """In-memory raw-token store keyed by frame index; bit-exact retrieval.
+
+    `store` keeps a reference to a frame that views immutable bytes (the
+    read-only float32 frames of a loaded stream) and a float64 copy of any
+    other frame, including a read-only view of a writable array. `get`
+    returns float64 either way, so what Stage 2 pools does not depend on
+    which was stored. `resident_bytes` models every frame at float64, the
+    bound of what the buffer would hold if it copied each one.
+    """
 
     def __init__(self):
         self._frames = {}
@@ -178,10 +199,12 @@ class FeatureBuffer:
     def store(self, frame_index: int, raw: np.ndarray) -> None:
         if frame_index in self._frames:
             raise ValueError(f"frame {frame_index} already buffered")
-        self._frames[frame_index] = np.array(raw, dtype=np.float64, copy=True)
+        if not _immutable(raw):
+            raw = np.array(raw, dtype=np.float64, copy=True)
+        self._frames[frame_index] = raw
 
     def get(self, frame_index: int) -> np.ndarray:
-        return self._frames[frame_index]
+        return np.asarray(self._frames[frame_index], dtype=np.float64)
 
     def frame_indices(self):
         return sorted(self._frames)
@@ -193,7 +216,7 @@ class FeatureBuffer:
         return sum(f.shape[0] for f in self._frames.values())
 
     def resident_bytes(self) -> int:
-        return sum(f.nbytes for f in self._frames.values())
+        return sum(f.size * 8 for f in self._frames.values())
 
 
 def buffer_store(buffer, frame_index: int, raw: np.ndarray) -> None:
@@ -260,7 +283,7 @@ class DiskFeatureBuffer:
         if T != 1:
             raise MalformedArtifactError(
                 f"buffer record of frame {frame_index} holds {T} frames")
-        return values[0]
+        return values[0].astype(np.float64)
 
 
 @dataclass

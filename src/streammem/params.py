@@ -123,7 +123,8 @@ def load_params(path) -> ModelParams:
         end = pos + count * 4
         if end > len(data):
             raise TruncatedPayloadError("RWPM payload truncated")
-        values = np.frombuffer(data[pos:end], dtype="<f4").astype(np.float64)
+        values = np.frombuffer(data, dtype="<f4", count=count,
+                               offset=pos).astype(np.float64)
         pos = end
         return values.reshape(shape)
 

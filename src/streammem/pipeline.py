@@ -114,8 +114,11 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
     Tracks, after every sub-clip, the bytes allocated by the bank (its
     projected K/V cache included) and held by the buffer, plus the
     transient workspace of the next read (the N_R x W*t score matrix) and
-    the per-clip cross-attention keys. The peak demonstrates the absence of
-    any state that grows faster than linearly in T.
+    the per-clip cross-attention keys. The buffer is modelled at float64,
+    P*d*8 bytes per frame, even where it holds a loaded stream's float32
+    frames by reference, so the model never falls below a buffer of
+    copies. The peak demonstrates the absence of any state that grows
+    faster than linearly in T.
     """
     config.validate()
     params = init_model_params(config)

@@ -26,7 +26,10 @@ class FrameTokenStream:
     T: int
     P: int
     d: int
-    frames: list  # T matrices of shape (P, d), float64
+    # T matrices of shape (P, d). Synthetic streams hold float64 arrays; a
+    # loaded stream holds read-only float32 views of the file's bytes, not
+    # float64 copies, and consumers convert where they compute.
+    frames: list
     fps: float = 1.0
 
     def __post_init__(self):
@@ -122,15 +125,18 @@ def save_stream(stream: FrameTokenStream, path) -> None:
 
 
 def load_stream(path) -> FrameTokenStream:
+    """Read an RWFS file; its frames are read-only float32 views of one
+    payload array over the file's bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     T, P, d, values = read_rwfs_bytes(data)
-    frames = [values[t] for t in range(T)]
-    return FrameTokenStream(T, P, d, frames)
+    return FrameTokenStream(T, P, d, list(values))
 
 
 def read_rwfs_bytes(data: bytes):
-    """Validate and decode one RWFS record; returns (T, P, d, float64 array)."""
+    """Validate and decode one RWFS record; returns (T, P, d, values), where
+    values is a (T, P, d) little-endian float32 view of `data`, read-only
+    when `data` is bytes."""
     if len(data) < _HEADER.size:
         raise TruncatedPayloadError("RWFS header truncated")
     magic, version, T, P, d = _HEADER.unpack_from(data)
@@ -139,14 +145,15 @@ def read_rwfs_bytes(data: bytes):
     if version != RWFS_VERSION:
         raise BadVersionError(f"unsupported RWFS version {version}")
     expected = T * P * d * 4
-    body = data[_HEADER.size:]
-    if len(body) < expected:
+    body = len(data) - _HEADER.size
+    if body < expected:
         raise TruncatedPayloadError(
-            f"payload holds {len(body)} bytes, header declares {expected}")
-    if len(body) > expected:
+            f"payload holds {body} bytes, header declares {expected}")
+    if body > expected:
         raise TruncatedPayloadError(
-            f"trailing bytes: payload {len(body)}, expected {expected}")
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64)
+            f"trailing bytes: payload {body}, expected {expected}")
+    values = np.frombuffer(data, dtype="<f4", count=T * P * d,
+                           offset=_HEADER.size)
     if not np.all(np.isfinite(values)):
         raise NonFiniteDataError("RWFS payload contains non-finite values")
     return T, P, d, values.reshape(T, P, d)

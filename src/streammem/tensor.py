@@ -57,20 +57,21 @@ class AttentionParams:
                 _require_finite(w, f"attention weight {name}")
 
 
-def _softmax_last(m):
-    if isinstance(m, Var):
-        return autodiff.softmax_rows_v(m)
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_inplace(m: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a float64 array, in its own storage."""
+    m -= m.max(axis=-1, keepdims=True)
+    np.exp(m, out=m)
+    m /= m.sum(axis=-1, keepdims=True)
+    return m
 
 
 def softmax_rows(m):
     """Row-wise softmax, shift-invariant (max subtracted before exp)."""
-    if not isinstance(m, Var):
-        m = np.asarray(m, dtype=np.float64)
-        _require_finite(m, "softmax input")
-    return _softmax_last(m)
+    if isinstance(m, Var):
+        return autodiff.softmax_rows_v(m)
+    m = np.array(m, dtype=np.float64)
+    _require_finite(m, "softmax input")
+    return _softmax_inplace(m)
 
 
 def layer_norm(x, gain, bias, eps: float = DEFAULT_EPS):
@@ -127,7 +128,12 @@ def attention(q, k, v, params: AttentionParams):
 def attend(qp, kp, vp, params: AttentionParams):
     """The attention core on rows already projected through w_q, w_k and
     w_v: per-head softmax of the logits scaled by 1/sqrt(d/heads), the
-    weighted values, and the output projection w_o."""
+    weighted values, and the output projection w_o.
+
+    On ndarrays each head's (..., n_q, n_kv) score array is scaled and
+    normalised in place, the same operations in the same order as the
+    out-of-place composition that Vars run, so the values are identical.
+    """
     if kp.shape[-2] != vp.shape[-2]:
         raise ValueError("k and v must have the same row count")
     if kp.shape[-2] == 0:
@@ -139,8 +145,13 @@ def attend(qp, kp, vp, params: AttentionParams):
     heads_out = []
     for h in range(params.heads):
         sl = slice(h * dh, (h + 1) * dh)
-        scores = (qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)) * scale
-        heads_out.append(_softmax_last(scores) @ vp[..., sl])
+        scores = qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)
+        if isinstance(scores, Var):
+            weights = autodiff.softmax_rows_v(scores * scale)
+        else:
+            scores *= scale
+            weights = _softmax_inplace(scores)
+        heads_out.append(weights @ vp[..., sl])
     return _concat_last(heads_out) @ params.w_o
 
 

@@ -205,3 +205,57 @@ def sq_dist_matrix_unblocked(z):
 
     diff = z[:, None, :] - z[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def local_density_loop(dists, K):
+    """Per candidate, the row without its self entry, sorted, and exp of
+    the negative mean of its K smallest values."""
+    import numpy as np
+
+    n = len(dists)
+    K = min(K, n - 1)
+    sigma = np.empty(n)
+    for l in range(n):
+        row = np.delete(dists[l], l)
+        row.sort()
+        sigma[l] = math.exp(-row[:K].sum() / K)
+    return sigma
+
+
+def distance_index_loop(dists, sigma):
+    """Per candidate, the smallest distance to a strictly denser one, or
+    the largest distance when none is denser."""
+    import numpy as np
+
+    n = len(dists)
+    rho = np.empty(n)
+    for l in range(n):
+        higher = sigma > sigma[l]
+        if higher.any():
+            rho[l] = dists[l][higher].min()
+        else:
+            rho[l] = dists[l].max()
+    return rho
+
+
+def dpc_rank_loop(frames, weighted, K_c):
+    """The top min(K_c, n) frames by (-weighted, frame) through sorted()."""
+    order = sorted(range(len(frames)), key=lambda i: (-weighted[i], frames[i]))
+    return [frames[i] for i in order[:min(K_c, len(frames))]]
+
+
+def attend_out_of_place(qp, kp, vp, params):
+    """The attention core with a fresh array per step: scale, max shift,
+    exp and normalisation each allocate their result."""
+    import numpy as np
+
+    dh = params.dim_model // params.heads
+    scale = 1.0 / np.sqrt(dh)
+    heads_out = []
+    for h in range(params.heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        scores = (qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)) * scale
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        heads_out.append(e / e.sum(axis=-1, keepdims=True) @ vp[..., sl])
+    return np.concatenate(heads_out, axis=-1) @ params.w_o

@@ -90,6 +90,38 @@ class TestProcessChain:
         assert main(["report", "--out-dir", str(out_dir)]) == 0
         assert "llm_input_length=25" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("strategy", ["dfs", "uniform"])
+    def test_disk_select_reproduces_pooled_bytes(self, tmp_path, strategy):
+        """`select` and `assemble` from the artifacts reproduce the pooled
+        tokens and the LLM input of `process` byte for byte. P=32 pooled
+        to 5 groups averages 6 or 7 rows per group, so buffered frames
+        read back at any precision other than the stream's would change
+        these bytes."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("dfs.pool_tokens=2",
+                                           "dfs.pool_tokens=5"))
+        stream = tmp_path / "s.rwfs"
+        assert main(["synth", "--frames", "12", "--tokens-per-frame", "32",
+                     "--dim", "8", "--seed", "5", "--out", str(stream)]) == 0
+        out_dir = tmp_path / "run"
+        assert main(["process", "--stream", str(stream), "--instruction",
+                     "who opens the door", "--config", str(cfg),
+                     "--out-dir", str(out_dir), "--select", strategy]) == 0
+        report = tmp_path / "sel.txt"
+        assert main(["select", "--bank", str(out_dir / "memory.rwmb"),
+                     "--buffer-manifest", str(out_dir / "buffer.manifest"),
+                     "--instruction", "who opens the door",
+                     "--config", str(cfg), "--strategy", strategy,
+                     "--out", str(report)]) == 0
+        pooled = (out_dir / "selection_pooled.rwfs").read_bytes()
+        assert load_stream(out_dir / "selection_pooled.rwfs").P == 5
+        assert (tmp_path / "sel.txt.pooled.rwfs").read_bytes() == pooled
+        seq = tmp_path / "seq.rwli"
+        assert main(["assemble", "--bank", str(out_dir / "memory.rwmb"),
+                     "--selection", str(report), "--config", str(cfg),
+                     "--out", str(seq)]) == 0
+        assert seq.read_bytes() == (out_dir / "llm_input.rwli").read_bytes()
+
     def test_uniform_strategy(self, tmp_path, config_path, stream_path):
         out_dir = tmp_path / "run"
         assert main(["process", "--stream", stream_path,

@@ -12,8 +12,9 @@ from streammem.memory import FeatureBuffer, MemoryBank, MemoryEntry, append
 from streammem.stream import InstructionEncoding
 from streammem.verify import dpc_bruteforce, random_cluster_instance
 
-from oracles import (frame_relevance_loop, select_top_L_loop,
-                     sq_dist_matrix_unblocked)
+from oracles import (distance_index_loop, dpc_rank_loop,
+                     frame_relevance_loop, local_density_loop,
+                     select_top_L_loop, sq_dist_matrix_unblocked)
 
 
 def _bank_from_tokens(token_list, d):
@@ -152,6 +153,56 @@ class TestDensityAndDistance:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             local_density(np.zeros((1, 2)), 1)
+
+
+def _cluster_vectors(seed, n, d, kind):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, d))
+    if kind == "duplicates":  # many exact copies: zero distances off the diagonal
+        z = z[rng.integers(0, max(1, n // 4), n)]
+    elif kind == "ties":  # integer grid: equal distances and equal densities
+        z = np.round(z)
+    return z
+
+
+class TestDpcMatchesLoops:
+    """The vectorised density, distance index and ranking equal the
+    per-candidate loops bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "ties"])
+    @pytest.mark.parametrize("seed, n, d, K", [
+        (0, 2, 1, 1), (1, 3, 2, 5), (2, 17, 4, 3), (3, 64, 8, 8),
+        (4, 256, 64, 5), (5, 100, 1, 99), (6, 40, 3, 39)])
+    def test_bit_exact(self, kind, seed, n, d, K):
+        z = _cluster_vectors(seed, n, d, kind)
+        dists = sq_dist_matrix(z)
+        sigma = local_density(z, K, dists)
+        assert np.array_equal(sigma, local_density_loop(dists, K))
+        rho = distance_index(z, sigma, dists)
+        assert np.array_equal(rho, distance_index_loop(dists, sigma))
+        assert np.array_equal(local_density(z, K), sigma)
+        assert np.array_equal(distance_index(z, sigma), rho)
+
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "ties"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_centers_match_sorted_ranking(self, kind, seed):
+        from streammem.dfs import CandidateSet
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        z = _cluster_vectors(seed, n, 3, kind)
+        frames = [int(f) for f in rng.permutation(3 * n)[:n]]
+        cand = CandidateSet(frames=frames, vectors=z, relevance=np.zeros(n),
+                            L=n)
+        diag = dpc_knn_select(cand, 4, 8)
+        assert diag.centers == dpc_rank_loop(frames, diag.weighted, 8)
+        assert all(type(c) is int for c in diag.centers)
+
+    def test_equal_weights_rank_by_frame(self):
+        from streammem.dfs import CandidateSet
+        z = np.zeros((5, 2))  # every sigma * rho is 0
+        cand = CandidateSet(frames=[9, 3, 7, 1, 5], vectors=z,
+                            relevance=np.zeros(5), L=5)
+        assert dpc_knn_select(cand, 2, 3).centers == [1, 3, 5]
 
 
 class TestDpcKnnSelect:

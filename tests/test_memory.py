@@ -12,7 +12,10 @@ from streammem.memory import (DiskFeatureBuffer, FeatureBuffer, MemoryBank,
                               append, bank_bytes, buffer_store, load_bank,
                               read_context, save_bank, save_buffer_spill,
                               write_frame)
-from streammem.stream import rwfs_record_bytes
+from streammem.params import init_model_params
+from streammem.perceiver import process_stream
+from streammem.stream import (empty_instruction, load_stream,
+                              rwfs_record_bytes)
 from streammem.tensor import attention, make_attention_params
 
 from oracles import attention_oracle, bank_bytes_loop
@@ -308,6 +311,96 @@ class TestFeatureBuffer:
         disk.get(0)
         with pytest.raises(TruncatedPayloadError):
             disk.get(2)
+
+
+def _write_stream_file(path, T, P, d, seed=0):
+    values = np.random.default_rng(seed).standard_normal((T, P, d))
+    path.write_bytes(rwfs_record_bytes(values))
+
+
+def _load_and_process(path, d=64):
+    config = RunConfig(d=d, layers=1).validate()
+    params = init_model_params(config)
+    stream = load_stream(path)
+    bank, buffer = process_stream(stream, empty_instruction(d),
+                                  params.query_bank, params.perceiver,
+                                  config.subclip_frames)
+    return stream, bank, buffer
+
+
+class TestZeroCopyStream:
+    """A loaded stream is one read-only float32 payload, and the feature
+    buffer views it rather than copying it; any frame that can still
+    change is copied."""
+
+    def test_loaded_frames_are_read_only_views_of_one_payload(self, tmp_path):
+        path = tmp_path / "s.rwfs"
+        _write_stream_file(path, 5, 3, 4)
+        frames = load_stream(path).frames
+        assert all(f.dtype == np.float32 and not f.flags.writeable
+                   for f in frames)
+        payload = frames[0].base
+        assert payload.size == 5 * 3 * 4 and not payload.flags.writeable
+        assert all(f.base is payload for f in frames)
+        assert all(np.shares_memory(f, payload) for f in frames)
+
+    def test_buffer_shares_memory_with_loaded_frames(self, tmp_path):
+        path = tmp_path / "s.rwfs"
+        _write_stream_file(path, 9, 4, 8)
+        stream, _, buffer = _load_and_process(path, d=8)
+        for t, frame in enumerate(stream.frames):
+            assert np.shares_memory(buffer._frames[t], frame)
+            got = buffer.get(t)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, frame)
+        # modelled as float64 copies, as if every frame were copied
+        assert buffer.resident_bytes() == 9 * 4 * 8 * 8
+
+    def test_writable_frame_is_copied(self):
+        buffer = FeatureBuffer()
+        raw = np.ones((3, 4), dtype=np.float32)
+        buffer_store(buffer, 0, raw)
+        raw[0, 0] = 5.0
+        assert not np.shares_memory(buffer._frames[0], raw)
+        assert buffer.get(0)[0, 0] == 1.0
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        buffer = FeatureBuffer()
+        source = np.zeros((2, 3, 4))
+        view = source[1]
+        view.flags.writeable = False
+        buffer_store(buffer, 0, view)
+        source[1, 0, 0] = 7.0
+        assert not np.shares_memory(buffer._frames[0], source)
+        assert buffer.get(0)[0, 0] == 0.0
+
+    def test_writable_bytes_backed_frame_is_copied(self):
+        data = bytearray(np.ones((2, 2), dtype="<f4").tobytes())
+        raw = np.frombuffer(data, dtype="<f4").reshape(2, 2)
+        buffer = FeatureBuffer()
+        buffer_store(buffer, 0, raw)
+        data[:4] = np.float32(9.0).tobytes()
+        assert buffer.get(0)[0, 0] == 1.0
+
+    def test_stage1_peak_grows_at_most_20kb_per_frame(self, tmp_path):
+        """Traced peak of load_stream plus process_stream at P=32, d=64,
+        one layer. A whole-stream float64 decode plus a float64 copy per
+        buffered frame grows by about 36 kB per frame; the float32 payload
+        viewed by the buffer is 8 kB of it."""
+        import tracemalloc
+
+        peaks = {}
+        for T in (512, 2048):
+            path = tmp_path / f"s{T}.rwfs"
+            _write_stream_file(path, T, 32, 64, seed=T)
+            tracemalloc.start()
+            try:
+                _load_and_process(path)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_frame = (peaks[2048] - peaks[512]) / (2048 - 512)
+        assert per_frame <= 20_000, per_frame
 
 
 class TestBankFile:

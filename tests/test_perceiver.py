@@ -298,6 +298,22 @@ class TestCheckpointFile:
         with pytest.raises(TruncatedPayloadError):
             load_params(tmp_path / "t.rwpm")
 
+    @pytest.mark.parametrize("keep", [0, 10, 32, 36, 37])
+    def test_cut_anywhere_is_truncated(self, tmp_path, keep):
+        # inside the header, at its end, after one value, mid-value
+        path = tmp_path / "p.rwpm"
+        save_params(init_model_params(_config()), path)
+        (tmp_path / "t.rwpm").write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(TruncatedPayloadError):
+            load_params(tmp_path / "t.rwpm")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "p.rwpm"
+        save_params(init_model_params(_config()), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(TruncatedPayloadError):
+            load_params(path)
+
 
 def test_init_is_seed_deterministic():
     a = init_model_params(_config(seed=5))

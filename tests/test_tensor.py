@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streammem.errors import NumericError
-from streammem.tensor import (AttentionParams, attention, grad_check,
+from streammem.tensor import (AttentionParams, attend, attention, grad_check,
                               layer_norm, make_attention_params, softmax_rows)
 
-from oracles import attention_oracle, layer_norm_two_pass, softmax_rows_longdouble
+from oracles import (attend_out_of_place, attention_oracle,
+                     layer_norm_two_pass, softmax_rows_longdouble)
 
 
 def _params(seed, d=8, heads=2):
@@ -140,6 +141,36 @@ class TestAttention:
             AttentionParams(heads=3, dim_model=8, w_q=np.eye(8),
                             w_k=np.eye(8), w_v=np.eye(8), w_o=np.eye(8),
                             ln_gain=np.ones(8), ln_bias=np.zeros(8))
+
+
+class TestAttendInPlace:
+    """The ndarray core normalises scores in place; its values must equal
+    the out-of-place composition bit for bit."""
+
+    @pytest.mark.parametrize("q_shape, kv_shape", [
+        ((3, 8), (5, 8)),  # 2-D
+        ((1, 8), (1, 8)),  # one query, one key
+        ((4, 8), (6, 40, 8)),  # shared queries over a batch, as in the read
+        ((6, 4, 8), (6, 9, 8)),  # batched queries and keys
+        ((2, 3, 5, 8), (2, 3, 7, 8)),  # two batch axes
+    ])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_out_of_place(self, q_shape, kv_shape, heads):
+        rng = np.random.default_rng(len(q_shape) * 10 + heads)
+        params = _params(heads, heads=heads)
+        qp = rng.standard_normal(q_shape) * 3.0
+        kp = rng.standard_normal(kv_shape) * 3.0
+        vp = rng.standard_normal(kv_shape)
+        got = attend(qp, kp, vp, params)
+        assert np.array_equal(got, attend_out_of_place(qp, kp, vp, params))
+
+    def test_inputs_left_unchanged(self):
+        rng = np.random.default_rng(2)
+        params = _params(2)
+        qp, kp, vp = (rng.standard_normal((3, 8)) for _ in range(3))
+        before = [a.copy() for a in (qp, kp, vp)]
+        attend(qp, kp, vp, params)
+        assert all(np.array_equal(a, b) for a, b in zip((qp, kp, vp), before))
 
 
 class TestGradCheck:
