@@ -12,7 +12,7 @@ from .assembly import assemble, save_llm_input
 from .config import RunConfig, load_config
 from .dfs import (dfs_select, format_selection_report, parse_selection_centers,
                   pool_tokens, uniform_select)
-from .errors import EngineError
+from .errors import EngineError, MalformedArtifactError
 from .memory import (DiskFeatureBuffer, accounting_report, load_bank)
 from .params import init_model_params
 from .pipeline import run_pipeline
@@ -108,17 +108,23 @@ def _cmd_process(args) -> int:
     return 0
 
 
-def _open_disk_buffer(args) -> DiskFeatureBuffer:
-    data = args.buffer_data
-    if data is None:
-        data = os.path.join(os.path.dirname(args.buffer_manifest), "buffer.bin")
-    return DiskFeatureBuffer(data, args.buffer_manifest)
+def _open_disk_buffer(data_path, manifest_path, bank) -> DiskFeatureBuffer:
+    """The spilled buffer, once its manifest is known to list exactly the
+    bank's frames, so a mismatch fails before any selection work."""
+    buffer = DiskFeatureBuffer(data_path, manifest_path)
+    if buffer.frame_indices() != bank.frame_indices():
+        raise MalformedArtifactError(
+            f"buffer manifest lists {len(buffer)} frames that differ from "
+            f"the {len(bank)} frames of the memory bank")
+    return buffer
 
 
 def _cmd_select(args) -> int:
     config = _load_config_arg(args.config)
     bank = load_bank(args.bank)
-    buffer = _open_disk_buffer(args)
+    data = args.buffer_data or os.path.join(
+        os.path.dirname(args.buffer_manifest), "buffer.bin")
+    buffer = _open_disk_buffer(data, args.buffer_manifest, bank)
     p = config.pool_tokens
     if buffer.frame_indices():
         p = min(p, buffer.get(buffer.frame_indices()[0]).shape[0])
@@ -166,8 +172,9 @@ def _cmd_assemble(args) -> int:
 def _cmd_report(args) -> int:
     config = load_config(os.path.join(args.out_dir, "config.txt"))
     bank = load_bank(os.path.join(args.out_dir, "memory.rwmb"))
-    buffer = DiskFeatureBuffer(os.path.join(args.out_dir, "buffer.bin"),
-                               os.path.join(args.out_dir, "buffer.manifest"))
+    buffer = _open_disk_buffer(os.path.join(args.out_dir, "buffer.bin"),
+                               os.path.join(args.out_dir, "buffer.manifest"),
+                               bank)
     print(accounting_report(bank, buffer, config).render_text(), end="")
     return 0
 

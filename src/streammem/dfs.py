@@ -89,14 +89,20 @@ def sq_dist_matrix(z: np.ndarray) -> np.ndarray:
 
     The difference form (rather than the Gram-matrix trick) keeps results
     accurate enough to compare against loop oracles at 1e-12. Rows go in
-    blocks, so the difference temporary is (_DIST_BLOCK, n, d), not
-    (n, n, d); each entry is the same sum either way.
+    blocks, so the difference temporary is at most (_DIST_BLOCK, n, d),
+    not (n, n, d), and each block is computed against the columns from its
+    own first row on only: a - b is exactly -(b - a), so the entries below
+    the diagonal are the transposed blocks, and each entry is the same sum
+    as one full (n, n, d) difference gives.
     """
     n = z.shape[0]
     out = np.empty((n, n))
     for start in range(0, n, _DIST_BLOCK):
-        diff = z[start:start + _DIST_BLOCK, None, :] - z[None, :, :]
-        out[start:start + _DIST_BLOCK] = np.einsum("ijk,ijk->ij", diff, diff)
+        stop = start + _DIST_BLOCK
+        diff = z[start:stop, None, :] - z[None, start:, :]
+        block = np.einsum("ijk,ijk->ij", diff, diff)
+        out[start:stop, start:] = block
+        out[start:, start:stop] = block.T
     return out
 
 

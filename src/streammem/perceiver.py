@@ -57,9 +57,20 @@ def cross_sublayer(state, kv, layer: PerceiverLayerParams):
     return state + attention(normed, kv, kv, layer.cross)
 
 
+def _add_into(fresh, other):
+    """fresh + other, in fresh's storage when both are ndarrays; `fresh`
+    must be a temporary of the result's shape that nobody else holds."""
+    if isinstance(fresh, np.ndarray) and isinstance(other, np.ndarray):
+        fresh += other
+        return fresh
+    return fresh + other
+
+
 def ffn_sublayer(state, layer: PerceiverLayerParams):
     normed = layer_norm(state, layer.ffn_ln_gain, layer.ffn_ln_bias)
-    return state + (gelu(normed @ layer.w1 + layer.b1) @ layer.w2 + layer.b2)
+    hidden = gelu(_add_into(normed @ layer.w1, layer.b1))
+    # state + out and out + state are the same sum
+    return _add_into(_add_into(hidden @ layer.w2, layer.b2), state)
 
 
 def temporal_sublayer(states, params: AttentionParams):
@@ -114,11 +125,12 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
 
     Sub-clips are processed strictly in order; per sub-clip the bank is read
     once, the clip perceived, every frame buffered raw, and all of its
-    frames written to memory in one call. Returns the populated
-    (bank, buffer).
+    frames written to memory in one call. The bank is sized for the
+    stream's T frames up front, and the read's exp-score rows are dropped
+    before it is returned. Returns the populated (bank, buffer).
     """
     W = queries.n_write
-    bank = MemoryBank(W=W, d=params.d)
+    bank = MemoryBank(W=W, d=params.d, capacity=stream.T)
     buffer = FeatureBuffer()
     for clip in iter_subclips(stream, F):
         context = read_context(bank, queries, residual=residual_read)
@@ -130,4 +142,5 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
             append(bank, entry)
         if on_subclip is not None:
             on_subclip(clip, bank, buffer)
+    bank.drop_read_scores()
     return bank, buffer

@@ -112,9 +112,10 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
     """Allocation-accounting harness for Stage 1.
 
     Tracks, after every sub-clip, the bytes allocated by the bank (its
-    projected K/V cache included) and held by the buffer, plus the
-    transient workspace of the next read (the N_R x W*t score matrix) and
-    the per-clip cross-attention keys. The buffer is modelled at float64,
+    projected K/V rows and the read's heads x N_R x W*t exp-score rows
+    included, both as of the sub-clip's read) and held by the buffer, plus
+    the workspace of the next read (the N_R x W*t weight matrix) and the
+    per-clip cross-attention keys. The buffer is modelled at float64,
     P*d*8 bytes per frame, even where it holds a loaded stream's float32
     frames by reference, so the model never falls below a buffer of
     copies. The peak demonstrates the absence of any state that grows

@@ -57,12 +57,22 @@ class AttentionParams:
                 _require_finite(w, f"attention weight {name}")
 
 
+def shift_exp(m: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """exp(m - top) in m's own storage: the shifted exponentials of a
+    softmax, with `top` the row maxima (or any bound broadcasting to m)."""
+    m -= top
+    return np.exp(m, out=m)
+
+
+def normalise(e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each row of `e` divided by its sum over the last axis, into `out`
+    (which may be `e` itself)."""
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
+
+
 def _softmax_inplace(m: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a float64 array, in its own storage."""
-    m -= m.max(axis=-1, keepdims=True)
-    np.exp(m, out=m)
-    m /= m.sum(axis=-1, keepdims=True)
-    return m
+    return normalise(shift_exp(m, m.max(axis=-1, keepdims=True)), out=m)
 
 
 def softmax_rows(m):
@@ -86,16 +96,31 @@ def layer_norm(x, gain, bias, eps: float = DEFAULT_EPS):
     if _any_var(x, gain, bias):
         return autodiff.layer_norm_v(x, gain, bias, eps)
     x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * np.asarray(gain) + np.asarray(bias)
+    gain = np.asarray(gain)
+    # np.var would subtract the mean again; the variance is the mean of
+    # the squared centred rows either way, bit for bit
+    out = x - x.mean(axis=-1, keepdims=True)
+    std = np.square(out).mean(axis=-1, keepdims=True)
+    std += eps
+    np.sqrt(std, out=std)
+    out /= std
+    if out.ndim < gain.ndim:  # a (cols,) row with a (1, cols) gain
+        out = out * gain
+    else:
+        out *= gain
+    out += np.asarray(bias)
+    return out
 
 
 def gelu(x):
     if isinstance(x, Var):
         return autodiff.gelu_v(x)
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    out = x / np.sqrt(2.0)
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5 * x
+    return out
 
 
 def _float64(x):
@@ -125,6 +150,17 @@ def attention(q, k, v, params: AttentionParams):
                   _float64(v) @ params.w_v, params)
 
 
+def head_slices(params: AttentionParams) -> list:
+    """The column slice of each head in the projected rows, in head order."""
+    dh = params.dim_model // params.heads
+    return [slice(h * dh, (h + 1) * dh) for h in range(params.heads)]
+
+
+def head_scale(params: AttentionParams) -> float:
+    """The logit scale 1/sqrt(d/heads)."""
+    return 1.0 / np.sqrt(params.dim_model // params.heads)
+
+
 def attend(qp, kp, vp, params: AttentionParams):
     """The attention core on rows already projected through w_q, w_k and
     w_v: per-head softmax of the logits scaled by 1/sqrt(d/heads), the
@@ -138,20 +174,32 @@ def attend(qp, kp, vp, params: AttentionParams):
         raise ValueError("k and v must have the same row count")
     if kp.shape[-2] == 0:
         raise ValueError("attention over an empty key set")
-    params.validate_finite()
+    scale = head_scale(params)
 
-    dh = params.dim_model // params.heads
-    scale = 1.0 / np.sqrt(dh)
-    heads_out = []
-    for h in range(params.heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        scores = qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)
-        if isinstance(scores, Var):
-            weights = autodiff.softmax_rows_v(scores * scale)
-        else:
-            scores *= scale
-            weights = _softmax_inplace(scores)
-        heads_out.append(weights @ vp[..., sl])
+    def head_weights():
+        for sl in head_slices(params):
+            scores = qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)
+            if isinstance(scores, Var):
+                yield autodiff.softmax_rows_v(scores * scale)
+            else:
+                scores *= scale
+                yield _softmax_inplace(scores)
+
+    return mix_heads(head_weights(), vp, params)
+
+
+def mix_heads(head_weights, vp, params: AttentionParams):
+    """Each head's attention weights times its columns of the projected
+    values `vp`, concatenated over heads and projected through w_o.
+
+    `head_weights` yields the (..., n_q, n_kv) weights head by head. It is
+    drawn from only after `params` are checked finite, so a generator does
+    no scoring for a call that raises, and each head's weights are used
+    before the next are drawn, so a generator may reuse one buffer.
+    """
+    params.validate_finite()
+    heads_out = [weights @ vp[..., sl]
+                 for sl, weights in zip(head_slices(params), head_weights)]
     return _concat_last(heads_out) @ params.w_o
 
 

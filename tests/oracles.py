@@ -2,9 +2,11 @@
 
 The kernel oracles are deliberately written with plain Python loops and no
 shared helpers from the package, so a bug in a production path cannot hide
-in its own oracle. The two composition oracles at the end are the
-exception: they call the package's 2-D kernels one frame at a time, to pin
-the batched perceiver to that composition bit for bit.
+in its own oracle. The composition oracles `perceive_subclip_loop`,
+`process_stream_loop` and `read_context_uncached` are the exception: they
+call the package's 2-D kernels one frame or one read at a time, to pin the
+batched perceiver and the cached memory read to that composition bit for
+bit.
 """
 
 import math
@@ -155,6 +157,16 @@ def process_stream_loop(frames, instruction_tokens, queries, perceiver, F,
     return written
 
 
+def read_context_uncached(bank, queries, residual=True):
+    """The memory read as one `attention` call over all memory rows, with
+    none of the bank's projection or score caches."""
+    from streammem.tensor import attention
+
+    mem = bank.all_tokens()
+    out = attention(queries.read_queries, mem, mem, queries.read_attention)
+    return queries.read_queries + out if residual else out
+
+
 def bank_bytes_loop(bank):
     """RWMB encoding entry by entry: header, then per entry its frame and
     sub-clip index and its W x d tokens as float32."""
@@ -242,6 +254,23 @@ def dpc_rank_loop(frames, weighted, K_c):
     """The top min(K_c, n) frames by (-weighted, frame) through sorted()."""
     order = sorted(range(len(frames)), key=lambda i: (-weighted[i], frames[i]))
     return [frames[i] for i in order[:min(K_c, len(frames))]]
+
+
+def layer_norm_var(x, gain, bias, eps):
+    """Layer norm through np.mean and np.var, one fresh array per step."""
+    import numpy as np
+
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * gain + bias
+
+
+def gelu_out_of_place(x):
+    """Exact-erf GELU, one fresh array per step."""
+    import numpy as np
+    from scipy.special import erf
+
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
 def attend_out_of_place(qp, kp, vp, params):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -244,10 +245,40 @@ class TestMalformedArtifactExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_manifest_offset_past_end_is_2(self, processed, capsys):
-        (processed / "buffer.manifest").write_text(
-            '{"frames": [[0, 1000000]]}')
+        # every frame listed, so the offset is what fails, not the frame set
+        manifest = json.loads((processed / "buffer.manifest").read_text())
+        manifest["frames"][0][1] = 1000000
+        (processed / "buffer.manifest").write_text(json.dumps(manifest))
         assert main(["report", "--out-dir", str(processed)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["drop_last", "add_frame",
+                                        "renumber"])
+    def test_manifest_frames_differ_from_bank_is_2(self, processed,
+                                                    config_path, capsys,
+                                                    monkeypatch, change):
+        """A manifest whose frame set is not the bank's exits 2 before
+        Stage 2 runs, even when no selected frame is missing from it."""
+        import streammem.cli as cli
+
+        def stage2(*args, **kwargs):
+            raise AssertionError("Stage 2 ran on a mismatched manifest")
+
+        monkeypatch.setattr(cli, "dfs_select", stage2)
+        monkeypatch.setattr(cli, "accounting_report", stage2)
+        manifest = json.loads((processed / "buffer.manifest").read_text())
+        frames = manifest["frames"]
+        if change == "drop_last":
+            frames.pop()
+        elif change == "add_frame":
+            frames.append([len(frames), frames[0][1]])
+        else:
+            frames[-1][0] += 100
+        (processed / "buffer.manifest").write_text(json.dumps(manifest))
+        assert self._select(processed, config_path) == 2
+        assert not (processed / "sel.txt").exists()
+        assert main(["report", "--out-dir", str(processed)]) == 2
+        assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_check_linearity_suite(capsys):

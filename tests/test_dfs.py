@@ -121,8 +121,9 @@ class TestStage2MatchesEntryLoop:
                 assert np.array_equal(cand.vectors, vectors)
                 assert np.array_equal(cand.relevance, rel)
 
-    @pytest.mark.parametrize("n,d", [(1, 4), (31, 3), (32, 64), (33, 64),
-                                     (100, 128), (256, 64)])
+    @pytest.mark.parametrize("n,d", [(1, 4), (2, 64), (31, 3), (32, 64),
+                                     (33, 64), (65, 64), (100, 128),
+                                     (256, 64)])
     def test_blocked_distances(self, n, d):
         z = np.random.default_rng(n).standard_normal((n, d))
         assert np.array_equal(sq_dist_matrix(z), sq_dist_matrix_unblocked(z))

@@ -8,17 +8,18 @@ from streammem.errors import (BadMagicError, BadVersionError,
                               MalformedArtifactError, NonFiniteDataError,
                               NumericError, TruncatedPayloadError)
 from streammem.memory import (DiskFeatureBuffer, FeatureBuffer, MemoryBank,
-                              MemoryEntry, QueryBank, accounting_report,
-                              append, bank_bytes, buffer_store, load_bank,
-                              read_context, save_bank, save_buffer_spill,
-                              write_frame)
+                              MemoryEntry, QueryBank, _on_score_grid,
+                              accounting_report, append, bank_bytes,
+                              buffer_store, load_bank, read_context,
+                              save_bank, save_buffer_spill, write_frame)
 from streammem.params import init_model_params
 from streammem.perceiver import process_stream
-from streammem.stream import (empty_instruction, load_stream,
-                              rwfs_record_bytes)
-from streammem.tensor import attention, make_attention_params
+from streammem.pipeline import stage1_peak_resident_bytes
+from streammem.stream import (empty_instruction, encode_instruction,
+                              load_stream, rwfs_record_bytes, synth_stream)
+from streammem.tensor import head_slices, make_attention_params
 
-from oracles import attention_oracle, bank_bytes_loop
+from oracles import attention_oracle, bank_bytes_loop, read_context_uncached
 
 
 def _query_bank(seed, d=8, heads=2, n_read=4, n_write=2):
@@ -127,13 +128,6 @@ class TestReadKVCache:
     """The cached read must equal one uncached attention over all memory
     rows bit for bit, however the rows arrived."""
 
-    @staticmethod
-    def _uncached(bank, queries, residual=True):
-        mem = bank.all_tokens()
-        out = attention(queries.read_queries, mem, mem,
-                        queries.read_attention)
-        return queries.read_queries + out if residual else out
-
     @pytest.mark.parametrize("W,batch", [(1, 1), (2, 1), (2, 3), (3, 16)])
     def test_bit_exact_after_each_append(self, W, batch):
         # W=1 with one frame per read projects single rows, which numpy
@@ -147,8 +141,9 @@ class TestReadKVCache:
             if (t + 1) % batch:
                 continue
             for residual in (True, False):
-                assert np.array_equal(read_context(bank, queries, residual),
-                                      self._uncached(bank, queries, residual))
+                assert np.array_equal(
+                    read_context(bank, queries, residual),
+                    read_context_uncached(bank, queries, residual))
             params = queries.read_attention
             kp, vp = bank.projected_kv(params)
             assert np.array_equal(kp, bank.all_tokens() @ params.w_k)
@@ -159,11 +154,11 @@ class TestReadKVCache:
         bank = _filled_bank(23, frames=5)
         for queries in (first, second, first):
             assert np.array_equal(read_context(bank, queries),
-                                  self._uncached(bank, queries))
+                                  read_context_uncached(bank, queries))
             append(bank, MemoryEntry(len(bank), 0,
                                      np.full((2, 8), 0.1 * len(bank))))
             assert np.array_equal(read_context(bank, second),
-                                  self._uncached(bank, second))
+                                  read_context_uncached(bank, second))
 
     def test_non_finite_weights_raise_on_cached_read(self):
         queries = _query_bank(24)
@@ -311,6 +306,137 @@ class TestFeatureBuffer:
         disk.get(0)
         with pytest.raises(TruncatedPayloadError):
             disk.get(2)
+
+
+class TestReadScoreCache:
+    """Each read scores only the rows appended since the previous one and
+    rescores the older columns of a query row whose maximum rose; the
+    result must still equal one uncached attention bit for bit."""
+
+    @staticmethod
+    def _append_and_read(bank, queries, frames, batch, scale_of=None):
+        """Append `frames` rows of random tokens, reading after every
+        `batch` of them; each read must equal the uncached one."""
+        rng = np.random.default_rng(len(bank) + 7 * batch)
+        for t in range(len(bank), len(bank) + frames):
+            tokens = rng.standard_normal((bank.W, bank.d))
+            if scale_of is not None:
+                tokens *= scale_of(t)
+            append(bank, MemoryEntry(t, t // batch, tokens))
+            if (t + 1) % batch == 0:
+                for residual in (True, False):
+                    assert np.array_equal(
+                        read_context(bank, queries, residual),
+                        read_context_uncached(bank, queries, residual))
+
+    @pytest.mark.parametrize("W,batch", [(1, 1), (2, 5), (2, 16)])
+    def test_single_read_query(self, W, batch):
+        # one query row makes every score product a gemv, whose values
+        # depend on the product's size: every read rescores all rows
+        queries = _query_bank(40, d=64, heads=4, n_read=1, n_write=W)
+        self._append_and_read(MemoryBank(W=W, d=64), queries, 160, batch)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("W,batch", [(1, 1), (2, 3), (2, 16)])
+    def test_heads(self, heads, W, batch):
+        # W=1 read after every frame leaves most row counts off the block
+        # grid; the reads on it score blocks of 32 rows
+        queries = _query_bank(41 + heads, d=16, heads=heads, n_read=5,
+                              n_write=W)
+        self._append_and_read(MemoryBank(W=W, d=16), queries, 160, batch)
+
+    @pytest.mark.parametrize("W,batch", [(1, 1), (2, 1), (2, 16)])
+    def test_reference_head_shape_past_200_rows(self, W, batch):
+        # 32 query rows of 16-column heads, the default model's read,
+        # over products large enough to leave the small-matrix kernels
+        queries = _query_bank(49, d=64, heads=4, n_read=32, n_write=W)
+        self._append_and_read(MemoryBank(W=W, d=64), queries, 320, batch)
+
+    @pytest.mark.parametrize("W,batch", [(1, 1), (2, 16)])
+    def test_wide_heads_rescore_every_row(self, W, batch):
+        queries = _query_bank(48, d=64, heads=2, n_read=32, n_write=W)
+        self._append_and_read(MemoryBank(W=W, d=64), queries, 160, batch)
+
+    def test_score_grid(self):
+        assert _on_score_grid(32, 4, 16)
+        assert _on_score_grid(8768, 32, 16)
+        assert not _on_score_grid(33, 4, 16)  # a partial block
+        assert not _on_score_grid(64, 1, 16)  # one query row
+        assert not _on_score_grid(64, 4, 32)  # a wide head
+
+    @pytest.mark.parametrize("W,batch", [(1, 32), (2, 16), (4, 24)])
+    def test_rows_of_growing_norm_raise_the_maxima(self, W, batch):
+        """Rows whose norm grows with t raise some query row's maximum on
+        most reads, so the rescoring of older columns is exercised; reads
+        of 32 rows or a multiple stay on the score grid."""
+        queries = _query_bank(43, d=16, heads=2, n_read=6, n_write=W)
+        bank = MemoryBank(W=W, d=16)
+        params = queries.read_attention
+        qp = queries.read_queries @ params.w_q
+        rises, reads, last = 0, 0, None
+        for _ in range(20):
+            self._append_and_read(bank, queries, batch, batch,
+                                  scale_of=lambda t: 1.0 + 0.3 * t)
+            kp = bank.all_tokens() @ params.w_k
+            top = np.stack([(qp[:, sl] @ kp[:, sl].T).max(axis=1)
+                            for sl in head_slices(params)])
+            if last is not None:
+                reads += 1
+                rises += bool(np.any(top > last))
+            last = top
+        assert rises >= 0.75 * reads, (rises, reads)
+
+    def test_resident_bytes_count_the_exp_rows(self):
+        queries = _query_bank(44, d=8, heads=2, n_read=4)
+        bank = _filled_bank(45, frames=6)
+        plain = bank.resident_bytes()
+        read_context(bank, queries)
+        rows = bank.token_count()
+        kv = 2 * rows * 8 * 8
+        exp_rows = 2 * 4 * rows * 8  # heads x N_R x rows float64
+        assert bank.resident_bytes() == plain + kv + exp_rows
+        bank.drop_read_scores()
+        assert bank.resident_bytes() == plain + kv
+        # the next read rescores from scratch and still matches
+        assert np.array_equal(read_context(bank, queries),
+                              read_context_uncached(bank, queries))
+
+    def test_stream_bank_drops_the_exp_rows(self):
+        config = RunConfig(d=16, heads=2, layers=1, n_read=4,
+                           subclip_frames=4).validate()
+        params = init_model_params(config)
+        bank, _ = process_stream(synth_stream(46, 18, 3, 16),
+                                 empty_instruction(16), params.query_bank,
+                                 params.perceiver, config.subclip_frames)
+        assert bank._exp.size == 0
+        kv_rows = 2 * (18 - 2)  # every row but the last sub-clip's
+        assert bank.resident_bytes() == (bank.tokens.nbytes + 2 * 18 * 8
+                                         + 2 * kv_rows * 16 * 8)
+
+    def test_stage1_peak_counts_the_exp_rows(self):
+        """The modelled peak holds heads x N_R x W*t float64 exp-score
+        rows on top of the K/V rows, t being the frames of each read."""
+        config = RunConfig(d=16, heads=2, layers=1, n_read=4, n_write=2,
+                           subclip_frames=4).validate()
+        T, P, d, W, F = 18, 3, 16, 2, 4
+        stream = synth_stream(47, T, P, d)
+        n_instr = encode_instruction("probe", d).tokens.shape[0]
+
+        def modelled(exp_rows_counted):
+            peak = 0
+            for start in range(0, T, F):
+                n, rows = min(start + F, T), W * start
+                resident = (n * (W * d * 8 + 2 * 8) + 2 * rows * d * 8
+                            + exp_rows_counted * 2 * 4 * rows * 8
+                            + n * P * d * 8)
+                read_scores = 4 * W * n * 8
+                clip_keys = (n - start) * (P + n_instr) * d * 8
+                peak = max(peak, resident + read_scores + clip_keys)
+            return peak
+
+        got = stage1_peak_resident_bytes(config, stream, "probe")
+        assert got == modelled(True)
+        assert got - modelled(False) == 2 * 4 * W * (T - 2) * 8
 
 
 def _write_stream_file(path, T, P, d, seed=0):

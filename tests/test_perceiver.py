@@ -14,7 +14,8 @@ from streammem.stream import (InstructionEncoding, SubClip, empty_instruction,
                               encode_instruction, synth_stream)
 
 from oracles import (attention_loop, layer_norm_two_pass,
-                     perceive_subclip_loop, process_stream_loop)
+                     perceive_subclip_loop, process_stream_loop,
+                     read_context_uncached)
 
 
 def _config(**overrides):
@@ -202,6 +203,48 @@ class TestBatchedForwardBitExact:
         assert len(bank.entries) == len(expected) == 21
         for entry, tokens in zip(bank.entries, expected):
             assert np.array_equal(entry.tokens, tokens)
+
+
+class TestCachedReadInStream:
+    """Every read inside process_stream equals one uncached attention over
+    all memory rows, and the bank equals the frame-by-frame composition,
+    bit for bit."""
+
+    # the reads at W*t = 32, 64, ... memory rows score only the new blocks
+    @pytest.mark.parametrize("overrides,T", [
+        (dict(n_read=1), 40),
+        (dict(heads=1), 40),
+        (dict(heads=2), 40),
+        (dict(n_write=1, subclip_frames=1), 70),
+        (dict(d=16, heads=2, n_read=6, n_write=2, subclip_frames=16), 70),
+        (dict(subclip_frames=4), 49),  # a one-frame last sub-clip
+    ])
+    def test_each_read_matches_uncached(self, monkeypatch, overrides, T):
+        import streammem.perceiver as perceiver_module
+
+        config = _config(**overrides)
+        params = init_model_params(config)
+        stream = synth_stream(32, T, 4, config.d)
+        instr = encode_instruction("find the cup", config.d)
+        real_read = perceiver_module.read_context
+        reads = []
+
+        def checked_read(bank, queries, residual=True):
+            out = real_read(bank, queries, residual=residual)
+            if len(bank):
+                assert np.array_equal(
+                    out, read_context_uncached(bank, queries, residual))
+            reads.append(len(bank))
+            return out
+
+        monkeypatch.setattr(perceiver_module, "read_context", checked_read)
+        F = config.subclip_frames
+        bank, _ = process_stream(stream, instr, params.query_bank,
+                                 params.perceiver, F=F)
+        assert reads == list(range(0, T, F))
+        expected = process_stream_loop(stream.frames, instr.tokens,
+                                       params.query_bank, params.perceiver, F)
+        assert np.array_equal(bank.tokens, np.stack(expected))
 
 
 class TestProcessStream:

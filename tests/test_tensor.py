@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streammem.errors import NumericError
-from streammem.tensor import (AttentionParams, attend, attention, grad_check,
-                              layer_norm, make_attention_params, softmax_rows)
+from streammem.tensor import (AttentionParams, attend, attention, gelu,
+                              grad_check, layer_norm, make_attention_params,
+                              softmax_rows)
 
 from oracles import (attend_out_of_place, attention_oracle,
-                     layer_norm_two_pass, softmax_rows_longdouble)
+                     gelu_out_of_place, layer_norm_two_pass, layer_norm_var,
+                     softmax_rows_longdouble)
 
 
 def _params(seed, d=8, heads=2):
@@ -79,6 +81,48 @@ class TestLayerNorm:
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
             layer_norm(np.zeros((1, 2)), np.ones(2), np.zeros(2), eps=0.0)
+
+
+class TestElementwiseInPlace:
+    """layer_norm and gelu reuse their own temporaries; the values equal
+    the out-of-place compositions bit for bit and inputs stay unchanged."""
+
+    SHAPES = [(7,), (3, 7), (16, 32, 64), (2, 3, 4, 8), (1, 64)]
+
+    def test_layer_norm_matches_var_composition(self):
+        rng = np.random.default_rng(50)
+        for case in range(60):
+            shape = self.SHAPES[case % len(self.SHAPES)]
+            x = rng.standard_normal(shape) * rng.uniform(0.01, 100.0) \
+                + rng.uniform(-50.0, 50.0)
+            if case % 3 == 0 and x.ndim == 3:
+                x = x.swapaxes(0, 1)  # the temporal sublayer's view
+            cols = shape[-1]
+            gshape = (1, cols) if case % 4 == 1 and x.ndim > 1 else (cols,)
+            gain = rng.standard_normal(gshape)
+            bias = rng.standard_normal(gshape)
+            eps = (1e-5, 1e-12, 0.5)[case % 3]
+            before = x.copy()
+            out = layer_norm(x, gain, bias, eps=eps)
+            expected = layer_norm_var(x, gain, bias, eps)
+            assert out.shape == expected.shape
+            assert np.array_equal(out, expected), case
+            assert np.array_equal(x, before)
+
+    def test_layer_norm_row_with_row_matrix_gain(self):
+        x = np.random.default_rng(51).standard_normal(6)
+        gain, bias = np.full((1, 6), 2.0), np.full((1, 6), 0.5)
+        out = layer_norm(x, gain, bias)
+        assert out.shape == (1, 6)
+        assert np.array_equal(out, layer_norm_var(x, gain, bias, 1e-5))
+
+    def test_gelu_matches_composition(self):
+        rng = np.random.default_rng(52)
+        for scale in (1e-6, 1.0, 8.0, 40.0):
+            x = rng.standard_normal((4, 5, 33)) * scale
+            before = x.copy()
+            assert np.array_equal(gelu(x), gelu_out_of_place(x))
+            assert np.array_equal(x, before)
 
 
 class TestAttention:
