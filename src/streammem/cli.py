@@ -12,7 +12,7 @@ from .assembly import assemble, save_llm_input
 from .config import RunConfig, load_config
 from .dfs import (dfs_select, format_selection_report, parse_selection_centers,
                   pool_tokens, uniform_select)
-from .errors import EngineError, MalformedArtifactError
+from .errors import ConfigError, EngineError, MalformedArtifactError
 from .memory import (DiskFeatureBuffer, accounting_report, load_bank)
 from .params import init_model_params
 from .pipeline import run_pipeline
@@ -108,6 +108,16 @@ def _cmd_process(args) -> int:
     return 0
 
 
+def _load_bank_for(config: RunConfig, path):
+    """The memory bank at `path`, once its tokens are known to be model.d
+    wide, so a mismatched config fails before any selection work."""
+    bank = load_bank(path)
+    if bank.d != config.d:
+        raise ConfigError(
+            f"memory bank dim {bank.d} does not match model.d {config.d}")
+    return bank
+
+
 def _open_disk_buffer(data_path, manifest_path, bank) -> DiskFeatureBuffer:
     """The spilled buffer, once its manifest is known to list exactly the
     bank's frames, so a mismatch fails before any selection work."""
@@ -121,7 +131,7 @@ def _open_disk_buffer(data_path, manifest_path, bank) -> DiskFeatureBuffer:
 
 def _cmd_select(args) -> int:
     config = _load_config_arg(args.config)
-    bank = load_bank(args.bank)
+    bank = _load_bank_for(config, args.bank)
     data = args.buffer_data or os.path.join(
         os.path.dirname(args.buffer_manifest), "buffer.bin")
     buffer = _open_disk_buffer(data, args.buffer_manifest, bank)
@@ -150,7 +160,7 @@ def _cmd_assemble(args) -> int:
     from .stream import load_stream
 
     config = _load_config_arg(args.config)
-    bank = load_bank(args.bank)
+    bank = _load_bank_for(config, args.bank)
     with open(args.selection, "r", encoding="utf-8") as fh:
         centers = parse_selection_centers(fh.read())
     pooled_stream = load_stream(args.selection + ".pooled.rwfs")

@@ -5,15 +5,16 @@ The bank is the only Stage-1 state that grows with stream length: W compact
 tokens per processed frame, kept in strict temporal order. It is stored as
 one (capacity, W, d) array plus frame and sub-clip index arrays, so appends
 are amortised O(1) and readers see views, never copies; a bank built for a
-stream of known length is sized for it once. For the read it also keeps the
-read attention's projected K/V rows and, per head, the exp-score rows of
-the read queries, so each read scores only the memory rows written since
-the previous one. Raw
-frame tokens go to a passive feature buffer that is never read during
-Stage 1. The buffer keeps a reference, not a copy, to a frame whose memory
-nobody can write (a view of a loaded stream's bytes, as `load_stream`
-returns); it copies every other frame, so a caller's later writes never
-reach it.
+stream of known length is sized for it once. The read keeps a streaming
+state on the bank whose size does not depend on the bank's length: per head
+and read-query row, the online softmax (Milakov & Gimelshein, arXiv
+1805.02867) of the memory rows read so far, rescaled as FlashAttention does
+(Dao et al., arXiv 2205.14135). So each read projects and scores only the
+rows written since the previous one. Raw frame tokens go to a passive
+feature buffer that is never read during Stage 1. The buffer keeps a
+reference, not a copy, to a frame whose memory nobody can write (a view of
+a loaded stream's bytes, as `load_stream` returns); it copies every other
+frame, so a caller's later writes never reach it.
 """
 
 import json
@@ -26,20 +27,13 @@ from .errors import (BadMagicError, BadVersionError, MalformedArtifactError,
                      NonFiniteDataError, TruncatedPayloadError)
 from .stream import read_rwfs_bytes, rwfs_record_bytes
 from .tensor import (AttentionParams, attention, head_scale, head_slices,
-                     mix_heads, normalise, shift_exp)
+                     shift_exp)
 
 RWMB_MAGIC = b"RWMB"
 RWMB_VERSION = 1
 _BANK_HEADER = struct.Struct("<4sIIII")
 _RWFS_HEADER = struct.Struct("<4sIIII")
 _MIN_CAPACITY = 16
-# OpenBLAS 0.3.31 (x86-64, AVX-512 kernels) gives a read score the same
-# bits in a product over a multiple of 32 memory rows as in any block of a
-# multiple of 32 rows that starts at a multiple of 32, for heads at most 16
-# columns wide. A product over another row count, or with wider heads,
-# rounds some scores differently, in any of its columns.
-_SCORE_BLOCK = 32
-_MAX_SCORED_HEAD_WIDTH = 16
 
 
 def _record_dtype(W: int, d: int) -> np.dtype:
@@ -59,25 +53,6 @@ def _reserve(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
     return grown
 
 
-def _on_score_grid(rows: int, n_read: int, width: int) -> bool:
-    """Whether a read over `rows` memory rows may score a block of them and
-    reuse the rest: the row count is a multiple of _SCORE_BLOCK, there are
-    two or more query rows (numpy sends one to gemv, which rounds
-    differently from gemm) and heads are at most _MAX_SCORED_HEAD_WIDTH
-    columns wide."""
-    return (rows % _SCORE_BLOCK == 0 and n_read >= 2
-            and width <= _MAX_SCORED_HEAD_WIDTH)
-
-
-def _two_or_more(rows: np.ndarray, n: int) -> np.ndarray:
-    """`rows`, a non-empty sorted index set into range(n) with n >= 2,
-    widened by a neighbour when it holds a single index."""
-    if len(rows) > 1:
-        return rows
-    r = int(rows[0])
-    return np.array([r, r + 1] if r + 1 < n else [r - 1, r])
-
-
 def _readonly(view: np.ndarray) -> np.ndarray:
     view.flags.writeable = False
     return view
@@ -90,18 +65,73 @@ class MemoryEntry:
     tokens: np.ndarray  # (W, d)
 
 
+class _ReadState:
+    """The online softmax of the read queries over the memory rows folded
+    in so far. Per head and read-query row it holds the running maximum of
+    the scaled scores (`top`), the sum of exp(score - top) over the rows
+    (`den`) and the sum of exp(score - top) times each row's projected
+    value (`num`, dh wide), so the read context is num / den. Its size is
+    fixed by the read queries and heads, whatever the number of rows.
+    """
+
+    def __init__(self, queries: "QueryBank"):
+        params = queries.read_attention
+        shape = (params.heads, queries.n_read)
+        self.read_queries, self.params = queries.read_queries, params
+        self.qp = queries.read_queries @ params.w_q
+        self.top = np.full(shape + (1,), -np.inf)
+        self.den = np.zeros(shape + (1,))
+        self.num = np.zeros(shape + (params.dim_model // params.heads,))
+        self.rows = 0
+
+    def serves(self, queries: "QueryBank") -> bool:
+        return (queries.read_queries is self.read_queries
+                and queries.read_attention is self.params)
+
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.qp, self.top, self.den, self.num))
+
+    def fold(self, new_rows: np.ndarray) -> None:
+        """Fold in the memory rows that follow the ones folded so far: each
+        head scores them, raises its running maxima, and rescales its sums
+        by exp(old max - new max) before adding the new rows' terms."""
+        params = self.params
+        kp = new_rows @ params.w_k
+        vp = new_rows @ params.w_v
+        scale = head_scale(params)
+        for h, sl in enumerate(head_slices(params)):
+            scores = self.qp[:, sl] @ kp[:, sl].T
+            scores *= scale
+            top = np.maximum(self.top[h], scores.max(axis=-1, keepdims=True))
+            shift_exp(scores, top)
+            # exp(old max - new max), in the old maxima's storage
+            rescale = shift_exp(self.top[h], top)
+            self.den[h] *= rescale
+            self.den[h] += scores.sum(axis=-1, keepdims=True)
+            self.num[h] *= rescale
+            self.num[h] += scores @ vp[:, sl]
+            self.top[h] = top
+        self.rows += len(new_rows)
+
+    def context(self) -> np.ndarray:
+        """Each head's num / den, concatenated over heads: (N_R, d)."""
+        heads = self.num / self.den
+        return heads.swapaxes(0, 1).reshape(len(self.qp), -1)
+
+
 class MemoryBank:
     """W memory tokens per frame in strict frame order.
 
     `tokens`, `frames`, `subclips` and `all_tokens()` are read-only views
-    of the live rows. The bank also caches the read attention's projected
-    K/V rows (`projected_kv`) and each head's exp-score rows of the read
-    queries (`read_weights`): queries and attention weights are fixed at
-    inference, so the caches assume they are never changed in place.
+    of the live rows. The bank also carries the streaming read state of the
+    last read queries (`read_state`), whose size depends on the read
+    queries and heads but not on the bank's length. Queries and attention
+    weights are fixed at inference, so the state assumes they are never
+    changed in place.
 
-    `capacity` frames, and the K/V and exp-score rows of that many frames,
-    are allocated once up front; a bank that outgrows them doubles its
-    arrays. Untouched capacity is never written, so it is not counted.
+    `capacity` frames are allocated once up front; a bank that outgrows
+    them doubles its arrays. Untouched capacity is never written, so it is
+    not counted.
     """
 
     def __init__(self, W: int, d: int, capacity: int = 0):
@@ -111,11 +141,7 @@ class MemoryBank:
         self._tokens = np.empty((capacity, W, d))
         self._frames = np.empty(capacity, dtype=np.int64)
         self._subclips = np.empty(capacity, dtype=np.int64)
-        self._kv_params = None
-        self._kv_rows = 0
-        self._k = np.empty((capacity * W, d))
-        self._v = np.empty((capacity * W, d))
-        self.drop_read_scores()
+        self._read = None
 
     def __len__(self):
         return self._count
@@ -151,14 +177,12 @@ class MemoryBank:
 
     def resident_bytes(self) -> int:
         """Bytes of the live rows (tokens and frame and sub-clip indices)
-        plus the cached K/V rows and, while a read holds them, the
-        heads x N_R exp-score rows over the memory rows scored so far.
-        Spare capacity is never written, so it is not counted."""
-        n, rows = self._count, self._kv_rows
-        return sum(a.nbytes for a in (self._tokens[:n], self._frames[:n],
-                                      self._subclips[:n], self._k[:rows],
-                                      self._v[:rows],
-                                      self._exp[..., :self._exp_rows]))
+        plus the streaming read state. Spare capacity is never written, so
+        it is not counted."""
+        n = self._count
+        state = self._read.nbytes() if self._read is not None else 0
+        return state + sum(a.nbytes for a in (
+            self._tokens[:n], self._frames[:n], self._subclips[:n]))
 
     def _push(self, frames, subclips, tokens) -> None:
         """Store rows after the live ones; callers validate them."""
@@ -171,108 +195,17 @@ class MemoryBank:
         self._subclips[n:end] = subclips
         self._count = end
 
-    def projected_kv(self, params: AttentionParams):
-        """The memory rows projected through `params.w_k` and `params.w_v`,
-        each (W * len, d). Rows appended since the last call are projected
-        now; a different `params` object restarts the cache.
-
-        numpy sends a one-row product to gemv, which rounds differently
-        from gemm, so every projected block spans at least two rows unless
-        the whole bank is one row: the rows then equal one full projection
-        of all_tokens() bit for bit.
-        """
-        rows = self.token_count()
-        if params is not self._kv_params:
-            self._kv_params, self._kv_rows = params, 0
-        if self._kv_rows < rows:
-            start = 0 if self._kv_rows < 2 else min(self._kv_rows, rows - 2)
-            self._k = _reserve(self._k, start, rows)
-            self._v = _reserve(self._v, start, rows)
-            block = self.all_tokens()[start:]
-            self._k[start:rows] = block @ params.w_k
-            self._v[start:rows] = block @ params.w_v
-            self._kv_rows = rows
-        return _readonly(self._k[:rows]), _readonly(self._v[:rows])
-
-    def read_weights(self, queries: "QueryBank"):
-        """Yield each head's (N_R, W * len) read attention weights: the
-        softmax of the read queries' scaled scores against the projected
-        memory rows, as `attend` computes it, head by head.
-
-        Per head the bank keeps the exp(score - row max) rows and the row
-        maxima. A read on the score grid (`_on_score_grid`) that follows
-        another one scores and exponentiates only the rows appended since;
-        any other read rescores every row, as `attend` does, and its scores
-        are not reused. A query row whose maximum rose gets its older
-        columns recomputed from the cached K rows, together with a
-        neighbour row if it is alone: numpy sends a one-row product to
-        gemv, which rounds differently from gemm. The row sums, the divide
-        and everything after them run over all rows, as in `attend`, so the
-        weights equal `attend`'s bit for bit. Different read queries or
-        weights restart the cache. All scoring happens on the first draw,
-        and every head's weights go to one contiguous buffer, valid until
-        the next draw.
-        """
-        params = queries.read_attention
-        kp, _ = self.projected_kv(params)
-        rows = self.token_count()
-        if (queries.read_queries is not self._score_queries
-                or params is not self._score_params):
-            self.drop_read_scores()
-            self._score_queries, self._score_params = \
-                queries.read_queries, params
-        scored = self._exp_rows
-        if scored < rows:
-            qp = queries.read_queries @ params.w_q
-            n_read = len(qp)
-            on_grid = _on_score_grid(rows, n_read,
-                                     params.dim_model // params.heads)
-            start = self._grid_rows if on_grid else 0
-            shape = (params.heads, n_read, len(self._k))
-            if self._exp.shape != shape:
-                grown = np.empty(shape)
-                if start:
-                    grown[..., :start] = self._exp[..., :start]
-                self._exp = grown
-                self._weights = np.empty(n_read * len(self._k))
-            if start == 0:
-                self._rowmax = np.empty((params.heads, n_read, 1))
-            scale = head_scale(params)
-            for h, sl in enumerate(head_slices(params)):
-                self._score_head(h, qp[:, sl], kp[:, sl], start, rows, scale)
-            self._exp_rows = rows
-            self._grid_rows = rows if on_grid else 0
-        n_read = self._exp.shape[1]
-        weights = self._weights[:n_read * rows].reshape(n_read, rows)
-        for h in range(params.heads):
-            yield normalise(self._exp[h, :, :rows], out=weights)
-
-    def _score_head(self, h, qh, kh, start, rows, scale) -> None:
-        """Head h's exp-score columns start:rows, after raising its row
-        maxima and re-exponentiating columns :start of the rows they
-        rose in."""
-        block = qh @ kh[start:rows].T
-        block *= scale
-        top = block.max(axis=-1, keepdims=True)
-        rowmax = self._rowmax[h]
-        if start:
-            rose = np.flatnonzero(top[:, 0] > rowmax[:, 0])
-            np.maximum(rowmax, top, out=rowmax)
-            if len(rose):
-                rose = _two_or_more(rose, len(qh))
-                old = qh[rose] @ kh[:start].T
-                old *= scale
-                self._exp[h, rose, :start] = shift_exp(old, rowmax[rose])
-        else:
-            rowmax[...] = top
-        self._exp[h, :, start:rows] = shift_exp(block, rowmax)
-
-    def drop_read_scores(self) -> None:
-        """Release the cached exp-score rows; the next read rescores."""
-        self._score_queries = self._score_params = None
-        self._exp = np.empty((0, 0, 0))
-        self._weights = self._rowmax = None
-        self._exp_rows = self._grid_rows = 0
+    def read_state(self, queries: "QueryBank") -> _ReadState:
+        """The streaming read state of `queries` with every memory row
+        folded in. Rows appended since the last read are folded in now;
+        read queries or read weights other than the last read's restart
+        the state from row 0."""
+        if self._read is None or not self._read.serves(queries):
+            self._read = _ReadState(queries)
+        state = self._read
+        if state.rows < self.token_count():
+            state.fold(self.all_tokens()[state.rows:])
+        return state
 
 
 def append(bank: MemoryBank, entry: MemoryEntry) -> None:
@@ -427,17 +360,19 @@ def read_context(bank: MemoryBank, queries: QueryBank,
 
     An empty bank returns the read queries unchanged (their learned initial
     content); otherwise cross-attention over all flattened memory tokens,
-    with an optional residual connection back onto the queries. The K/V
-    projections and the per-head exp-score rows come from the bank's
-    caches, so a read projects, scores and exponentiates only the rows
-    written since the previous one; the result equals one uncached
-    `attention` over all memory rows bit for bit.
+    with an optional residual connection back onto the queries. The
+    attention comes from the bank's streaming read state, so a read
+    projects and scores only the rows written since the previous one and
+    holds one head's N_R x (new rows) scores at a time. It equals one
+    `attention` over all memory rows up to rounding: the softmax is
+    normalised after the weighted sum, not before it, and rescaled as the
+    running maxima rise.
     """
     if len(bank) == 0:
         return queries.read_queries.copy()
     params = queries.read_attention
-    _, vp = bank.projected_kv(params)
-    attended = mix_heads(bank.read_weights(queries), vp, params)
+    params.validate_finite()
+    attended = bank.read_state(queries).context() @ params.w_o
     if residual:
         return queries.read_queries + attended
     return attended
@@ -537,7 +472,9 @@ def accounting_report(bank: MemoryBank, buffer, config) -> AccountingReport:
     """Token and byte accounting for a processed stream.
 
     LLM-input length is W*T + 1 + p*min(K_c, T): the separator row is always
-    present, and at most T frames can be selected.
+    present, and at most T frames can be selected. The peak transient
+    scores are one head's read scores over the rows of one sub-clip,
+    N_R*W*min(F, T).
     """
     T = len(bank)
     W = bank.W
@@ -546,7 +483,7 @@ def accounting_report(bank: MemoryBank, buffer, config) -> AccountingReport:
     buffer_tokens = buffer.token_count() if buffer is not None else 0
     selected = config.pool_tokens * min(config.Kc, T)
     llm_len = memory_tokens + 1 + selected
-    peak_scores = config.n_read * memory_tokens
+    peak_scores = config.n_read * W * min(config.subclip_frames, T)
     est = {
         "memory": memory_tokens * d * 4,
         "buffer": buffer_tokens * d * 4,

@@ -126,8 +126,7 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
     Sub-clips are processed strictly in order; per sub-clip the bank is read
     once, the clip perceived, every frame buffered raw, and all of its
     frames written to memory in one call. The bank is sized for the
-    stream's T frames up front, and the read's exp-score rows are dropped
-    before it is returned. Returns the populated (bank, buffer).
+    stream's T frames up front. Returns the populated (bank, buffer).
     """
     W = queries.n_write
     bank = MemoryBank(W=W, d=params.d, capacity=stream.T)
@@ -142,5 +141,4 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
             append(bank, entry)
         if on_subclip is not None:
             on_subclip(clip, bank, buffer)
-    bank.drop_read_scores()
     return bank, buffer

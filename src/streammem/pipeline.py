@@ -111,30 +111,38 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
                                instruction_text: str) -> int:
     """Allocation-accounting harness for Stage 1.
 
-    Tracks, after every sub-clip, the bytes allocated by the bank (its
-    projected K/V rows and the read's heads x N_R x W*t exp-score rows
-    included, both as of the sub-clip's read) and held by the buffer, plus
-    the workspace of the next read (the N_R x W*t weight matrix) and the
-    per-clip cross-attention keys. The buffer is modelled at float64,
-    P*d*8 bytes per frame, even where it holds a loaded stream's float32
-    frames by reference, so the model never falls below a buffer of
-    copies. The peak demonstrates the absence of any state that grows
-    faster than linearly in T.
+    Tracks, after every sub-clip, the bytes held by the bank (its live
+    rows and the streaming read state, whose size does not depend on T)
+    and by the buffer, plus two workspaces that do not grow with T:
+    - the read's: one head's N_R x W*min(F, T) scores over the rows of one
+      sub-clip;
+    - the perceiver's, for a sub-clip of f frames with P+I keys each: four
+      f x (P+I) x d arrays (the float64 frames, the keys with instruction
+      rows, and their K and V projections) and three f x N_Q x 4d arrays
+      (the FFN's pre-activation, its GELU, and a bound on the narrower
+      temporaries around them).
+    All are float64. The buffer is modelled at float64, P*d*8 bytes per
+    frame, even where it holds a loaded stream's float32 frames by
+    reference, so the model never falls below a buffer of copies. The peak
+    demonstrates the absence of any state that grows faster than linearly
+    in T.
     """
     config.validate()
     params = init_model_params(config)
     instruction = encode_instruction(instruction_text, config.d)
+    F = config.subclip_frames
+    n_keys = stream.P + instruction.tokens.shape[0]
     peak = 0
 
     def on_subclip(clip, bank, buffer):
         nonlocal peak
         resident = bank.resident_bytes() + buffer.resident_bytes()
-        read_scores = config.n_read * bank.token_count() * 8
-        clip_keys = len(clip.frames) * (
-            stream.P + instruction.tokens.shape[0]) * config.d * 8
-        peak = max(peak, resident + read_scores + clip_keys)
+        read_scores = config.n_read * bank.W * min(F, stream.T) * 8
+        perceive = len(clip.frames) * config.d * 8 * (
+            4 * n_keys + 3 * config.n_read * 4)
+        peak = max(peak, resident + read_scores + perceive)
 
     process_stream(stream, instruction, params.query_bank, params.perceiver,
-                   config.subclip_frames, residual_read=config.residual_read,
+                   F, residual_read=config.residual_read,
                    on_subclip=on_subclip)
     return peak

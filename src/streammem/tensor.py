@@ -64,15 +64,11 @@ def shift_exp(m: np.ndarray, top: np.ndarray) -> np.ndarray:
     return np.exp(m, out=m)
 
 
-def normalise(e: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Each row of `e` divided by its sum over the last axis, into `out`
-    (which may be `e` itself)."""
-    return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
-
-
 def _softmax_inplace(m: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a float64 array, in its own storage."""
-    return normalise(shift_exp(m, m.max(axis=-1, keepdims=True)), out=m)
+    shift_exp(m, m.max(axis=-1, keepdims=True))
+    m /= m.sum(axis=-1, keepdims=True)
+    return m
 
 
 def softmax_rows(m):
@@ -174,32 +170,17 @@ def attend(qp, kp, vp, params: AttentionParams):
         raise ValueError("k and v must have the same row count")
     if kp.shape[-2] == 0:
         raise ValueError("attention over an empty key set")
-    scale = head_scale(params)
-
-    def head_weights():
-        for sl in head_slices(params):
-            scores = qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)
-            if isinstance(scores, Var):
-                yield autodiff.softmax_rows_v(scores * scale)
-            else:
-                scores *= scale
-                yield _softmax_inplace(scores)
-
-    return mix_heads(head_weights(), vp, params)
-
-
-def mix_heads(head_weights, vp, params: AttentionParams):
-    """Each head's attention weights times its columns of the projected
-    values `vp`, concatenated over heads and projected through w_o.
-
-    `head_weights` yields the (..., n_q, n_kv) weights head by head. It is
-    drawn from only after `params` are checked finite, so a generator does
-    no scoring for a call that raises, and each head's weights are used
-    before the next are drawn, so a generator may reuse one buffer.
-    """
     params.validate_finite()
-    heads_out = [weights @ vp[..., sl]
-                 for sl, weights in zip(head_slices(params), head_weights)]
+    scale = head_scale(params)
+    heads_out = []
+    for sl in head_slices(params):
+        scores = qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)
+        if isinstance(scores, Var):
+            weights = autodiff.softmax_rows_v(scores * scale)
+        else:
+            scores *= scale
+            weights = _softmax_inplace(scores)
+        heads_out.append(weights @ vp[..., sl])
     return _concat_last(heads_out) @ params.w_o
 
 

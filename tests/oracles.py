@@ -3,10 +3,10 @@
 The kernel oracles are deliberately written with plain Python loops and no
 shared helpers from the package, so a bug in a production path cannot hide
 in its own oracle. The composition oracles `perceive_subclip_loop`,
-`process_stream_loop` and `read_context_uncached` are the exception: they
-call the package's 2-D kernels one frame or one read at a time, to pin the
-batched perceiver and the cached memory read to that composition bit for
-bit.
+`process_stream_loop`, `read_context_loop` and `read_context_uncached` are
+the exception: they call the package's 2-D kernels, or the same numpy
+steps, one frame, one head or one read at a time, to pin the batched
+perceiver and the streaming memory read to that composition bit for bit.
 """
 
 import math
@@ -135,18 +135,17 @@ def perceive_subclip_loop(frames, context, instruction_tokens, perceiver):
 def process_stream_loop(frames, instruction_tokens, queries, perceiver, F,
                         residual_read=True):
     """Read-perceive-write over a list of frames with one 2-D write
-    attention per frame; returns the memory tokens per frame, in order."""
+    attention per frame and every read through `read_context_loop`;
+    returns the memory tokens per frame, in order."""
     import numpy as np
     from streammem.tensor import attention
 
-    written = []
+    written, reads = [], []
     for start in range(0, len(frames), F):
         if written:
             mem = np.concatenate(written, axis=0)
-            context = attention(queries.read_queries, mem, mem,
-                                queries.read_attention)
-            if residual_read:
-                context = queries.read_queries + context
+            reads.append(len(mem))
+            context = read_context_loop(mem, queries, reads, residual_read)
         else:
             context = queries.read_queries.copy()
         states = perceive_subclip_loop(frames[start:start + F], context,
@@ -157,9 +156,47 @@ def process_stream_loop(frames, instruction_tokens, queries, perceiver, F,
     return written
 
 
+def read_context_loop(mem, queries, reads, residual=True):
+    """The streaming memory read, replayed from scratch: the online softmax
+    of the read queries over the rows of `mem`, folded in the chunks that
+    end at each row count of `reads` (ascending, the last one len(mem)),
+    one head at a time, with a fresh array per step.
+
+    Each chunk runs the same row products and the same elementwise steps
+    as the bank's read state, so the two agree bit for bit; only the
+    state's bookkeeping differs.
+    """
+    import numpy as np
+
+    params = queries.read_attention
+    dh = params.dim_model // params.heads
+    scale = 1.0 / np.sqrt(dh)
+    qp = queries.read_queries @ params.w_q
+    heads_out = []
+    for h in range(params.heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        top = np.full((len(qp), 1), -np.inf)
+        den = np.zeros((len(qp), 1))
+        num = np.zeros((len(qp), dh))
+        for a, b in zip([0] + list(reads[:-1]), reads):
+            k = mem[a:b] @ params.w_k
+            v = mem[a:b] @ params.w_v
+            scores = (qp[:, sl] @ k[:, sl].T) * scale
+            new_top = np.maximum(top, scores.max(axis=1, keepdims=True))
+            e = np.exp(scores - new_top)
+            rescale = np.exp(top - new_top)
+            den = den * rescale + e.sum(axis=1, keepdims=True)
+            num = num * rescale + e @ v[:, sl]
+            top = new_top
+        heads_out.append(num / den)
+    out = np.concatenate(heads_out, axis=1) @ params.w_o
+    return queries.read_queries + out if residual else out
+
+
 def read_context_uncached(bank, queries, residual=True):
-    """The memory read as one `attention` call over all memory rows, with
-    none of the bank's projection or score caches."""
+    """The memory read as one `attention` call over all memory rows: the
+    two-pass softmax, normalised before the weighted sum. The streaming
+    read agrees with it up to rounding, not bit for bit."""
     from streammem.tensor import attention
 
     mem = bank.all_tokens()

@@ -186,6 +186,26 @@ class TestExitCodes:
                      "--config", str(cfg),
                      "--out-dir", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("command", ["dfs", "uniform", "assemble"])
+    def test_bank_dim_mismatch_is_3(self, tmp_path, processed, command,
+                                    capsys):
+        bank = str(processed / "memory.rwmb")
+        wide = tmp_path / "d16.cfg"
+        wide.write_text(CONFIG_TEXT.replace("model.d=8", "model.d=16"))
+        if command == "assemble":
+            args = ["assemble", "--bank", bank,
+                    "--selection", str(processed / "selection.txt"),
+                    "--config", str(wide), "--out", str(tmp_path / "s.rwli")]
+        else:
+            args = ["select", "--bank", bank, "--buffer-manifest",
+                    str(processed / "buffer.manifest"), "--instruction", "x",
+                    "--config", str(wide), "--strategy", command,
+                    "--out", str(tmp_path / "sel.txt")]
+        capsys.readouterr()
+        assert main(args) == 3
+        assert "memory bank dim 8 does not match model.d 16" in \
+            capsys.readouterr().err
+
     def test_numeric_error_is_4(self, tmp_path, config_path):
         bad = tmp_path / "nan.rwfs"
         payload = np.full(4 * 8, np.nan, dtype="<f4").tobytes()

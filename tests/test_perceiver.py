@@ -15,7 +15,7 @@ from streammem.stream import (InstructionEncoding, SubClip, empty_instruction,
 
 from oracles import (attention_loop, layer_norm_two_pass,
                      perceive_subclip_loop, process_stream_loop,
-                     read_context_uncached)
+                     read_context_loop)
 
 
 def _config(**overrides):
@@ -206,11 +206,10 @@ class TestBatchedForwardBitExact:
 
 
 class TestCachedReadInStream:
-    """Every read inside process_stream equals one uncached attention over
-    all memory rows, and the bank equals the frame-by-frame composition,
-    bit for bit."""
+    """Every read inside process_stream equals the streaming recurrence
+    replayed over the rows of each earlier read, and the bank equals the
+    frame-by-frame composition, bit for bit."""
 
-    # the reads at W*t = 32, 64, ... memory rows score only the new blocks
     @pytest.mark.parametrize("overrides,T", [
         (dict(n_read=1), 40),
         (dict(heads=1), 40),
@@ -232,8 +231,10 @@ class TestCachedReadInStream:
         def checked_read(bank, queries, residual=True):
             out = real_read(bank, queries, residual=residual)
             if len(bank):
-                assert np.array_equal(
-                    out, read_context_uncached(bank, queries, residual))
+                rows = [n * config.n_write for n in reads[1:]]
+                rows.append(bank.token_count())
+                assert np.array_equal(out, read_context_loop(
+                    bank.all_tokens(), queries, rows, residual))
             reads.append(len(bank))
             return out
 
