@@ -1,18 +1,16 @@
 """LLM-input sequence construction and the RWLI serialization."""
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Format
 from .dfs import SelectionResult
-from .errors import (BadMagicError, BadVersionError, NonFiniteDataError,
-                     TruncatedPayloadError)
+from .errors import MalformedArtifactError
 from .memory import MemoryBank
 
-RWLI_MAGIC = b"RWLI"
-RWLI_VERSION = 1
-_HEADER = struct.Struct("<4sIIIII")
+RWLI = Format(b"RWLI", 1, ("total", "d", "memory_rows", "selected_rows"),
+              lambda h: ("<f4", (h.total, h.d)))
 
 
 @dataclass
@@ -54,36 +52,16 @@ def assemble(bank: MemoryBank, selection: SelectionResult,
 
 
 def save_llm_input(seq: LLMInputSequence, path) -> None:
-    d = seq.separator.shape[0]
-    payload = np.ascontiguousarray(seq.rows(), dtype=np.float32)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(RWLI_MAGIC, RWLI_VERSION, seq.total_rows, d,
-                              seq.memory_rows, seq.selected_rows))
-        fh.write(payload.tobytes())
+    RWLI.save(path, seq.rows(), total=seq.total_rows,
+              d=seq.separator.shape[0], memory_rows=seq.memory_rows,
+              selected_rows=seq.selected_rows)
 
 
 def load_llm_input(path) -> LLMInputSequence:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise TruncatedPayloadError("RWLI header truncated")
-    magic, version, total, d, mem_rows, sel_rows = _HEADER.unpack_from(data)
-    if magic != RWLI_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {RWLI_MAGIC!r}")
-    if version != RWLI_VERSION:
-        raise BadVersionError(f"unsupported RWLI version {version}")
-    if total != mem_rows + 1 + sel_rows:
-        raise TruncatedPayloadError("RWLI section sizes do not add up")
-    expected = _HEADER.size + total * d * 4
-    if len(data) != expected:
-        raise TruncatedPayloadError(
-            f"RWLI file holds {len(data)} bytes, expected {expected}")
-    values = np.frombuffer(data, dtype="<f4", count=total * d,
-                           offset=_HEADER.size).astype(np.float64)
-    values = values.reshape(total, d)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteDataError("RWLI payload contains non-finite values")
-    return LLMInputSequence(memory_tokens=values[:mem_rows],
-                            separator=values[mem_rows],
-                            selected_tokens=values[mem_rows + 1:],
-                            memory_rows=mem_rows, selected_rows=sel_rows)
+    h, values = RWLI.load(path)
+    if h.total != h.memory_rows + 1 + h.selected_rows:
+        raise MalformedArtifactError("RWLI section sizes do not add up")
+    m, values = h.memory_rows, values.astype(np.float64)
+    return LLMInputSequence(memory_tokens=values[:m], separator=values[m],
+                            selected_tokens=values[m + 1:], memory_rows=m,
+                            selected_rows=h.selected_rows)

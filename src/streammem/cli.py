@@ -10,8 +10,8 @@ import sys
 
 from .assembly import assemble, save_llm_input
 from .config import RunConfig, load_config
-from .dfs import (dfs_select, format_selection_report, parse_selection_centers,
-                  pool_tokens, uniform_select)
+from .dfs import (SelectionResult, dfs_select, format_selection_report,
+                  parse_selection_centers, uniform_select)
 from .errors import ConfigError, EngineError, MalformedArtifactError
 from .memory import (DiskFeatureBuffer, accounting_report, load_bank)
 from .params import init_model_params
@@ -135,9 +135,11 @@ def _cmd_select(args) -> int:
     data = args.buffer_data or os.path.join(
         os.path.dirname(args.buffer_manifest), "buffer.bin")
     buffer = _open_disk_buffer(data, args.buffer_manifest, bank)
-    p = config.pool_tokens
-    if buffer.frame_indices():
-        p = min(p, buffer.get(buffer.frame_indices()[0]).shape[0])
+    first = buffer.get(bank.frame_indices()[0])
+    if first.shape[1] != bank.d:
+        raise MalformedArtifactError(
+            f"buffer dim {first.shape[1]} differs from the bank's {bank.d}")
+    p = min(config.pool_tokens, first.shape[0])
     if args.strategy == "uniform":
         selection = uniform_select(bank, buffer, config.Kc, p)
     else:
@@ -154,23 +156,32 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _cmd_assemble(args) -> int:
-    from .dfs import ClusterDiagnostics, CandidateSet, SelectionResult
-    import numpy as np
+def _read_selection(path, bank):
+    """The centers of the selection report at `path` and their pooled
+    tokens, once they are distinct bank frames, each pooled at bank.d."""
     from .stream import load_stream
 
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            centers = parse_selection_centers(fh.read())
+    except ValueError as exc:
+        raise MalformedArtifactError(f"selection report: {exc}") from exc
+    pooled = load_stream(path + ".pooled.rwfs")
+    n, frames = len(centers), set(centers) & set(bank.frame_indices())
+    if (len(frames), pooled.T, pooled.d) != (n, n, bank.d):
+        raise MalformedArtifactError(
+            f"selected frames {centers} with {pooled.T} pooled frames of "
+            f"dim {pooled.d} do not fit the memory bank")
+    return centers, pooled.frames
+
+
+def _cmd_assemble(args) -> int:
     config = _load_config_arg(args.config)
     bank = _load_bank_for(config, args.bank)
-    with open(args.selection, "r", encoding="utf-8") as fh:
-        centers = parse_selection_centers(fh.read())
-    pooled_stream = load_stream(args.selection + ".pooled.rwfs")
-    n = len(centers)
-    selection = SelectionResult(
-        centers=centers, pooled=list(pooled_stream.frames),
-        diagnostics=ClusterDiagnostics(sigma=np.zeros(n), rho=np.zeros(n),
-                                       weighted=np.zeros(n), centers=centers),
-        candidates=CandidateSet(frames=centers, vectors=np.zeros((n, bank.d)),
-                                relevance=np.zeros(n), L=n))
+    centers, pooled = _read_selection(args.selection, bank)
+    # assemble reads only the centers and their pooled tokens
+    selection = SelectionResult(centers=centers, pooled=pooled,
+                                diagnostics=None, candidates=None)
     params = init_model_params(config)
     sequence = assemble(bank, selection, params.tau)
     save_llm_input(sequence, args.out)

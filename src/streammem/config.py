@@ -30,6 +30,8 @@ class RunConfig:
                      "subclip_frames", "L", "knn_k", "Kc", "pool_tokens"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must not be negative")
         if self.d % self.heads != 0:
             raise ConfigError("d must be divisible by heads")
         if self.temporal not in TEMPORAL_MODES:
@@ -84,8 +86,6 @@ def parse_config(text: str) -> RunConfig:
         attr, parser = _KEYS[key]
         try:
             value = parser(raw_value.strip())
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}")
         setattr(config, attr, value)
@@ -94,7 +94,11 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8: {exc}") from exc
+    return parse_config(text)
 
 
 def format_config(config: RunConfig) -> str:

@@ -18,21 +18,17 @@ frame, so a caller's later writes never reach it.
 """
 
 import json
-import struct
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadMagicError, BadVersionError, MalformedArtifactError,
-                     NonFiniteDataError, TruncatedPayloadError)
-from .stream import read_rwfs_bytes, rwfs_record_bytes
+from .codec import Format
+from .errors import MalformedArtifactError, TruncatedPayloadError
+from .stream import RWFS
 from .tensor import (AttentionParams, attention, head_scale, head_slices,
                      shift_exp)
 
-RWMB_MAGIC = b"RWMB"
-RWMB_VERSION = 1
-_BANK_HEADER = struct.Struct("<4sIIII")
-_RWFS_HEADER = struct.Struct("<4sIIII")
 _MIN_CAPACITY = 16
 
 
@@ -40,6 +36,10 @@ def _record_dtype(W: int, d: int) -> np.dtype:
     """One RWMB entry: frame index, sub-clip index, W x d float32 tokens."""
     return np.dtype([("frame", "<u4"), ("subclip", "<u4"),
                      ("tokens", "<f4", (W, d))])
+
+
+RWMB = Format(b"RWMB", 1, ("count", "W", "d"),
+              lambda h: (_record_dtype(h.W, h.d), (h.count,)))
 
 
 def _reserve(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
@@ -283,7 +283,8 @@ def save_buffer_spill(buffer: FeatureBuffer, data_path, manifest_path) -> None:
         for frame_index in buffer.frame_indices():
             raw = buffer.get(frame_index)
             offsets.append([frame_index, fh.tell()])
-            fh.write(rwfs_record_bytes(raw[None, :, :]))
+            fh.writelines(RWFS.encode(raw[None], T=1, P=len(raw),
+                                      d=raw.shape[1]))
     manifest = {"format": "RWFS-spill", "version": 1, "frames": offsets}
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
@@ -299,12 +300,13 @@ class DiskFeatureBuffer:
                 manifest = json.load(fh)
                 self._offsets = {int(i): int(off)
                                  for i, off in manifest["frames"]}
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise MalformedArtifactError(
                     f"malformed buffer manifest: {exc!r}") from exc
         if any(off < 0 for off in self._offsets.values()):
             raise MalformedArtifactError("negative offset in buffer manifest")
         self._data_path = data_path
+        self._shape = None  # (P, d) of every record, once one is read
 
     def frame_indices(self):
         return sorted(self._offsets)
@@ -318,23 +320,26 @@ class DiskFeatureBuffer:
         return len(self._offsets) * self.get(self.frame_indices()[0]).shape[0]
 
     def get(self, frame_index: int) -> np.ndarray:
+        """The frame's float64 tokens. Its record must be one frame of the
+        first record's P x d and end inside the file, checked up front."""
         offset = self._offsets.get(frame_index)
         if offset is None:
             raise MalformedArtifactError(
                 f"frame {frame_index} is not in the buffer manifest")
+        where = f"buffer record of frame {frame_index} at offset {offset}"
         with open(self._data_path, "rb") as fh:
-            fh.seek(offset)
-            header = fh.read(_RWFS_HEADER.size)
-            if len(header) < _RWFS_HEADER.size:
-                raise TruncatedPayloadError(
-                    f"buffer record of frame {frame_index} at offset "
-                    f"{offset} is truncated")
-            _, _, T, P, d = _RWFS_HEADER.unpack(header)
-            body = fh.read(T * P * d * 4)
-        T, _, _, values = read_rwfs_bytes(header + body)
-        if T != 1:
-            raise MalformedArtifactError(
-                f"buffer record of frame {frame_index} holds {T} frames")
+            end = fh.seek(0, os.SEEK_END)
+            fh.seek(min(offset, end))
+            header = RWFS.read_header(fh.read(RWFS.header_size))
+            shape = self._shape = self._shape or header[1:]
+            if header.T != 1 or header.P < 1 or header[1:] != shape:
+                raise MalformedArtifactError(
+                    f"{where} holds {header.T} x {header.P} x {header.d} "
+                    f"tokens, not 1 x {shape[0]} x {shape[1]}")
+            size = RWFS.layout(header)[2]
+            if size > end - fh.tell():
+                raise TruncatedPayloadError(f"{where} is truncated")
+            values = RWFS.read_payload(header, fh.read(size))
         return values[0].astype(np.float64)
 
 
@@ -405,39 +410,19 @@ def bank_bytes(bank: MemoryBank) -> bytes:
     records["frame"] = bank.frames
     records["subclip"] = bank.subclips
     records["tokens"] = bank.tokens
-    return (_BANK_HEADER.pack(RWMB_MAGIC, RWMB_VERSION, len(bank), bank.W,
-                              bank.d)
-            + records.tobytes())
+    return b"".join(RWMB.encode(records, count=len(bank), W=bank.W,
+                                d=bank.d))
 
 
 def load_bank(path) -> MemoryBank:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _BANK_HEADER.size:
-        raise TruncatedPayloadError("RWMB header truncated")
-    magic, version, count, W, d = _BANK_HEADER.unpack_from(data)
-    if magic != RWMB_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {RWMB_MAGIC!r}")
-    if version != RWMB_VERSION:
-        raise BadVersionError(f"unsupported RWMB version {version}")
-    try:
-        record = _record_dtype(W, d)
-    except ValueError as exc:
-        raise MalformedArtifactError(
-            f"RWMB entry shape {W} x {d} is not representable") from exc
-    expected = _BANK_HEADER.size + count * record.itemsize
-    if len(data) != expected:
-        raise TruncatedPayloadError(
-            f"bank file holds {len(data)} bytes, expected {expected}")
-    records = np.frombuffer(data, dtype=record, count=count,
-                            offset=_BANK_HEADER.size)
-    if not np.all(np.isfinite(records["tokens"])):
-        raise NonFiniteDataError("RWMB payload contains non-finite values")
+    header, records = RWMB.load(path)
+    if min(header) < 1:
+        raise MalformedArtifactError(f"RWMB bank {tuple(header)} is empty")
     frames = records["frame"].astype(np.int64)
     if np.any(np.diff(frames) <= 0):
         raise MalformedArtifactError(
             "RWMB frame indices are not strictly increasing")
-    bank = MemoryBank(W=W, d=d)
+    bank = MemoryBank(W=header.W, d=header.d)
     bank._push(frames, records["subclip"], records["tokens"])
     return bank
 

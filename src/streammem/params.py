@@ -13,20 +13,29 @@ All parameters are derived from the run seed in one documented draw order
     6. separator row tau (d), standard normal
 """
 
-import struct
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
-from .errors import BadMagicError, BadVersionError, TruncatedPayloadError
+from .codec import Format
+from .config import TEMPORAL_MODES, RunConfig
+from .errors import MalformedArtifactError
 from .memory import QueryBank
 from .perceiver import PerceiverLayerParams, PerceiverParams
-from .tensor import AttentionParams, make_attention_params
+from .tensor import AttentionParams
 
-RWPM_MAGIC = b"RWPM"
-RWPM_VERSION = 1
-_HEADER = struct.Struct("<4sIIIIIII")
+
+def _payload(h):
+    """The float32 count of the tensors `_build` draws."""
+    attention = 4 * h.d * h.d + 2 * h.d
+    layer = 2 * attention + 2 * h.d * h.hidden + h.hidden + 3 * h.d
+    queries = (h.n_read + h.n_write + 1) * h.d
+    return "<f4", (queries + 2 * attention + h.layers * layer,)
+
+
+RWPM = Format(b"RWPM", 2, ("d", "heads", "layers", "n_read", "n_write",
+                           "hidden", "temporal_mode"), _payload)
 
 WEIGHT_STD = 0.02
 
@@ -42,114 +51,77 @@ def _ffn_hidden(d: int) -> int:
     return 4 * d
 
 
+def _build(h, tensor) -> ModelParams:
+    """The parameters of the RWPM header `h`, drawing each tensor in draw
+    order from `tensor(shape, kind)`; kind is "normal" for the queries and
+    tau, "weight" for projections, and "ones" or "zeros"."""
+    d, hidden = h.d, h.hidden
+
+    def attention():
+        weights = [tensor((d, d), "weight") for _ in range(4)]
+        return AttentionParams(h.heads, d, *weights, tensor((d,), "ones"),
+                               tensor((d,), "zeros"))
+
+    query_bank = QueryBank(tensor((h.n_read, d), "normal"),
+                           tensor((h.n_write, d), "normal"),
+                           attention(), attention())
+    layers = [PerceiverLayerParams(
+        attention(), attention(), tensor((d, hidden), "weight"),
+        tensor((hidden,), "zeros"), tensor((hidden, d), "weight"),
+        tensor((d,), "zeros"), tensor((d,), "ones"), tensor((d,), "zeros"))
+        for _ in range(h.layers)]
+    perceiver = PerceiverParams(layers=layers, n_queries=h.n_read, d=d,
+                                temporal_mode=TEMPORAL_MODES[h.temporal_mode])
+    return ModelParams(query_bank, perceiver, tensor((d,), "normal"))
+
+
 def init_model_params(config: RunConfig) -> ModelParams:
     rng = np.random.default_rng(config.seed)
-    d, heads = config.d, config.heads
-    read_queries = rng.standard_normal((config.n_read, d))
-    write_queries = rng.standard_normal((config.n_write, d))
-    query_bank = QueryBank(
-        read_queries=read_queries,
-        write_queries=write_queries,
-        read_attention=make_attention_params(rng, d, heads, WEIGHT_STD),
-        write_attention=make_attention_params(rng, d, heads, WEIGHT_STD),
-    )
-    hidden = _ffn_hidden(d)
-    layers = []
-    for _ in range(config.layers):
-        layers.append(PerceiverLayerParams(
-            cross=make_attention_params(rng, d, heads, WEIGHT_STD),
-            temporal=make_attention_params(rng, d, heads, WEIGHT_STD),
-            w1=rng.standard_normal((d, hidden)) * WEIGHT_STD,
-            b1=np.zeros(hidden),
-            w2=rng.standard_normal((hidden, d)) * WEIGHT_STD,
-            b2=np.zeros(d),
-            ffn_ln_gain=np.ones(d),
-            ffn_ln_bias=np.zeros(d),
-        ))
-    perceiver = PerceiverParams(layers=layers, n_queries=config.n_read, d=d,
-                                temporal_mode=config.temporal)
-    tau = rng.standard_normal(d)
-    return ModelParams(query_bank=query_bank, perceiver=perceiver, tau=tau)
-
-
-def _attention_tensors(params: AttentionParams):
-    return [params.w_q, params.w_k, params.w_v, params.w_o,
-            params.ln_gain, params.ln_bias]
+    draw = {"normal": rng.standard_normal, "ones": np.ones, "zeros": np.zeros,
+            "weight": lambda shape: rng.standard_normal(shape) * WEIGHT_STD}
+    h = RWPM.Header(config.d, config.heads, config.layers, config.n_read,
+                    config.n_write, _ffn_hidden(config.d),
+                    TEMPORAL_MODES.index(config.temporal))
+    return _build(h, lambda shape, kind: draw[kind](shape))
 
 
 def _model_tensors(params: ModelParams):
-    out = [params.query_bank.read_queries, params.query_bank.write_queries]
-    out += _attention_tensors(params.query_bank.read_attention)
-    out += _attention_tensors(params.query_bank.write_attention)
+    """Every tensor of `params` in draw order."""
+    def attention(a):
+        return [a.w_q, a.w_k, a.w_v, a.w_o, a.ln_gain, a.ln_bias]
+
+    bank = params.query_bank
+    out = [bank.read_queries, bank.write_queries,
+           *attention(bank.read_attention), *attention(bank.write_attention)]
     for layer in params.perceiver.layers:
-        out += _attention_tensors(layer.cross)
-        out += _attention_tensors(layer.temporal)
-        out += [layer.w1, layer.b1, layer.w2, layer.b2,
-                layer.ffn_ln_gain, layer.ffn_ln_bias]
-    out.append(params.tau)
-    return out
+        out += attention(layer.cross) + attention(layer.temporal) + [
+            layer.w1, layer.b1, layer.w2, layer.b2, layer.ffn_ln_gain,
+            layer.ffn_ln_bias]
+    return out + [params.tau]
 
 
 def save_params(params: ModelParams, path) -> None:
     bank = params.query_bank
     perceiver = params.perceiver
     d = perceiver.d
-    header = _HEADER.pack(RWPM_MAGIC, RWPM_VERSION, d,
-                          bank.read_attention.heads, len(perceiver.layers),
-                          perceiver.n_queries, bank.n_write, _ffn_hidden(d))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for tensor in _model_tensors(params):
-            fh.write(np.ascontiguousarray(tensor, dtype=np.float32).tobytes())
+    payload = np.concatenate([np.ravel(t) for t in _model_tensors(params)],
+                             dtype="<f4")
+    RWPM.save(path, payload, d=d, heads=bank.read_attention.heads,
+              layers=len(perceiver.layers), n_read=perceiver.n_queries,
+              n_write=bank.n_write, hidden=_ffn_hidden(d),
+              temporal_mode=TEMPORAL_MODES.index(perceiver.temporal_mode))
 
 
 def load_params(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise TruncatedPayloadError("RWPM header truncated")
-    magic, version, d, heads, n_layers, n_q, n_w, hidden = \
-        _HEADER.unpack_from(data)
-    if magic != RWPM_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {RWPM_MAGIC!r}")
-    if version != RWPM_VERSION:
-        raise BadVersionError(f"unsupported RWPM version {version}")
+    h, values = RWPM.load(path)
+    if (h.heads < 1 or h.d < 1 or h.d % h.heads
+            or h.temporal_mode >= len(TEMPORAL_MODES)):
+        raise MalformedArtifactError(f"RWPM header {tuple(h)} is not a model")
+    flat, pos = values.astype(np.float64), 0
 
-    pos = _HEADER.size
-
-    def take(shape):
+    def take(shape, kind):
         nonlocal pos
-        count = int(np.prod(shape))
-        end = pos + count * 4
-        if end > len(data):
-            raise TruncatedPayloadError("RWPM payload truncated")
-        values = np.frombuffer(data, dtype="<f4", count=count,
-                               offset=pos).astype(np.float64)
-        pos = end
-        return values.reshape(shape)
+        pos += math.prod(shape)
+        return flat[pos - math.prod(shape):pos].reshape(shape)
 
-    def take_attention():
-        return AttentionParams(heads=heads, dim_model=d,
-                               w_q=take((d, d)), w_k=take((d, d)),
-                               w_v=take((d, d)), w_o=take((d, d)),
-                               ln_gain=take((d,)), ln_bias=take((d,)))
-
-    read_queries = take((n_q, d))
-    write_queries = take((n_w, d))
-    query_bank = QueryBank(read_queries=read_queries,
-                           write_queries=write_queries,
-                           read_attention=take_attention(),
-                           write_attention=take_attention())
-    layers = []
-    for _ in range(n_layers):
-        layers.append(PerceiverLayerParams(
-            cross=take_attention(), temporal=take_attention(),
-            w1=take((d, hidden)), b1=take((hidden,)),
-            w2=take((hidden, d)), b2=take((d,)),
-            ffn_ln_gain=take((d,)), ffn_ln_bias=take((d,))))
-    tau = take((d,))
-    if pos != len(data):
-        raise TruncatedPayloadError(
-            f"trailing bytes: {len(data) - pos} past end of checkpoint")
-    perceiver = PerceiverParams(layers=layers, n_queries=n_q, d=d)
-    return ModelParams(query_bank=query_bank, perceiver=perceiver, tau=tau)
+    return _build(h, take)

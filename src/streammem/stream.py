@@ -8,17 +8,14 @@ unit-norm vectors, one per whitespace-delimited word.
 """
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadMagicError, BadVersionError, NonFiniteDataError,
-                     TruncatedPayloadError)
+from .codec import Format
+from .errors import MalformedArtifactError, NonFiniteDataError
 
-RWFS_MAGIC = b"RWFS"
-RWFS_VERSION = 1
-_HEADER = struct.Struct("<4sIIII")
+RWFS = Format(b"RWFS", 1, ("T", "P", "d"), lambda h: ("<f4", tuple(h)))
 
 
 @dataclass
@@ -118,49 +115,13 @@ def save_stream(stream: FrameTokenStream, path) -> None:
     payload = np.stack(stream.frames).astype(np.float32)
     if not np.all(np.isfinite(payload)):
         raise NonFiniteDataError("stream contains non-finite values")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(RWFS_MAGIC, RWFS_VERSION,
-                              stream.T, stream.P, stream.d))
-        fh.write(payload.tobytes())
+    RWFS.save(path, payload, T=stream.T, P=stream.P, d=stream.d)
 
 
 def load_stream(path) -> FrameTokenStream:
     """Read an RWFS file; its frames are read-only float32 views of one
     payload array over the file's bytes."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    T, P, d, values = read_rwfs_bytes(data)
-    return FrameTokenStream(T, P, d, list(values))
-
-
-def read_rwfs_bytes(data: bytes):
-    """Validate and decode one RWFS record; returns (T, P, d, values), where
-    values is a (T, P, d) little-endian float32 view of `data`, read-only
-    when `data` is bytes."""
-    if len(data) < _HEADER.size:
-        raise TruncatedPayloadError("RWFS header truncated")
-    magic, version, T, P, d = _HEADER.unpack_from(data)
-    if magic != RWFS_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {RWFS_MAGIC!r}")
-    if version != RWFS_VERSION:
-        raise BadVersionError(f"unsupported RWFS version {version}")
-    expected = T * P * d * 4
-    body = len(data) - _HEADER.size
-    if body < expected:
-        raise TruncatedPayloadError(
-            f"payload holds {body} bytes, header declares {expected}")
-    if body > expected:
-        raise TruncatedPayloadError(
-            f"trailing bytes: payload {body}, expected {expected}")
-    values = np.frombuffer(data, dtype="<f4", count=T * P * d,
-                           offset=_HEADER.size)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteDataError("RWFS payload contains non-finite values")
-    return T, P, d, values.reshape(T, P, d)
-
-
-def rwfs_record_bytes(frames: np.ndarray) -> bytes:
-    """Encode a (T, P, d) float array as one RWFS record."""
-    payload = np.ascontiguousarray(frames, dtype=np.float32)
-    T, P, d = payload.shape
-    return _HEADER.pack(RWFS_MAGIC, RWFS_VERSION, T, P, d) + payload.tobytes()
+    header, values = RWFS.load(path)
+    if header.T < 1:
+        raise MalformedArtifactError("RWFS stream holds no frames")
+    return FrameTokenStream(*header, list(values))

@@ -15,7 +15,8 @@ from .dfs import CandidateSet, dpc_knn_select
 from .memory import MemoryBank, QueryBank, append, write_frame
 from .perceiver import (PerceiverLayerParams, cross_sublayer, ffn_sublayer,
                         temporal_sublayer)
-from .tensor import AttentionParams, attention, gelu, grad_check, layer_norm
+from .tensor import (AttentionParams, attention, gelu, grad_check, layer_norm,
+                     make_attention_params)
 
 
 # -- parameter-vector packing ------------------------------------------------
@@ -244,8 +245,8 @@ def run_linearity_suite(frame_counts=(16, 64, 256), W: int = 2, d: int = 8):
     queries = QueryBank(
         read_queries=rng.standard_normal((4, d)),
         write_queries=rng.standard_normal((W, d)),
-        read_attention=_tiny_attention(rng, d),
-        write_attention=_tiny_attention(rng, d),
+        read_attention=make_attention_params(rng, d, 2),
+        write_attention=make_attention_params(rng, d, 2),
     )
     results = []
     for T in frame_counts:
@@ -256,15 +257,6 @@ def run_linearity_suite(frame_counts=(16, 64, 256), W: int = 2, d: int = 8):
                 append(bank, entry)
         results.append((T, bank.token_count(), bank.token_count() == W * T))
     return results
-
-
-def _tiny_attention(rng, d):
-    return AttentionParams(heads=2, dim_model=d,
-                           w_q=rng.standard_normal((d, d)) * 0.02,
-                           w_k=rng.standard_normal((d, d)) * 0.02,
-                           w_v=rng.standard_normal((d, d)) * 0.02,
-                           w_o=rng.standard_normal((d, d)) * 0.02,
-                           ln_gain=np.ones(d), ln_bias=np.zeros(d))
 
 
 def self_check(suite: str):

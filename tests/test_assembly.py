@@ -7,7 +7,8 @@ from streammem.config import (RunConfig, format_config, load_config,
                               parse_config)
 from streammem.dfs import CandidateSet, ClusterDiagnostics, SelectionResult
 from streammem.errors import (BadMagicError, BadVersionError, ConfigError,
-                              NonFiniteDataError, TruncatedPayloadError)
+                              MalformedArtifactError, NonFiniteDataError,
+                              TruncatedPayloadError)
 from streammem.memory import MemoryBank, MemoryEntry, append
 
 
@@ -132,6 +133,15 @@ class TestLLMInputFile:
         with pytest.raises(NonFiniteDataError):
             load_llm_input(tmp_path / "x.rwli")
 
+    def test_sections_not_adding_up_rejected(self, tmp_path):
+        seq = self._seq(9)
+        save_llm_input(seq, tmp_path / "x.rwli")
+        raw = bytearray((tmp_path / "x.rwli").read_bytes())
+        raw[16] += 1  # memory_rows, with total and the payload size intact
+        (tmp_path / "y.rwli").write_bytes(bytes(raw))
+        with pytest.raises(MalformedArtifactError):
+            load_llm_input(tmp_path / "y.rwli")
+
 
 class TestConfig:
     def test_defaults(self):
@@ -187,3 +197,13 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert load_config(path) == config
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"model.d=16\n# \xff\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_config("seed=-1\n")

@@ -6,6 +6,7 @@ import pytest
 
 from streammem.assembly import load_llm_input
 from streammem.cli import main
+from streammem.dfs import parse_selection_centers
 from streammem.stream import load_stream
 
 
@@ -206,6 +207,13 @@ class TestExitCodes:
         assert "memory bank dim 8 does not match model.d 16" in \
             capsys.readouterr().err
 
+    def test_negative_seed_is_3(self, tmp_path, stream_path):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("seed=1", "seed=-1"))
+        assert main(["process", "--stream", stream_path, "--instruction", "x",
+                     "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "o")]) == 3
+
     def test_numeric_error_is_4(self, tmp_path, config_path):
         bad = tmp_path / "nan.rwfs"
         payload = np.full(4 * 8, np.nan, dtype="<f4").tobytes()
@@ -249,6 +257,12 @@ class TestMalformedArtifactExitCodes:
         path.write_bytes(bytes(raw))
         assert self._select(processed, config_path) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_bank_is_2(self, processed):
+        (processed / "memory.rwmb").write_bytes(
+            struct.pack("<4sIIII", b"RWMB", 1, 0, 2, 8))
+        (processed / "buffer.manifest").write_text('{"frames": []}')
+        assert main(["report", "--out-dir", str(processed)]) == 2
 
     @pytest.mark.parametrize("text", ["{not json", '{"version": 1}'])
     def test_malformed_manifest_is_2(self, processed, config_path, capsys,
@@ -299,6 +313,144 @@ class TestMalformedArtifactExitCodes:
         assert not (processed / "sel.txt").exists()
         assert main(["report", "--out-dir", str(processed)]) == 2
         assert capsys.readouterr().err.count("error:") == 2
+
+
+class TestSpillGuards:
+    """A spill record or manifest offset that no spill could hold exits 2
+    before its payload is read."""
+
+    RECORD = 20 + 4 * 8 * 4  # RWFS header and one 4 x 8 float32 frame
+
+    def _exits(self, processed, config_path):
+        select = main(["select", "--bank", str(processed / "memory.rwmb"),
+                       "--buffer-manifest", str(processed / "buffer.manifest"),
+                       "--instruction", "x", "--config", config_path,
+                       "--out", str(processed / "sel.txt")])
+        return select, main(["report", "--out-dir", str(processed)])
+
+    @pytest.mark.parametrize("field,value", [("T", 2**30), ("P", 2**31),
+                                             ("d", 2**31), ("T", 2)])
+    def test_record_header_is_2(self, processed, config_path, capsys, field,
+                                value):
+        # frame 0's record: T, P and d are the u32s at bytes 8, 12 and 16
+        path = processed / "buffer.bin"
+        raw = bytearray(path.read_bytes())
+        pos = {"T": 8, "P": 12, "d": 16}[field]
+        raw[pos:pos + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        assert self._exits(processed, config_path) == (2, 2)
+        assert capsys.readouterr().err.count("error:") == 2
+
+    @pytest.mark.parametrize("offset", ["1e30", "Infinity", str(2**63 - 1),
+                                        str(10**40), "inside", "past_end"])
+    def test_manifest_offset_is_2(self, processed, config_path, capsys,
+                                  offset):
+        size = (processed / "buffer.bin").stat().st_size
+        if offset == "inside":  # 4 bytes into a record: its version, T, P
+            # and d read as magic, version, T and P, and a float as d
+            offset = str(size - self.RECORD + 4)
+        elif offset == "past_end":
+            offset = str(size + 1)
+        entries = [f"[{i}, {i * self.RECORD}]" for i in range(1, 10)]
+        (processed / "buffer.manifest").write_text(
+            '{"frames": [[0, %s], %s]}' % (offset, ", ".join(entries)))
+        assert self._exits(processed, config_path) == (2, 2)
+        assert capsys.readouterr().err.count("error:") == 2
+
+    @pytest.mark.parametrize("field,value", [("P", 1), ("d", 7)])
+    def test_record_unlike_the_first_is_2(self, processed, config_path,
+                                          field, value):
+        """Each selected frame's record is read; one of another P x d than
+        the first record's would pool to the wrong shape."""
+        centers = parse_selection_centers(
+            (processed / "selection.txt").read_text())
+        path = processed / "buffer.bin"
+        raw = bytearray(path.read_bytes())
+        pos = centers[-1] * self.RECORD + {"P": 12, "d": 16}[field]
+        raw[pos:pos + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        assert self._exits(processed, config_path)[0] == 2
+
+    def test_record_dim_unlike_the_bank_is_2(self, processed, config_path):
+        # every record 4 x 8 -> 8 x 4: same bytes, wrong d for the bank
+        path = processed / "buffer.bin"
+        raw = bytearray(path.read_bytes())
+        for i in range(10):
+            raw[i * self.RECORD + 12:i * self.RECORD + 20] = \
+                struct.pack("<II", 8, 4)
+        path.write_bytes(bytes(raw))
+        assert self._exits(processed, config_path)[0] == 2
+
+
+class TestAssembleInputs:
+    """`assemble` exits 2 on a selection report or pooled file that does
+    not fit the memory bank."""
+
+    def _assemble(self, processed, config_path):
+        selection = processed / "selection.txt"
+        (processed / "selection.txt.pooled.rwfs").write_bytes(
+            (processed / "selection_pooled.rwfs").read_bytes())
+        return main(["assemble", "--bank", str(processed / "memory.rwmb"),
+                     "--selection", str(selection), "--config", config_path,
+                     "--out", str(processed / "seq.rwli")])
+
+    def _edit_centers(self, processed, edit):
+        path = processed / "selection.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = edit(lines[1])
+        path.write_text("".join(lines))
+
+    def test_unchanged_inputs_assemble(self, processed, config_path):
+        assert self._assemble(processed, config_path) == 0
+        assert (processed / "seq.rwli").read_bytes() == \
+            (processed / "llm_input.rwli").read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.replace(": ", ": 1 "),  # one center too many
+        lambda line: line.rsplit(" ", 1)[0] + "\n",  # one too few
+        lambda line: line.replace(": ", ": 999 ").rsplit(" ", 1)[0] + "\n",
+        lambda line: line.rsplit(" ", 1)[0] + " " + line.split()[2] + "\n",
+        lambda line: line.replace(": ", ": x "),
+        lambda line: line.replace(": ", ": 1.5 "),
+        lambda line: "# no centers\n",
+    ], ids=["extra", "missing", "not_in_bank", "repeated", "word", "float",
+            "no_line"])
+    def test_centers_is_2(self, processed, config_path, capsys, edit):
+        self._edit_centers(processed, edit)
+        assert self._assemble(processed, config_path) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (processed / "seq.rwli").exists()
+
+    def test_selection_not_utf8_is_2(self, processed, config_path):
+        path = processed / "selection.txt"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        assert self._assemble(processed, config_path) == 2
+
+    def test_pooled_dim_unlike_the_bank_is_2(self, processed, config_path):
+        # 2 centers x 2 pooled rows x 8 -> 2 x 4 x 4: same bytes, d=4
+        path = processed / "selection_pooled.rwfs"
+        raw = bytearray(path.read_bytes())
+        raw[12:20] = struct.pack("<II", 4, 4)
+        path.write_bytes(bytes(raw))
+        assert self._assemble(processed, config_path) == 2
+
+
+class TestConfigArtifact:
+    def test_config_not_utf8_is_3(self, processed, capsys):
+        config = processed / "config.txt"
+        config.write_bytes(config.read_bytes() + b"\xc1\n")
+        codes = [main(["select", "--bank", str(processed / "memory.rwmb"),
+                       "--buffer-manifest",
+                       str(processed / "buffer.manifest"), "--instruction",
+                       "x", "--config", str(config),
+                       "--out", str(processed / "sel.txt")]),
+                 main(["assemble", "--bank", str(processed / "memory.rwmb"),
+                       "--selection", str(processed / "selection.txt"),
+                       "--config", str(config),
+                       "--out", str(processed / "seq.rwli")]),
+                 main(["report", "--out-dir", str(processed)])]
+        assert codes == [3, 3, 3]
+        assert capsys.readouterr().err.count("not UTF-8") == 3
 
 
 def test_check_linearity_suite(capsys):

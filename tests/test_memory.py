@@ -18,7 +18,7 @@ from streammem.params import init_model_params
 from streammem.perceiver import process_stream
 from streammem.pipeline import stage1_peak_resident_bytes
 from streammem.stream import (empty_instruction, encode_instruction,
-                              load_stream, rwfs_record_bytes, synth_stream)
+                              load_stream, synth_stream)
 from streammem.tensor import make_attention_params
 
 from oracles import (attention_oracle, bank_bytes_loop, read_context_loop,
@@ -363,7 +363,7 @@ class TestFeatureBuffer:
     @pytest.mark.parametrize("frames", [0, 2])
     def test_record_of_wrong_frame_count_rejected(self, tmp_path, frames):
         data, manifest = self._spilled(tmp_path)
-        data.write_bytes(rwfs_record_bytes(np.zeros((frames, 2, 4))))
+        data.write_bytes(_rwfs_bytes(np.zeros((frames, 2, 4))))
         manifest.write_text('{"frames": [[0, 0]]}')
         with pytest.raises(MalformedArtifactError):
             DiskFeatureBuffer(data, manifest).get(0)
@@ -372,6 +372,33 @@ class TestFeatureBuffer:
         data, manifest = self._spilled(tmp_path)
         with pytest.raises(MalformedArtifactError):
             DiskFeatureBuffer(data, manifest).get(3)
+
+    def test_huge_record_is_truncated_before_reading(self, tmp_path):
+        """A record declaring more bytes than the file holds fails before
+        any read of that size."""
+        data, manifest = self._spilled(tmp_path)
+        data.write_bytes(_rwfs_bytes(np.zeros((1, 2, 4)))[:12]
+                         + struct.pack("<II", 2**31, 2**31))
+        manifest.write_text('{"frames": [[0, 0]]}')
+        with pytest.raises(TruncatedPayloadError):
+            DiskFeatureBuffer(data, manifest).get(0)
+
+    @pytest.mark.parametrize("shape", [(1, 0, 4), (1, 3, 4), (1, 2, 2)])
+    def test_record_unlike_the_first_rejected(self, tmp_path, shape):
+        data, manifest = self._spilled(tmp_path, frames=2)
+        first = data.read_bytes()[:20 + 2 * 4 * 4]
+        data.write_bytes(first + _rwfs_bytes(np.zeros(shape)))
+        disk = DiskFeatureBuffer(data, manifest)
+        disk.get(0)
+        with pytest.raises(MalformedArtifactError):
+            disk.get(1)
+
+    @pytest.mark.parametrize("offset", ["Infinity", "NaN", "1e400"])
+    def test_non_integer_offset_rejected(self, tmp_path, offset):
+        data, manifest = self._spilled(tmp_path)
+        manifest.write_text('{"frames": [[0, %s]]}' % offset)
+        with pytest.raises(MalformedArtifactError):
+            DiskFeatureBuffer(data, manifest)
 
     def test_short_record_body_is_truncated(self, tmp_path):
         data, manifest = self._spilled(tmp_path)
@@ -519,9 +546,15 @@ class TestReadScoreCache:
         assert stage1_peak_resident_bytes(config, stream, "probe") == peak
 
 
+def _rwfs_bytes(values):
+    """One RWFS record of a (T, P, d) array, packed by hand."""
+    return (struct.pack("<4sIIII", b"RWFS", 1, *values.shape)
+            + values.astype("<f4").tobytes())
+
+
 def _write_stream_file(path, T, P, d, seed=0):
     values = np.random.default_rng(seed).standard_normal((T, P, d))
-    path.write_bytes(rwfs_record_bytes(values))
+    path.write_bytes(_rwfs_bytes(values))
 
 
 def _load_and_process(path, d=64):
@@ -689,6 +722,15 @@ class TestBankFile:
     def test_unrepresentable_entry_shape_rejected(self, tmp_path):
         path = tmp_path / "m.rwmb"
         path.write_bytes(struct.pack("<4sIIII", b"RWMB", 1, 0, 2**20, 2**20))
+        with pytest.raises(MalformedArtifactError):
+            load_bank(path)
+
+    @pytest.mark.parametrize("count,W,d", [(0, 2, 8), (3, 0, 8), (3, 2, 0)])
+    def test_empty_bank_rejected(self, tmp_path, count, W, d):
+        path = tmp_path / "m.rwmb"
+        path.write_bytes(struct.pack("<4sIIII", b"RWMB", 1, count, W, d)
+                         + b"".join(struct.pack("<II", t, 0)
+                                    for t in range(count)))
         with pytest.raises(MalformedArtifactError):
             load_bank(path)
 

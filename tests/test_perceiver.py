@@ -1,11 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from streammem.autodiff import Var
 from streammem.config import RunConfig
-from streammem.errors import BadMagicError, TruncatedPayloadError
+from streammem.errors import (BadMagicError, BadVersionError,
+                              MalformedArtifactError, TruncatedPayloadError)
 from streammem.memory import bank_bytes
 from streammem.params import init_model_params, load_params, save_params
 from streammem.perceiver import (PerceiverParams, perceive_subclip,
@@ -344,7 +346,7 @@ class TestCheckpointFile:
 
     @pytest.mark.parametrize("keep", [0, 10, 32, 36, 37])
     def test_cut_anywhere_is_truncated(self, tmp_path, keep):
-        # inside the header, at its end, after one value, mid-value
+        # inside the 36-byte v2 header, at its end, mid-value
         path = tmp_path / "p.rwpm"
         save_params(init_model_params(_config()), path)
         (tmp_path / "t.rwpm").write_bytes(path.read_bytes()[:keep])
@@ -356,6 +358,37 @@ class TestCheckpointFile:
         save_params(init_model_params(_config()), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
         with pytest.raises(TruncatedPayloadError):
+            load_params(path)
+
+    def test_final_mode_round_trips(self, tmp_path):
+        path = tmp_path / "p.rwpm"
+        save_params(init_model_params(_config(temporal="final")), path)
+        assert load_params(path).perceiver.temporal_mode == "final"
+        # RWPM v2: d heads layers n_read n_write hidden temporal_mode
+        assert struct.unpack_from("<4s8I", path.read_bytes()) == \
+            (b"RWPM", 2, 8, 2, 2, 3, 2, 32, 1)
+
+    @pytest.mark.parametrize("field,value", [("heads", 0), ("heads", 3),
+                                             ("temporal_mode", 2)])
+    def test_bad_header_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "p.rwpm"
+        save_params(init_model_params(_config()), path)
+        raw = bytearray(path.read_bytes())
+        pos = {"heads": 12, "temporal_mode": 32}[field]
+        raw[pos:pos + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MalformedArtifactError):
+            load_params(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        # the v1 layout: the v2 header without temporal_mode
+        path = tmp_path / "p.rwpm"
+        save_params(init_model_params(_config()), path)
+        raw = path.read_bytes()
+        path.write_bytes(struct.pack("<4s7I", b"RWPM", 1,
+                                     *struct.unpack_from("<6I", raw, 8))
+                         + raw[36:])
+        with pytest.raises(BadVersionError):
             load_params(path)
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streammem.errors import (BadMagicError, BadVersionError,
-                              NonFiniteDataError, TruncatedPayloadError)
+                              MalformedArtifactError, NonFiniteDataError,
+                              TruncatedPayloadError)
 from streammem.stream import (FrameTokenStream, encode_instruction,
                               iter_subclips, load_stream, save_stream,
                               split_into_subclips, synth_stream)
@@ -136,6 +137,12 @@ class TestStreamFile:
         path.write_bytes(struct.pack("<4sIIII", b"RWFS", 1, 1, 1, 1)
                          + b"\x00" * 8)
         with pytest.raises(TruncatedPayloadError):
+            load_stream(path)
+
+    def test_no_frames_rejected(self, tmp_path):
+        path = tmp_path / "bad.rwfs"
+        path.write_bytes(struct.pack("<4sIIII", b"RWFS", 1, 0, 2, 4))
+        with pytest.raises(MalformedArtifactError):
             load_stream(path)
 
     def test_non_finite_payload(self, tmp_path):
