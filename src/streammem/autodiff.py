@@ -9,7 +9,8 @@ against central finite differences.
 """
 
 import numpy as np
-from scipy.special import erf
+
+from .special import erf
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)

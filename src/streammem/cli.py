@@ -192,7 +192,7 @@ def _cmd_assemble(args) -> int:
 
 def _cmd_report(args) -> int:
     config = load_config(os.path.join(args.out_dir, "config.txt"))
-    bank = load_bank(os.path.join(args.out_dir, "memory.rwmb"))
+    bank = _load_bank_for(config, os.path.join(args.out_dir, "memory.rwmb"))
     buffer = _open_disk_buffer(os.path.join(args.out_dir, "buffer.bin"),
                                os.path.join(args.out_dir, "buffer.manifest"),
                                bank)

@@ -13,7 +13,9 @@ import numpy as np
 from .memory import MemoryBank
 from .stream import InstructionEncoding
 
-_DIST_BLOCK = 32
+# 8 rows keep sq_dist_matrix's (block, n, d) difference temporary within L2
+# (1 MB at n=256, d=64)
+_DIST_BLOCK = 8
 
 
 @dataclass
@@ -166,17 +168,21 @@ def dpc_knn_select(candidates: CandidateSet, K: int,
 
 def pool_tokens(raw: np.ndarray, p: int) -> np.ndarray:
     """Mean-pool token rows into p contiguous groups of near-equal size;
-    larger groups come first."""
-    P = raw.shape[0]
+    larger groups come first.
+
+    The first `rem` groups hold base + 1 rows and the rest base rows, so
+    each run of equal groups is one reshaped mean. Reducing the middle
+    axis adds each group's rows in order, as one mean per group would, so
+    the values are the same bit for bit.
+    """
+    P, d = raw.shape
     if not (1 <= p <= P):
         raise ValueError(f"pool size {p} out of range [1, {P}]")
     base, rem = divmod(P, p)
-    out = np.empty((p, raw.shape[1]))
-    start = 0
-    for g in range(p):
-        size = base + (1 if g < rem else 0)
-        out[g] = raw[start:start + size].mean(axis=0)
-        start += size
+    split = rem * (base + 1)
+    out = np.empty((p, d))
+    out[:rem] = raw[:split].reshape(rem, base + 1, d).mean(axis=1)
+    out[rem:] = raw[split:].reshape(p - rem, base, d).mean(axis=1)
     return out
 
 

@@ -11,11 +11,11 @@ composition of matmul, slicing and concatenation that runs on either.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from . import autodiff
 from .autodiff import Var
 from .errors import NumericError
+from .special import erf
 
 DEFAULT_EPS = 1e-5
 

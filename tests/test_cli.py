@@ -187,13 +187,20 @@ class TestExitCodes:
                      "--config", str(cfg),
                      "--out-dir", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("command", ["dfs", "uniform", "assemble"])
+    @pytest.mark.parametrize("command",
+                             ["dfs", "uniform", "assemble", "report"])
     def test_bank_dim_mismatch_is_3(self, tmp_path, processed, command,
                                     capsys):
         bank = str(processed / "memory.rwmb")
         wide = tmp_path / "d16.cfg"
         wide.write_text(CONFIG_TEXT.replace("model.d=8", "model.d=16"))
-        if command == "assemble":
+        if command == "report":
+            config = processed / "config.txt"
+            text = config.read_text()
+            assert "model.d=8\n" in text
+            config.write_text(text.replace("model.d=8\n", "model.d=16\n"))
+            args = ["report", "--out-dir", str(processed)]
+        elif command == "assemble":
             args = ["assemble", "--bank", bank,
                     "--selection", str(processed / "selection.txt"),
                     "--config", str(wide), "--out", str(tmp_path / "s.rwli")]

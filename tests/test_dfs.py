@@ -14,7 +14,8 @@ from streammem.verify import dpc_bruteforce, random_cluster_instance
 
 from oracles import (distance_index_loop, dpc_rank_loop,
                      frame_relevance_loop, local_density_loop,
-                     select_top_L_loop, sq_dist_matrix_unblocked)
+                     pool_tokens_loop, select_top_L_loop,
+                     sq_dist_matrix_unblocked)
 
 
 def _bank_from_tokens(token_list, d):
@@ -121,9 +122,9 @@ class TestStage2MatchesEntryLoop:
                 assert np.array_equal(cand.vectors, vectors)
                 assert np.array_equal(cand.relevance, rel)
 
-    @pytest.mark.parametrize("n,d", [(1, 4), (2, 64), (31, 3), (32, 64),
-                                     (33, 64), (65, 64), (100, 128),
-                                     (256, 64)])
+    @pytest.mark.parametrize("n,d", [(1, 4), (2, 64), (13, 64), (31, 3),
+                                     (32, 64), (33, 64), (65, 64),
+                                     (100, 128), (256, 64)])
     def test_blocked_distances(self, n, d):
         z = np.random.default_rng(n).standard_normal((n, d))
         assert np.array_equal(sq_dist_matrix(z), sq_dist_matrix_unblocked(z))
@@ -258,6 +259,16 @@ class TestPoolTokens:
     def test_single_group_is_global_mean(self):
         raw = np.random.default_rng(2).standard_normal((6, 3))
         assert np.allclose(pool_tokens(raw, 1)[0], raw.mean(axis=0))
+
+    @pytest.mark.parametrize("dtype,d", [(np.float32, 64), (np.float64, 64),
+                                         (np.float64, 1)])
+    def test_matches_one_mean_per_group(self, dtype, d):
+        rng = np.random.default_rng(d)
+        for P in range(1, 65):
+            raw = rng.standard_normal((P, d)).astype(dtype)
+            for p in range(1, P + 1):
+                assert np.array_equal(pool_tokens(raw, p),
+                                      pool_tokens_loop(raw, p)), (P, p)
 
     def test_out_of_range_rejected(self):
         raw = np.zeros((3, 2))
