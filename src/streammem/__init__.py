@@ -15,11 +15,11 @@ from .errors import (BadMagicError, BadVersionError, ConfigError, EngineError,
                      FormatError, MalformedArtifactError,
                      NonFiniteDataError, NumericError, TruncatedPayloadError)
 from .memory import (AccountingReport, DiskFeatureBuffer, FeatureBuffer,
-                     MemoryBank, MemoryEntry, QueryBank, accounting_report,
-                     append, buffer_store, load_bank, read_context, save_bank,
+                     MemoryBank, QueryBank, accounting_report, append,
+                     buffer_store, load_bank, read_context, save_bank,
                      write_frame)
 from .params import ModelParams, init_model_params, load_params, save_params
-from .perceiver import (PerceivedClip, PerceiverLayerParams, PerceiverParams,
+from .perceiver import (PerceiverLayerParams, PerceiverParams,
                         perceive_subclip, process_stream)
 from .pipeline import run_pipeline, stage1_peak_resident_bytes
 from .stream import (FrameTokenStream, InstructionEncoding, SubClip,

@@ -3,7 +3,9 @@ accounting.
 
 The bank is the only Stage-1 state that grows with stream length: W compact
 tokens per processed frame, kept in strict temporal order. It is stored as
-one (capacity, W, d) array plus frame and sub-clip index arrays, so appends
+one (capacity, W, d) array plus frame and sub-clip index arrays, and rows
+enter it only through `append`, one checked (n, W, d) block at a time: a
+sub-clip's F frames in Stage 1, a whole RWMB file in `load_bank`. Appends
 are amortised O(1) and readers see views, never copies; a bank built for a
 stream of known length is sized for it once. The read keeps a streaming
 state on the bank whose size does not depend on the bank's length: per head
@@ -56,13 +58,6 @@ def _reserve(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
 def _readonly(view: np.ndarray) -> np.ndarray:
     view.flags.writeable = False
     return view
-
-
-@dataclass
-class MemoryEntry:
-    frame_index: int
-    subclip_index: int
-    tokens: np.ndarray  # (W, d)
 
 
 class _ReadState:
@@ -159,12 +154,6 @@ class MemoryBank:
     def subclips(self) -> np.ndarray:
         return _readonly(self._subclips[:self._count])
 
-    @property
-    def entries(self) -> list:
-        """The bank as per-frame entries whose tokens are views of it."""
-        return [MemoryEntry(f, s, t) for f, s, t in
-                zip(self.frames.tolist(), self.subclips.tolist(), self.tokens)]
-
     def token_count(self) -> int:
         return self.W * self._count
 
@@ -184,17 +173,6 @@ class MemoryBank:
         return state + sum(a.nbytes for a in (
             self._tokens[:n], self._frames[:n], self._subclips[:n]))
 
-    def _push(self, frames, subclips, tokens) -> None:
-        """Store rows after the live ones; callers validate them."""
-        n, end = self._count, self._count + len(frames)
-        self._tokens = _reserve(self._tokens, n, end)
-        self._frames = _reserve(self._frames, n, end)
-        self._subclips = _reserve(self._subclips, n, end)
-        self._tokens[n:end] = tokens
-        self._frames[n:end] = frames
-        self._subclips[n:end] = subclips
-        self._count = end
-
     def read_state(self, queries: "QueryBank") -> _ReadState:
         """The streaming read state of `queries` with every memory row
         folded in. Rows appended since the last read are folded in now;
@@ -208,20 +186,38 @@ class MemoryBank:
         return state
 
 
-def append(bank: MemoryBank, entry: MemoryEntry) -> None:
-    """Append in strict temporal order; duplicates and regressions are bugs
-    in the orchestrator and rejected outright."""
-    if entry.tokens.shape != (bank.W, bank.d):
-        raise ValueError("entry tokens must be W x d")
-    if not np.all(np.isfinite(entry.tokens)):
-        raise ValueError("entry tokens must be finite")
+def append(bank: MemoryBank, frames, subclips, tokens) -> None:
+    """Append an (n, W, d) block of `tokens` for the n `frames`, with one
+    sub-clip index for the block or one per row. The whole block is checked
+    before any row is stored, so a rejected block leaves the bank as it was:
+    the tokens must be n x W x d and finite, and the frames must increase
+    strictly, inside the block and after the bank's last frame. A duplicate
+    or a regression is a bug in the caller and raises ValueError."""
+    frames = np.asarray(frames, dtype=np.int64)
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 3 or tokens.shape[1:] != (bank.W, bank.d):
+        raise ValueError(f"tokens must be n x {bank.W} x {bank.d}, "
+                         f"not {tokens.shape}")
+    if frames.shape != (len(tokens),):
+        raise ValueError(f"{frames.size} frame indices for "
+                         f"{len(tokens)} rows of tokens")
+    subclips = np.broadcast_to(subclips, frames.shape)
+    if not np.all(np.isfinite(tokens)):
+        raise ValueError("memory tokens must be finite")
+    order = np.concatenate([bank.frames[-1:], frames])
+    late = np.flatnonzero(np.diff(order) <= 0)
+    if late.size:
+        raise ValueError(f"frames must increase strictly: frame "
+                         f"{order[late[0] + 1]} follows {order[late[0]]}")
     n = len(bank)
-    if n and entry.frame_index <= bank._frames[n - 1]:
-        raise ValueError(
-            f"out-of-order append: frame {entry.frame_index} after "
-            f"{bank._frames[n - 1]}")
-    bank._push([entry.frame_index], [entry.subclip_index],
-               entry.tokens[None])
+    end = n + len(frames)
+    bank._tokens = _reserve(bank._tokens, n, end)
+    bank._frames = _reserve(bank._frames, n, end)
+    bank._subclips = _reserve(bank._subclips, n, end)
+    bank._tokens[n:end] = tokens
+    bank._frames[n:end] = frames
+    bank._subclips[n:end] = subclips
+    bank._count = end
 
 
 def _immutable(raw: np.ndarray) -> bool:
@@ -298,11 +294,13 @@ class DiskFeatureBuffer:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             try:
                 manifest = json.load(fh)
-                self._offsets = {int(i): int(off)
-                                 for i, off in manifest["frames"]}
+                pairs = [(int(i), int(off)) for i, off in manifest["frames"]]
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise MalformedArtifactError(
                     f"malformed buffer manifest: {exc!r}") from exc
+        self._offsets = dict(pairs)
+        if len(self._offsets) != len(pairs):
+            raise MalformedArtifactError("buffer manifest lists a frame twice")
         if any(off < 0 for off in self._offsets.values()):
             raise MalformedArtifactError("negative offset in buffer manifest")
         self._data_path = data_path
@@ -383,21 +381,17 @@ def read_context(bank: MemoryBank, queries: QueryBank,
     return attended
 
 
-def write_frame(perceived: np.ndarray, queries: QueryBank, start_frame: int,
-                subclip_index: int) -> list:
+def write_frame(perceived: np.ndarray, queries: QueryBank) -> np.ndarray:
     """Distill each frame of a sub-clip into W compact memory tokens.
 
-    `perceived` holds the sub-clip's stacked (F, N_Q, d) states, frame
-    `start_frame` first; one batched attention call writes all F frames.
-    Returns the F entries in frame order.
+    `perceived` holds the sub-clip's stacked (F, N_Q, d) states; one batched
+    attention call writes all F frames. Returns their (F, W, d) tokens in
+    frame order.
     """
     if perceived.ndim != 3 or perceived.shape[2] != queries.write_queries.shape[1]:
         raise ValueError("perceived tokens must be F x N_Q x d")
-    tokens = attention(queries.write_queries, perceived, perceived,
-                       queries.write_attention)
-    return [MemoryEntry(frame_index=start_frame + j,
-                        subclip_index=subclip_index, tokens=tokens[j])
-            for j in range(len(tokens))]
+    return attention(queries.write_queries, perceived, perceived,
+                     queries.write_attention)
 
 
 def save_bank(bank: MemoryBank, path) -> None:
@@ -418,12 +412,11 @@ def load_bank(path) -> MemoryBank:
     header, records = RWMB.load(path)
     if min(header) < 1:
         raise MalformedArtifactError(f"RWMB bank {tuple(header)} is empty")
-    frames = records["frame"].astype(np.int64)
-    if np.any(np.diff(frames) <= 0):
-        raise MalformedArtifactError(
-            "RWMB frame indices are not strictly increasing")
     bank = MemoryBank(W=header.W, d=header.d)
-    bank._push(frames, records["subclip"], records["tokens"])
+    try:
+        append(bank, records["frame"], records["subclip"], records["tokens"])
+    except ValueError as exc:
+        raise MalformedArtifactError(f"RWMB bank: {exc}") from exc
     return bank
 
 

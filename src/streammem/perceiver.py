@@ -9,9 +9,10 @@ runs once after the whole stack (using the last layer's temporal weights)
 instead of inside every layer.
 
 A sub-clip's F frames are processed together: the state is one stacked
-(F, N_Q, d) array and each sublayer is one batched call. The sublayers
-accept autodiff Vars as well as ndarrays, so gradient checks run this same
-forward.
+(F, N_Q, d) array and each sublayer is one batched call; the sub-clip's
+(F, W, d) memory tokens come from one write-attention call and enter the
+bank as one block. The sublayers accept autodiff Vars as well as ndarrays,
+so gradient checks run this same forward.
 """
 
 from dataclasses import dataclass
@@ -42,12 +43,6 @@ class PerceiverParams:
     n_queries: int  # N_Q, equal to the read-query count
     d: int
     temporal_mode: str = "per_layer"
-
-
-@dataclass
-class PerceivedClip:
-    subclip_index: int
-    frames: np.ndarray  # (F, N_Q, d): one query-state matrix per frame
 
 
 def cross_sublayer(state, kv, layer: PerceiverLayerParams):
@@ -94,8 +89,9 @@ def _frame_keys(clip_frames, instruction: InstructionEncoding) -> np.ndarray:
 
 
 def perceive_subclip(clip: SubClip, context, instruction: InstructionEncoding,
-                     params: PerceiverParams) -> PerceivedClip:
-    """Refine one sub-clip into per-frame query states.
+                     params: PerceiverParams) -> np.ndarray:
+    """Refine one sub-clip into its stacked (F, N_Q, d) query states, one
+    N_Q x d matrix per frame.
 
     Every frame starts from the same read context; instruction rows are
     appended to the keys/values of every layer's cross-attention.
@@ -115,7 +111,7 @@ def perceive_subclip(clip: SubClip, context, instruction: InstructionEncoding,
         states = ffn_sublayer(states, layer)
     if params.temporal_mode == "final":
         states = temporal_sublayer(states, params.layers[-1].temporal)
-    return PerceivedClip(subclip_index=clip.index, frames=states)
+    return states
 
 
 def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
@@ -124,21 +120,21 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
     """Run the full read-perceive-write cycle over a stream.
 
     Sub-clips are processed strictly in order; per sub-clip the bank is read
-    once, the clip perceived, every frame buffered raw, and all of its
-    frames written to memory in one call. The bank is sized for the
-    stream's T frames up front. Returns the populated (bank, buffer).
+    once, the clip perceived, every frame buffered raw, and the (F, W, d)
+    tokens of all its frames written by one attention call and appended
+    to the bank as one block. The bank is sized for the stream's T frames
+    up front. Returns the populated (bank, buffer).
     """
     W = queries.n_write
     bank = MemoryBank(W=W, d=params.d, capacity=stream.T)
     buffer = FeatureBuffer()
     for clip in iter_subclips(stream, F):
         context = read_context(bank, queries, residual=residual_read)
-        perceived = perceive_subclip(clip, context, instruction, params)
+        states = perceive_subclip(clip, context, instruction, params)
         for frame_index, raw in zip(range(clip.start, clip.end), clip.frames):
             buffer_store(buffer, frame_index, raw)
-        for entry in write_frame(perceived.frames, queries, clip.start,
-                                 clip.index):
-            append(bank, entry)
+        append(bank, range(clip.start, clip.end), clip.index,
+               write_frame(states, queries))
         if on_subclip is not None:
             on_subclip(clip, bank, buffer)
     return bank, buffer

@@ -27,7 +27,6 @@ class FrameTokenStream:
     # loaded stream holds read-only float32 views of the file's bytes, not
     # float64 copies, and consumers convert where they compute.
     frames: list
-    fps: float = 1.0
 
     def __post_init__(self):
         if self.T < 1:
@@ -42,7 +41,7 @@ class FrameTokenStream:
         """The first t frames as a stream of their own."""
         if not (1 <= t <= self.T):
             raise ValueError("prefix length out of range")
-        return FrameTokenStream(t, self.P, self.d, self.frames[:t], self.fps)
+        return FrameTokenStream(t, self.P, self.d, self.frames[:t])
 
 
 @dataclass
@@ -79,15 +78,14 @@ def _frame_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def synth_stream(seed: int, T: int, P: int, d: int,
-                 fps: float = 1.0) -> FrameTokenStream:
+def synth_stream(seed: int, T: int, P: int, d: int) -> FrameTokenStream:
     """Deterministic synthetic stream; frame t is a pure function of
     (seed, t), values clipped to [-3, 3]."""
     if T < 1 or P < 1 or d < 1:
         raise ValueError("T, P and d must be at least 1")
     frames = [np.clip(_frame_rng(seed, t).standard_normal((P, d)), -3.0, 3.0)
               for t in range(T)]
-    return FrameTokenStream(T, P, d, frames, fps)
+    return FrameTokenStream(T, P, d, frames)
 
 
 def _word_vector(word: str, d: int) -> np.ndarray:

@@ -253,8 +253,7 @@ def run_linearity_suite(frame_counts=(16, 64, 256), W: int = 2, d: int = 8):
         bank = MemoryBank(W=W, d=d)
         for t in range(T):
             perceived = rng.standard_normal((1, 4, d))
-            for entry in write_frame(perceived, queries, t, t):
-                append(bank, entry)
+            append(bank, [t], t, write_frame(perceived, queries))
         results.append((T, bank.token_count(), bank.token_count() == W * T))
     return results
 

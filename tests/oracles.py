@@ -205,44 +205,43 @@ def read_context_uncached(bank, queries, residual=True):
 
 
 def bank_bytes_loop(bank):
-    """RWMB encoding entry by entry: header, then per entry its frame and
+    """RWMB encoding frame by frame: header, then per frame its index, its
     sub-clip index and its W x d tokens as float32."""
     import struct
 
     import numpy as np
 
-    entries = bank.entries
-    parts = [struct.pack("<4sIIII", b"RWMB", 1, len(entries), bank.W,
-                         bank.d)]
-    for e in entries:
-        parts.append(struct.pack("<II", e.frame_index, e.subclip_index))
-        parts.append(np.ascontiguousarray(e.tokens, dtype=np.float32).tobytes())
+    parts = [struct.pack("<4sIIII", b"RWMB", 1, len(bank), bank.W, bank.d)]
+    for frame, subclip, tokens in zip(bank.frames, bank.subclips,
+                                      bank.tokens):
+        parts.append(struct.pack("<II", frame, subclip))
+        parts.append(np.ascontiguousarray(tokens, dtype=np.float32).tobytes())
     return b"".join(parts)
 
 
 def frame_relevance_loop(bank, instruction_mean):
-    """Per entry, max over its tokens of the dot product with the mean,
+    """Per frame, max over its tokens of the dot product with the mean,
     scaled by 1/sqrt(d); returns (frames, relevance) lists."""
     scale = 1.0 / math.sqrt(bank.d)
-    entries = bank.entries
-    return ([e.frame_index for e in entries],
-            [float((e.tokens @ instruction_mean).max() * scale)
-             for e in entries])
+    rows = list(zip(bank.frames.tolist(), bank.tokens))
+    return ([frame for frame, _ in rows],
+            [float((tokens @ instruction_mean).max() * scale)
+             for _, tokens in rows])
 
 
 def select_top_L_loop(bank, instruction_mean, L, z_repr):
-    """Top-L frames by (-relevance, frame) with a sorted() over entries,
-    and their candidate vectors built one entry at a time."""
+    """Top-L frames by (-relevance, frame) with a sorted() over frames,
+    and their candidate vectors built one frame at a time."""
     import numpy as np
 
     frames, relevance = frame_relevance_loop(bank, instruction_mean)
     order = sorted(range(len(frames)),
                    key=lambda i: (-relevance[i], frames[i]))[:L]
-    entries = bank.entries
+    rows = list(bank.tokens)
     if z_repr == "mean":
-        vectors = [entries[i].tokens.mean(axis=0) for i in order]
+        vectors = [rows[i].mean(axis=0) for i in order]
     else:
-        vectors = [entries[i].tokens.reshape(-1) for i in order]
+        vectors = [rows[i].reshape(-1) for i in order]
     return ([frames[i] for i in order], np.stack(vectors),
             np.array([relevance[i] for i in order]))
 

@@ -73,8 +73,8 @@ def test_criterion_2_linear_memory_scaling():
 
 
 def test_criterion_3_prefix_breakpoint_consistency():
-    """Processing the first k sub-clips yields memory entries byte-identical
-    to the first k*F entries of the full run, for all k, over 20 seeds."""
+    """Processing the first k sub-clips yields memory rows byte-identical
+    to the first k*F rows of the full run, for all k, over 20 seeds."""
     config = RunConfig(d=8, heads=2, layers=2, n_read=3, n_write=2,
                        subclip_frames=4, pool_tokens=2)
     F, T = config.subclip_frames, 12
@@ -89,10 +89,8 @@ def test_criterion_3_prefix_breakpoint_consistency():
         for k in range(1, T // F + 1):
             pre, _ = process_stream(stream.prefix(k * F), instr,
                                     params.query_bank, params.perceiver, F)
-            for j in range(k * F):
-                ok &= full.entries[j].tokens.tobytes() == \
-                    pre.entries[j].tokens.tobytes()
-                ok &= full.entries[j].frame_index == pre.entries[j].frame_index
+            ok &= full.tokens[:k * F].tobytes() == pre.tokens.tobytes()
+            ok &= np.array_equal(full.frames[:k * F], pre.frames)
     _verdict(3, "prefix/breakpoint consistency", ok)
 
 
@@ -177,9 +175,9 @@ def test_criterion_8_accounting_report(tmp_path):
                            subclip_frames=8, Kc=Kc, pool_tokens=p)
         bank = MemoryBank(W=W, d=8)
         rng = np.random.default_rng(T)
-        from streammem.memory import MemoryEntry, accounting_report
+        from streammem.memory import accounting_report
         for t in range(T):
-            append(bank, MemoryEntry(t, t // 8, rng.standard_normal((W, 8))))
+            append(bank, [t], t // 8, rng.standard_normal((1, W, 8)))
         report = accounting_report(bank, None, config)
         ok &= report.llm_input_length == W * T + 1 + Kc * p
         ok &= report.memory_token_count == W * T
@@ -217,11 +215,11 @@ def test_criterion_9_selection_vs_uniform_harness():
         bank, buffer = process_stream(stream, encode_instruction("probe", 16),
                                       params.query_bank, params.perceiver, 16)
         in_seg = np.concatenate(
-            [e.tokens for e in bank.entries
-             if seg_a <= e.frame_index < seg_b]).mean(axis=0)
+            [tokens for frame, tokens in zip(bank.frames, bank.tokens)
+             if seg_a <= frame < seg_b]).mean(axis=0)
         out_seg = np.concatenate(
-            [e.tokens for e in bank.entries
-             if not seg_a <= e.frame_index < seg_b]).mean(axis=0)
+            [tokens for frame, tokens in zip(bank.frames, bank.tokens)
+             if not seg_a <= frame < seg_b]).mean(axis=0)
         probe_dir = in_seg - out_seg
         probe_dir /= np.linalg.norm(probe_dir)
         probe = InstructionEncoding(tokens=probe_dir[None, :], mean=probe_dir)

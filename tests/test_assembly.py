@@ -9,14 +9,13 @@ from streammem.dfs import CandidateSet, ClusterDiagnostics, SelectionResult
 from streammem.errors import (BadMagicError, BadVersionError, ConfigError,
                               MalformedArtifactError, NonFiniteDataError,
                               TruncatedPayloadError)
-from streammem.memory import MemoryBank, MemoryEntry, append
+from streammem.memory import MemoryBank, append
 
 
 def _bank(seed, T=4, W=2, d=3):
     rng = np.random.default_rng(seed)
     bank = MemoryBank(W=W, d=d)
-    for t in range(T):
-        append(bank, MemoryEntry(t, 0, rng.standard_normal((W, d))))
+    append(bank, range(T), 0, rng.standard_normal((T, W, d)))
     return bank
 
 

@@ -294,12 +294,14 @@ class TestMalformedArtifactExitCodes:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("change", ["drop_last", "add_frame",
-                                        "renumber"])
+                                        "renumber", "duplicate"])
     def test_manifest_frames_differ_from_bank_is_2(self, processed,
                                                     config_path, capsys,
                                                     monkeypatch, change):
-        """A manifest whose frame set is not the bank's exits 2 before
-        Stage 2 runs, even when no selected frame is missing from it."""
+        """A manifest whose frame set is not the bank's, or that lists a
+        frame twice, exits 2 before Stage 2 runs, even when no selected
+        frame is missing from it. A duplicate keeping its last offset would
+        pool another frame's tokens."""
         import streammem.cli as cli
 
         def stage2(*args, **kwargs):
@@ -313,6 +315,8 @@ class TestMalformedArtifactExitCodes:
             frames.pop()
         elif change == "add_frame":
             frames.append([len(frames), frames[0][1]])
+        elif change == "duplicate":  # frame 3 again, at frame 5's record
+            frames.append([3, frames[5][1]])
         else:
             frames[-1][0] += 100
         (processed / "buffer.manifest").write_text(json.dumps(manifest))

@@ -8,7 +8,7 @@ from streammem.dfs import (dfs_select, distance_index, dpc_knn_select,
                            local_density, parse_selection_centers,
                            pool_tokens, select_top_L, sq_dist_matrix,
                            uniform_select)
-from streammem.memory import FeatureBuffer, MemoryBank, MemoryEntry, append
+from streammem.memory import FeatureBuffer, MemoryBank, append
 from streammem.stream import InstructionEncoding
 from streammem.verify import dpc_bruteforce, random_cluster_instance
 
@@ -20,8 +20,7 @@ from oracles import (distance_index_loop, dpc_rank_loop,
 
 def _bank_from_tokens(token_list, d):
     bank = MemoryBank(W=token_list[0].shape[0], d=d)
-    for t, tokens in enumerate(token_list):
-        append(bank, MemoryEntry(t, 0, tokens))
+    append(bank, range(len(token_list)), 0, np.stack(token_list))
     return bank
 
 
@@ -106,10 +105,10 @@ class TestStage2MatchesEntryLoop:
         rng = np.random.default_rng(seed)
         bank = MemoryBank(W=W, d=d)
         for t in range(T):
-            tokens = rng.standard_normal((W, d))
+            tokens = rng.standard_normal((1, W, d))
             if t % 5 == 3:  # exact ties with the previous frame
-                tokens = bank.entries[-1].tokens.copy()
-            append(bank, MemoryEntry(3 * t + 1, t // 8, tokens))
+                tokens = bank.tokens[-1:].copy()
+            append(bank, [3 * t + 1], t // 8, tokens)
         mean = rng.standard_normal(d)
         _, relevance = frame_relevance_loop(bank, mean)
         scores = frame_relevance(bank, mean)
@@ -283,7 +282,7 @@ def _populated(seed, T=32, W=2, d=4, P=6):
     bank = MemoryBank(W=W, d=d)
     buffer = FeatureBuffer()
     for t in range(T):
-        append(bank, MemoryEntry(t, t // 8, rng.standard_normal((W, d))))
+        append(bank, [t], t // 8, rng.standard_normal((1, W, d)))
         buffer.store(t, rng.standard_normal((P, d)))
     return bank, buffer
 
@@ -304,10 +303,11 @@ class TestDfsSelectEndToEnd:
         result = dfs_select(bank, buffer, instr, L, K, K_c, p)
 
         scale = 1.0 / math.sqrt(4)
-        rel = {e.frame_index: max(float(row @ instr.mean) for row in e.tokens)
-               * scale for e in bank.entries}
+        rows = dict(zip(bank.frames.tolist(), bank.tokens))
+        rel = {f: max(float(row @ instr.mean) for row in tokens) * scale
+               for f, tokens in rows.items()}
         top = sorted(rel, key=lambda f: (-rel[f], f))[:L]
-        z = [bank.entries[f].tokens.mean(axis=0).tolist() for f in top]
+        z = [rows[f].mean(axis=0).tolist() for f in top]
         _, _, centers = dpc_bruteforce(top, z, K, K_c)
         assert result.centers == sorted(centers)
         for center, pooled in zip(result.centers, result.pooled):

@@ -87,9 +87,8 @@ class TestPerceiveSubclip:
         context = np.random.default_rng(4).standard_normal((3, 8))
         out = perceive_subclip(clip, context, empty_instruction(8),
                                params.perceiver)
-        assert out.subclip_index == 0
-        assert len(out.frames) == 3
-        for f in out.frames:
+        assert len(out) == 3
+        for f in out:
             assert f.shape == (3, 8)
             assert np.all(np.isfinite(f))
 
@@ -100,7 +99,7 @@ class TestPerceiveSubclip:
         instr = encode_instruction("watch this", 8)
         a = perceive_subclip(clip, context, instr, params.perceiver)
         b = perceive_subclip(clip, context, instr, params.perceiver)
-        for fa, fb in zip(a.frames, b.frames):
+        for fa, fb in zip(a, b):
             assert fa.tobytes() == fb.tobytes()
 
     def test_instruction_changes_output(self):
@@ -111,7 +110,7 @@ class TestPerceiveSubclip:
                              params.perceiver)
         b = perceive_subclip(clip, context, encode_instruction("find it", 8),
                              params.perceiver)
-        assert any(not np.allclose(fa, fb) for fa, fb in zip(a.frames, b.frames))
+        assert any(not np.allclose(fa, fb) for fa, fb in zip(a, b))
 
     def test_zero_rows_differs_from_one_zero_row(self):
         # a zero *vector* is still an extra key; absence of rows is not
@@ -123,7 +122,7 @@ class TestPerceiveSubclip:
                                        mean=np.zeros(8))
         a = perceive_subclip(clip, context, none, params.perceiver)
         b = perceive_subclip(clip, context, zero_row, params.perceiver)
-        assert any(not np.allclose(fa, fb) for fa, fb in zip(a.frames, b.frames))
+        assert any(not np.allclose(fa, fb) for fa, fb in zip(a, b))
 
     def test_instruction_row_permutation_invariance(self):
         params = init_model_params(_config())
@@ -134,7 +133,7 @@ class TestPerceiveSubclip:
                                       mean=instr.mean)
         a = perceive_subclip(clip, context, instr, params.perceiver)
         b = perceive_subclip(clip, context, swapped, params.perceiver)
-        for fa, fb in zip(a.frames, b.frames):
+        for fa, fb in zip(a, b):
             assert np.allclose(fa, fb, atol=1e-12)
 
     def test_bad_context_shape_rejected(self):
@@ -159,7 +158,7 @@ class TestPerceiveSubclip:
                              per_layer.perceiver)
         b = perceive_subclip(clip, context, empty_instruction(8),
                              final.perceiver)
-        assert any(not np.allclose(fa, fb) for fa, fb in zip(a.frames, b.frames))
+        assert any(not np.allclose(fa, fb) for fa, fb in zip(a, b))
 
     def test_var_context_matches_ndarray_forward(self):
         params = init_model_params(_config(layers=1))
@@ -169,7 +168,7 @@ class TestPerceiveSubclip:
                                  params.perceiver)
         taped = perceive_subclip(clip, Var(context), empty_instruction(8),
                                  params.perceiver)
-        assert np.allclose(plain.frames, taped.frames.value, atol=1e-12)
+        assert np.allclose(plain, taped.value, atol=1e-12)
 
 
 class TestBatchedForwardBitExact:
@@ -187,8 +186,8 @@ class TestBatchedForwardBitExact:
         out = perceive_subclip(clip, context, instr, params.perceiver)
         expected = perceive_subclip_loop(clip.frames, context, instr.tokens,
                                          params.perceiver)
-        assert out.frames.shape == expected.shape
-        assert np.array_equal(out.frames, expected)
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("temporal", ["per_layer", "final"])
     @pytest.mark.parametrize("F", [1, 4])
@@ -202,9 +201,12 @@ class TestBatchedForwardBitExact:
                                  params.perceiver, F=F)
         expected = process_stream_loop(stream.frames, instr.tokens,
                                        params.query_bank, params.perceiver, F)
-        assert len(bank.entries) == len(expected) == 21
-        for entry, tokens in zip(bank.entries, expected):
-            assert np.array_equal(entry.tokens, tokens)
+        assert len(bank) == len(expected) == 21
+        rows = zip(bank.frames, bank.subclips, bank.tokens)
+        for t, ((frame, subclip, tokens), want) in enumerate(zip(rows,
+                                                                 expected)):
+            assert (frame, subclip) == (t, t // F)
+            assert np.array_equal(tokens, want)
 
 
 class TestCachedReadInStream:
@@ -260,8 +262,7 @@ class TestProcessStream:
                                       F=4)
         assert bank.frame_indices() == list(range(10))
         assert buffer.frame_indices() == list(range(10))
-        assert [e.subclip_index for e in bank.entries] == \
-            [t // 4 for t in range(10)]
+        assert bank.subclips.tolist() == [t // 4 for t in range(10)]
         for t in range(10):
             assert np.array_equal(buffer.get(t), stream.frames[t])
 
@@ -272,12 +273,15 @@ class TestProcessStream:
         instr = encode_instruction("summarize", 8)
         full, _ = process_stream(stream, instr, params.query_bank,
                                  params.perceiver, F=4)
-        # a run over any sub-clip-aligned prefix reproduces the same entries
+        # a run over any sub-clip-aligned prefix reproduces the same rows
         pre, _ = process_stream(stream.prefix(8), instr, params.query_bank,
                                 params.perceiver, F=4)
-        for k in range(8):
-            assert full.entries[k].tokens.tobytes() == \
-                pre.entries[k].tokens.tobytes()
+        assert len(pre) == 8
+        for (f, s, tokens), (pf, ps, ptokens) in zip(
+                zip(full.frames, full.subclips, full.tokens),
+                zip(pre.frames, pre.subclips, pre.tokens)):
+            assert (f, s) == (pf, ps)
+            assert tokens.tobytes() == ptokens.tobytes()
         assert bank_bytes(pre) != bank_bytes(full)
 
     def test_on_subclip_callback_order(self):
@@ -300,8 +304,8 @@ class TestProcessStream:
         b, _ = process_stream(stream, empty_instruction(8), params.query_bank,
                               params.perceiver, F=4, residual_read=False)
         # the first sub-clip sees an empty bank either way; later ones differ
-        assert np.allclose(a.entries[0].tokens, b.entries[0].tokens)
-        assert not np.allclose(a.entries[7].tokens, b.entries[7].tokens)
+        assert np.allclose(a.tokens[0], b.tokens[0])
+        assert not np.allclose(a.tokens[7], b.tokens[7])
 
 
 class TestCheckpointFile:
