@@ -1,19 +1,18 @@
 """Minimal reverse-mode tape used to verify the analytic derivatives.
 
-Only the handful of operations needed by the attention / layer-norm /
-feed-forward kernels are implemented, on arrays with any number of leading
-batch axes. The tensor and perceiver functions have a single forward
-implementation that runs on plain ndarrays in production and on Vars here,
-so gradient checks compare the reverse pass of that same composition
-against central finite differences.
+`Var` records addition, multiplication, batched matmul and slicing on
+arrays with any number of leading batch axes. Every other kernel (softmax,
+layer norm, GELU, concatenation) has one forward, the ndarray function in
+`tensor.py`, marked `differentiable(vjp)` with its vector-Jacobian product
+next to it: the decorator is the one place that tells a `Var` from an
+ndarray. Gradient checks thus take the reverse pass of the production
+forward itself and compare it against central finite differences.
 """
 
+import functools
+import inspect
+
 import numpy as np
-
-from .special import erf
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -51,15 +50,6 @@ class Var:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = as_var(other)
-        return Var(self.value - other.value, (self, other),
-                   (lambda g: _unbroadcast(g, self.shape),
-                    lambda g: _unbroadcast(-g, other.shape)))
-
-    def __rsub__(self, other):
-        return as_var(other).__sub__(self)
-
     def __mul__(self, other):
         if np.isscalar(other):
             c = float(other)
@@ -70,9 +60,6 @@ class Var:
                     lambda g: _unbroadcast(g * self.value, other.shape)))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Var(-self.value, (self,), (lambda g: -g,))
 
     def __matmul__(self, other):
         """Batched matmul over the trailing two axes; a 2-D operand
@@ -112,63 +99,6 @@ def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
-def concat_last(parts) -> Var:
-    """Concatenate along the last axis."""
-    parts = [as_var(p) for p in parts]
-    sizes = [p.value.shape[-1] for p in parts]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-
-    def make_vjp(i):
-        return lambda g: g[..., offsets[i]:offsets[i + 1]]
-
-    return Var(np.concatenate([p.value for p in parts], axis=-1),
-               tuple(parts), tuple(make_vjp(i) for i in range(len(parts))))
-
-
-def softmax_rows_v(x: Var) -> Var:
-    """Softmax over the last axis."""
-    x = as_var(x)
-    shifted = x.value - x.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-    return Var(y, (x,), (vjp,))
-
-
-def layer_norm_v(x: Var, gain: Var, bias: Var, eps: float) -> Var:
-    """Layer norm over the last axis."""
-    x, gain, bias = as_var(x), as_var(gain), as_var(bias)
-    mu = x.value.mean(axis=-1, keepdims=True)
-    var = x.value.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.value - mu) * inv_std
-    y = xhat * gain.value + bias.value
-
-    def vjp_x(g):
-        gx = g * gain.value
-        return inv_std * (gx - gx.mean(axis=-1, keepdims=True)
-                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-
-    return Var(y, (x, gain, bias),
-               (vjp_x,
-                lambda g: _unbroadcast(g * xhat, gain.shape),
-                lambda g: _unbroadcast(g, bias.shape)))
-
-
-def gelu_v(x: Var) -> Var:
-    x = as_var(x)
-    cdf = 0.5 * (1.0 + erf(x.value * _INV_SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.value * x.value)
-
-    def vjp(g):
-        return g * (cdf + x.value * pdf)
-
-    return Var(x.value * cdf, (x,), (vjp,))
-
-
 def backward(root: Var) -> None:
     """Accumulate gradients of a scalar `root` into every reachable node."""
     if root.value.shape != ():
@@ -194,3 +124,41 @@ def backward(root: Var) -> None:
     for node in reversed(order):
         for parent, vjp in zip(node.parents, node.vjps):
             parent.grad = parent.grad + vjp(node.grad)
+
+
+def differentiable(vjp):
+    """Make the ndarray function it decorates a primitive of the tape.
+
+    On ndarrays the wrapper returns the function's own result. With a `Var`
+    among the arguments it runs the function on copies of the `Var` values,
+    so an in-place kernel never writes into the tape, and returns a `Var`
+    whose gradient into argument i is `vjp(g, out, args, i)` summed back to
+    that argument's shape. `args` holds every argument by position,
+    defaults applied and each `Var` replaced by its value.
+    """
+    def decorate(fn):
+        signature = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if not any(isinstance(a, Var)
+                       for a in (*args, *kwargs.values())):
+                return fn(*args, **kwargs)
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            taped = [i for i, a in enumerate(bound.args) if isinstance(a, Var)]
+            values = [a.value if i in taped else a
+                      for i, a in enumerate(bound.args)]
+            out = fn(*(a.copy() if i in taped else a
+                       for i, a in enumerate(values)))
+
+            def make_vjp(i):
+                return lambda g: _unbroadcast(vjp(g, out, values, i),
+                                              values[i].shape)
+
+            return Var(out, tuple(bound.args[i] for i in taped),
+                       tuple(make_vjp(i) for i in taped))
+
+        return wrapper
+
+    return decorate

@@ -322,6 +322,9 @@ class DiskFeatureBuffer:
         first record's P x d and end inside the file, checked up front."""
         offset = self._offsets.get(frame_index)
         if offset is None:
+            # unreachable from the CLI: _open_disk_buffer rejects a manifest
+            # whose frame set differs from the bank's, and Stage 2, `select`
+            # and `report` ask only for bank frames; it guards library callers
             raise MalformedArtifactError(
                 f"frame {frame_index} is not in the buffer manifest")
         where = f"buffer record of frame {frame_index} at offset {offset}"

@@ -11,8 +11,10 @@ instead of inside every layer.
 A sub-clip's F frames are processed together: the state is one stacked
 (F, N_Q, d) array and each sublayer is one batched call; the sub-clip's
 (F, W, d) memory tokens come from one write-attention call and enter the
-bank as one block. The sublayers accept autodiff Vars as well as ndarrays,
-so gradient checks run this same forward.
+bank as one block. The sublayers are compositions of the tensor kernels,
+matmul and addition with no forward of their own to differentiate: given
+autodiff tape values they record this same forward on the tape, so
+gradient checks run the production code.
 """
 
 from dataclasses import dataclass
@@ -52,20 +54,17 @@ def cross_sublayer(state, kv, layer: PerceiverLayerParams):
     return state + attention(normed, kv, kv, layer.cross)
 
 
-def _add_into(fresh, other):
-    """fresh + other, in fresh's storage when both are ndarrays; `fresh`
-    must be a temporary of the result's shape that nobody else holds."""
-    if isinstance(fresh, np.ndarray) and isinstance(other, np.ndarray):
-        fresh += other
-        return fresh
-    return fresh + other
-
-
 def ffn_sublayer(state, layer: PerceiverLayerParams):
+    # `+=` adds into the fresh matmul results; on a tape value, which has
+    # no in-place add, it rebinds to the same sum
     normed = layer_norm(state, layer.ffn_ln_gain, layer.ffn_ln_bias)
-    hidden = gelu(_add_into(normed @ layer.w1, layer.b1))
+    pre = normed @ layer.w1
+    pre += layer.b1
+    out = gelu(pre) @ layer.w2
+    out += layer.b2
     # state + out and out + state are the same sum
-    return _add_into(_add_into(hidden @ layer.w2, layer.b2), state)
+    out += state
+    return out
 
 
 def temporal_sublayer(states, params: AttentionParams):

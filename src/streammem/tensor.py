@@ -2,26 +2,23 @@
 and the finite-difference gradient checker.
 
 Every function works over the last axis, so a stack of matrices with any
-leading batch axes goes through one call. Inputs are float64 ndarrays in
-production or autodiff Vars for derivative verification; softmax, layer
-norm and GELU dispatch to the tape's op for a Var, and attention is one
-composition of matmul, slicing and concatenation that runs on either.
+leading batch axes goes through one call. Each kernel has one forward,
+written on float64 ndarrays. Softmax, layer norm, GELU and concatenation
+are marked `differentiable(vjp)`, with their vector-Jacobian product next
+to the forward, so the autodiff tape runs this same forward when gradient
+checks pass it tape values; attention is a composition of those kernels
+with matmul and slicing, and needs no VJP of its own.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff
-from .autodiff import Var
+from .autodiff import differentiable
 from .errors import NumericError
 from .special import erf
 
 DEFAULT_EPS = 1e-5
-
-
-def _any_var(*xs) -> bool:
-    return any(isinstance(x, Var) for x in xs)
 
 
 def _require_finite(x: np.ndarray, what: str) -> None:
@@ -64,6 +61,11 @@ def shift_exp(m: np.ndarray, top: np.ndarray) -> np.ndarray:
     return np.exp(m, out=m)
 
 
+def _softmax_vjp(g, out, args, i):
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
+@differentiable(_softmax_vjp)
 def _softmax_inplace(m: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a float64 array, in its own storage."""
     shift_exp(m, m.max(axis=-1, keepdims=True))
@@ -71,15 +73,37 @@ def _softmax_inplace(m: np.ndarray) -> np.ndarray:
     return m
 
 
+@differentiable(_softmax_vjp)
 def softmax_rows(m):
     """Row-wise softmax, shift-invariant (max subtracted before exp)."""
-    if isinstance(m, Var):
-        return autodiff.softmax_rows_v(m)
     m = np.array(m, dtype=np.float64)
     _require_finite(m, "softmax input")
     return _softmax_inplace(m)
 
 
+def _centred(x, eps):
+    """x minus its row mean, and the row standard deviation with eps."""
+    out = x - x.mean(axis=-1, keepdims=True)
+    std = np.square(out).mean(axis=-1, keepdims=True)
+    std += eps
+    np.sqrt(std, out=std)
+    return out, std
+
+
+def _layer_norm_vjp(g, out, args, i):
+    x, gain, _, eps = args
+    if i == 2:
+        return g
+    xhat, std = _centred(x, eps)
+    xhat /= std
+    if i == 1:
+        return g * xhat
+    gx = g * gain
+    return (gx - gx.mean(axis=-1, keepdims=True)
+            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) / std
+
+
+@differentiable(_layer_norm_vjp)
 def layer_norm(x, gain, bias, eps: float = DEFAULT_EPS):
     """Per-row normalization to zero mean / unit variance, then gain and bias."""
     if eps <= 0:
@@ -89,16 +113,11 @@ def layer_norm(x, gain, bias, eps: float = DEFAULT_EPS):
         raise ValueError("gain length must match column count")
     if np.shape(bias) != np.shape(gain):
         raise ValueError("bias shape must match gain shape")
-    if _any_var(x, gain, bias):
-        return autodiff.layer_norm_v(x, gain, bias, eps)
     x = np.asarray(x, dtype=np.float64)
     gain = np.asarray(gain)
     # np.var would subtract the mean again; the variance is the mean of
     # the squared centred rows either way, bit for bit
-    out = x - x.mean(axis=-1, keepdims=True)
-    std = np.square(out).mean(axis=-1, keepdims=True)
-    std += eps
-    np.sqrt(std, out=std)
+    out, std = _centred(x, eps)
     out /= std
     if out.ndim < gain.ndim:  # a (cols,) row with a (1, cols) gain
         out = out * gain
@@ -108,9 +127,15 @@ def layer_norm(x, gain, bias, eps: float = DEFAULT_EPS):
     return out
 
 
+def _gelu_vjp(g, out, args, i):
+    x = args[0]
+    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    return g * (cdf + x * pdf)
+
+
+@differentiable(_gelu_vjp)
 def gelu(x):
-    if isinstance(x, Var):
-        return autodiff.gelu_v(x)
     x = np.asarray(x, dtype=np.float64)
     out = x / np.sqrt(2.0)
     erf(out, out=out)
@@ -119,13 +144,14 @@ def gelu(x):
     return out
 
 
-def _float64(x):
-    return x if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+def _concat_vjp(g, out, args, i):
+    start = sum(a.shape[-1] for a in args[:i])
+    return g[..., start:start + args[i].shape[-1]]
 
 
-def _concat_last(parts):
-    if _any_var(*parts):
-        return autodiff.concat_last(parts)
+@differentiable(_concat_vjp)
+def concat_last(*parts):
+    """Concatenation along the last axis."""
     return np.concatenate(parts, axis=-1)
 
 
@@ -142,8 +168,7 @@ def attention(q, k, v, params: AttentionParams):
     d = params.dim_model
     if q.shape[-1] != d or k.shape[-1] != d or v.shape[-1] != d:
         raise ValueError("q/k/v column count must equal dim_model")
-    return attend(_float64(q) @ params.w_q, _float64(k) @ params.w_k,
-                  _float64(v) @ params.w_v, params)
+    return attend(q @ params.w_q, k @ params.w_k, v @ params.w_v, params)
 
 
 def head_slices(params: AttentionParams) -> list:
@@ -162,9 +187,9 @@ def attend(qp, kp, vp, params: AttentionParams):
     w_v: per-head softmax of the logits scaled by 1/sqrt(d/heads), the
     weighted values, and the output projection w_o.
 
-    On ndarrays each head's (..., n_q, n_kv) score array is scaled and
-    normalised in place, the same operations in the same order as the
-    out-of-place composition that Vars run, so the values are identical.
+    Each head's (..., n_q, n_kv) score array is scaled and normalised in
+    its own storage; a tape value has no in-place multiply, so `*=`
+    rebinds it to the same product.
     """
     if kp.shape[-2] != vp.shape[-2]:
         raise ValueError("k and v must have the same row count")
@@ -175,13 +200,9 @@ def attend(qp, kp, vp, params: AttentionParams):
     heads_out = []
     for sl in head_slices(params):
         scores = qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)
-        if isinstance(scores, Var):
-            weights = autodiff.softmax_rows_v(scores * scale)
-        else:
-            scores *= scale
-            weights = _softmax_inplace(scores)
-        heads_out.append(weights @ vp[..., sl])
-    return _concat_last(heads_out) @ params.w_o
+        scores *= scale
+        heads_out.append(_softmax_inplace(scores) @ vp[..., sl])
+    return concat_last(*heads_out) @ params.w_o
 
 
 def grad_check(f, theta: np.ndarray, h: float = 1e-5,

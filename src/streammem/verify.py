@@ -35,8 +35,20 @@ def _unpack(theta, shapes):
     return out
 
 
-def _collect_grads(leaves):
-    return _pack([leaf.grad for leaf in leaves])
+def _grad_error(loss, shapes, theta0, h):
+    """grad_check of the scalar `loss(*arrays)`, theta packing one array per
+    shape: the reverse pass runs `loss` on autodiff leaves, the differences
+    run it on plain ndarrays."""
+    def f(theta):
+        leaves = [Var(a) for a in _unpack(theta, shapes)]
+        root = loss(*leaves)
+        backward(root)
+        return float(root.value), _pack([leaf.grad for leaf in leaves])
+
+    def value(theta):
+        return float(loss(*_unpack(theta, shapes)))
+
+    return grad_check(f, theta0, h, value_fn=value)
 
 
 # -- gradient-check instances -------------------------------------------------
@@ -49,23 +61,13 @@ def attention_grad_error(seed: int, d: int = 8, heads: int = 2, n_q: int = 3,
     shapes = [(n_q, d), (n_kv, d), (n_kv, d), (d, d), (d, d), (d, d), (d, d)]
     theta0 = _pack([rng.standard_normal(s) for s in shapes])
 
-    def f(theta):
-        q, k, v, wq, wk, wv, wo = [Var(a) for a in _unpack(theta, shapes)]
+    def loss(q, k, v, wq, wk, wv, wo):
         params = AttentionParams(heads=heads, dim_model=d, w_q=wq, w_k=wk,
                                  w_v=wv, w_o=wo,
                                  ln_gain=np.ones(d), ln_bias=np.zeros(d))
-        loss = attention(q, k, v, params).sum()
-        backward(loss)
-        return float(loss.value), _collect_grads([q, k, v, wq, wk, wv, wo])
+        return attention(q, k, v, params).sum()
 
-    def value_only(theta):
-        q, k, v, wq, wk, wv, wo = _unpack(theta, shapes)
-        params = AttentionParams(heads=heads, dim_model=d, w_q=wq, w_k=wk,
-                                 w_v=wv, w_o=wo,
-                                 ln_gain=np.ones(d), ln_bias=np.zeros(d))
-        return float(attention(q, k, v, params).sum())
-
-    return grad_check(f, theta0, h, value_fn=value_only)
+    return _grad_error(loss, shapes, theta0, h)
 
 
 def layer_norm_grad_error(seed: int, n: int = 3, d: int = 8,
@@ -75,18 +77,10 @@ def layer_norm_grad_error(seed: int, n: int = 3, d: int = 8,
     theta0 = _pack([rng.standard_normal(s) for s in shapes])
 
     coeffs = np.arange(1.0, n * d + 1.0).reshape(n, d)
-
-    def f(theta):
-        x, gain, bias = [Var(a) for a in _unpack(theta, shapes)]
-        loss = (layer_norm(x, gain, bias, eps=1e-5) * coeffs).sum()
-        backward(loss)
-        return float(loss.value), _collect_grads([x, gain, bias])
-
-    def value_only(theta):
-        x, gain, bias = _unpack(theta, shapes)
-        return float((layer_norm(x, gain, bias, eps=1e-5) * coeffs).sum())
-
-    return grad_check(f, theta0, h, value_fn=value_only)
+    return _grad_error(
+        lambda x, gain, bias: (layer_norm(x, gain, bias, eps=1e-5)
+                               * coeffs).sum(),
+        shapes, theta0, h)
 
 
 def ffn_grad_error(seed: int, n: int = 3, d: int = 8,
@@ -95,18 +89,9 @@ def ffn_grad_error(seed: int, n: int = 3, d: int = 8,
     hidden = 4 * d
     shapes = [(n, d), (d, hidden), (hidden,), (hidden, d), (d,)]
     theta0 = _pack([rng.standard_normal(s) * 0.5 for s in shapes])
-
-    def f(theta):
-        x, w1, b1, w2, b2 = [Var(a) for a in _unpack(theta, shapes)]
-        loss = (x + (gelu(x @ w1 + b1) @ w2 + b2)).sum()
-        backward(loss)
-        return float(loss.value), _collect_grads([x, w1, b1, w2, b2])
-
-    def value_only(theta):
-        x, w1, b1, w2, b2 = _unpack(theta, shapes)
-        return float((x + (gelu(x @ w1 + b1) @ w2 + b2)).sum())
-
-    return grad_check(f, theta0, h, value_fn=value_only)
+    return _grad_error(
+        lambda x, w1, b1, w2, b2: (x + (gelu(x @ w1 + b1) @ w2 + b2)).sum(),
+        shapes, theta0, h)
 
 
 def perceiver_layer_grad_error(seed: int, d: int = 8, heads: int = 2,
@@ -114,42 +99,28 @@ def perceiver_layer_grad_error(seed: int, d: int = 8, heads: int = 2,
                                h: float = 1e-5) -> float:
     """One full perceiver layer (cross + temporal + FFN sublayers) with the
     loss over all per-frame outputs; theta covers the layer parameters.
-    Both passes run the production batched sublayers: on Vars for the
-    reverse pass, on ndarrays for the differences."""
+    Both passes run the production batched sublayers: on autodiff leaves
+    for the reverse pass, on ndarrays for the differences."""
     rng = np.random.default_rng(seed)
     hidden = 4 * d
     attn_shapes = [(d, d)] * 4 + [(d,), (d,)]
     shapes = attn_shapes + attn_shapes + [(d, hidden), (hidden,),
                                           (hidden, d), (d,), (d,), (d,)]
-    init = [rng.standard_normal(s) * 0.5 for s in shapes]
+    theta0 = _pack([rng.standard_normal(s) * 0.5 for s in shapes])
     context = rng.standard_normal((n_q, d))
     keys = rng.standard_normal((n_frames, n_keys, d))
-    theta0 = _pack(init)
 
-    def _layer_from(parts):
-        (cwq, cwk, cwv, cwo, cg, cb,
-         twq, twk, twv, two, tg, tb,
-         w1, b1, w2, b2, fg, fb) = parts
-        return PerceiverLayerParams(
+    def loss(cwq, cwk, cwv, cwo, cg, cb, twq, twk, twv, two, tg, tb,
+             w1, b1, w2, b2, fg, fb):
+        layer = PerceiverLayerParams(
             cross=AttentionParams(heads, d, cwq, cwk, cwv, cwo, cg, cb),
             temporal=AttentionParams(heads, d, twq, twk, twv, two, tg, tb),
             w1=w1, b1=b1, w2=w2, b2=b2, ffn_ln_gain=fg, ffn_ln_bias=fb)
-
-    def _run_layer(layer):
         states = cross_sublayer(context, keys, layer)
         states = temporal_sublayer(states, layer.temporal)
         return ffn_sublayer(states, layer).sum()
 
-    def f(theta):
-        leaves = [Var(a) for a in _unpack(theta, shapes)]
-        loss = _run_layer(_layer_from(leaves))
-        backward(loss)
-        return float(loss.value), _collect_grads(leaves)
-
-    def value_only(theta):
-        return float(_run_layer(_layer_from(_unpack(theta, shapes))))
-
-    return grad_check(f, theta0, h, value_fn=value_only)
+    return _grad_error(loss, shapes, theta0, h)
 
 
 GRAD_KERNELS = [

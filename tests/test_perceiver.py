@@ -161,14 +161,19 @@ class TestPerceiveSubclip:
         assert any(not np.allclose(fa, fb) for fa, fb in zip(a, b))
 
     def test_var_context_matches_ndarray_forward(self):
-        params = init_model_params(_config(layers=1))
+        # the tape runs the production kernels, so the values agree bit
+        # for bit, not only to a tolerance
         clip = _clip(11, n_frames=2)
         context = np.random.default_rng(11).standard_normal((3, 8))
-        plain = perceive_subclip(clip, context, empty_instruction(8),
-                                 params.perceiver)
-        taped = perceive_subclip(clip, Var(context), empty_instruction(8),
-                                 params.perceiver)
-        assert np.allclose(plain, taped.value, atol=1e-12)
+        for temporal in ("per_layer", "final"):
+            params = init_model_params(_config(temporal=temporal))
+            for instr in (empty_instruction(8),
+                          encode_instruction("find the red car", 8)):
+                plain = perceive_subclip(clip, context, instr,
+                                         params.perceiver)
+                taped = perceive_subclip(clip, Var(context), instr,
+                                         params.perceiver)
+                assert np.array_equal(plain, taped.value), temporal
 
 
 class TestBatchedForwardBitExact:
