@@ -1,8 +1,9 @@
 """Minimal reverse-mode tape used to verify the analytic derivatives.
 
-`Var` records addition, multiplication, batched matmul and slicing on
-arrays with any number of leading batch axes. Every other kernel (softmax,
-layer norm, GELU, concatenation) has one forward, the ndarray function in
+`Var` records addition, multiplication, batched matmul, slicing, reshape
+and swapaxes on arrays with any number of leading batch axes, so the tape
+runs `split_heads` and `merge_heads` as they are. Every other kernel
+(softmax, layer norm, GELU) has one forward, the ndarray function in
 `tensor.py`, marked `differentiable(vjp)` with its vector-Jacobian product
 next to it: the decorator is the one place that tells a `Var` from an
 ndarray. Gradient checks thus take the reverse pass of the production
@@ -80,6 +81,10 @@ class Var:
     def swapaxes(self, a, b):
         return Var(self.value.swapaxes(a, b), (self,),
                    (lambda g: g.swapaxes(a, b),))
+
+    def reshape(self, shape):
+        return Var(self.value.reshape(shape), (self,),
+                   (lambda g: g.reshape(self.shape),))
 
     def __getitem__(self, index):
         """Basic (slice) indexing, e.g. `x[..., a:b]` for a column block."""

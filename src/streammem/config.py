@@ -34,6 +34,8 @@ class RunConfig:
             raise ConfigError("seed must not be negative")
         if self.d % self.heads != 0:
             raise ConfigError("d must be divisible by heads")
+        if self.L < self.Kc:
+            raise ConfigError("L must be at least Kc")
         if self.temporal not in TEMPORAL_MODES:
             raise ConfigError(f"temporal mode must be one of {TEMPORAL_MODES}")
         if self.z_repr not in Z_REPR_MODES:

@@ -6,7 +6,7 @@ fully deterministic.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,39 +108,30 @@ def sq_dist_matrix(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise(vectors: np.ndarray) -> np.ndarray:
-    return sq_dist_matrix(np.ascontiguousarray(vectors, dtype=np.float64))
-
-
-def local_density(vectors: np.ndarray, K: int, dists=None) -> np.ndarray:
+def local_density(dists: np.ndarray, K: int) -> np.ndarray:
     """exp of the negative mean squared distance to the K nearest neighbors,
     self excluded; K is clamped to |Z|-1. `dists` is the candidates'
-    sq_dist_matrix when the caller already has it.
+    sq_dist_matrix.
 
     Each row of `dists` is sorted once. A candidate's distance to itself is
     an exact 0, the row minimum, so the sorted row without its first
     column holds the same values as the row without the self entry.
     """
-    n = vectors.shape[0]
+    n = dists.shape[0]
     if n < 2:
         raise ValueError("local density needs at least two candidates")
     if K < 1:
         raise ValueError("K must be at least 1")
     K = min(K, n - 1)
-    if dists is None:
-        dists = _pairwise(vectors)
     nearest = np.sort(dists, axis=1)[:, 1:K + 1]
     # math.exp, not np.exp: numpy's SIMD exp may round differently
     return np.array([math.exp(-total / K) for total in nearest.sum(axis=1)])
 
 
-def distance_index(vectors: np.ndarray, sigma: np.ndarray,
-                   dists=None) -> np.ndarray:
+def distance_index(dists: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Squared distance to the nearest strictly-denser candidate; candidates
     of globally maximal density take the farthest distance instead.
-    `dists` is as for local_density."""
-    if dists is None:
-        dists = _pairwise(vectors)
+    `dists` is the candidates' sq_dist_matrix."""
     higher = sigma[None, :] > sigma[:, None]
     nearest_denser = np.where(higher, dists, np.inf).min(axis=1)
     return np.where(higher.any(axis=1), nearest_denser, dists.max(axis=1))
@@ -156,9 +147,10 @@ def dpc_knn_select(candidates: CandidateSet, K: int,
         return ClusterDiagnostics(sigma=np.array([1.0]), rho=np.array([0.0]),
                                   weighted=np.array([0.0]),
                                   centers=list(candidates.frames))
-    dists = _pairwise(candidates.vectors)
-    sigma = local_density(candidates.vectors, K, dists)
-    rho = distance_index(candidates.vectors, sigma, dists)
+    dists = sq_dist_matrix(np.ascontiguousarray(candidates.vectors,
+                                                dtype=np.float64))
+    sigma = local_density(dists, K)
+    rho = distance_index(dists, sigma)
     weighted = sigma * rho
     order = np.lexsort((candidates.frames, -weighted))[:min(K_c, n)]
     centers = [candidates.frames[i] for i in order]

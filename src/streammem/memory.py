@@ -28,8 +28,8 @@ import numpy as np
 from .codec import Format
 from .errors import MalformedArtifactError, TruncatedPayloadError
 from .stream import RWFS
-from .tensor import (AttentionParams, attention, head_scale, head_slices,
-                     shift_exp)
+from .tensor import (AttentionParams, attention, head_scale, merge_heads,
+                     shift_exp, split_heads)
 
 _MIN_CAPACITY = 16
 
@@ -62,18 +62,19 @@ def _readonly(view: np.ndarray) -> np.ndarray:
 
 class _ReadState:
     """The online softmax of the read queries over the memory rows folded
-    in so far. Per head and read-query row it holds the running maximum of
-    the scaled scores (`top`), the sum of exp(score - top) over the rows
-    (`den`) and the sum of exp(score - top) times each row's projected
-    value (`num`, dh wide), so the read context is num / den. Its size is
-    fixed by the read queries and heads, whatever the number of rows.
+    in so far. Per head (the leading axis of every array here) and
+    read-query row it holds the running maximum of the scaled scores
+    (`top`), the sum of exp(score - top) over the rows (`den`) and the sum
+    of exp(score - top) times each row's projected value (`num`, dh wide),
+    so the read context is num / den. Its size is fixed by the read
+    queries and heads, whatever the number of rows.
     """
 
     def __init__(self, queries: "QueryBank"):
         params = queries.read_attention
         shape = (params.heads, queries.n_read)
         self.read_queries, self.params = queries.read_queries, params
-        self.qp = queries.read_queries @ params.w_q
+        self.qp = split_heads(queries.read_queries @ params.w_q, params.heads)
         self.top = np.full(shape + (1,), -np.inf)
         self.den = np.zeros(shape + (1,))
         self.num = np.zeros(shape + (params.dim_model // params.heads,))
@@ -87,31 +88,28 @@ class _ReadState:
         return sum(a.nbytes for a in (self.qp, self.top, self.den, self.num))
 
     def fold(self, new_rows: np.ndarray) -> None:
-        """Fold in the memory rows that follow the ones folded so far: each
+        """Fold in the memory rows that follow the ones folded so far: every
         head scores them, raises its running maxima, and rescales its sums
         by exp(old max - new max) before adding the new rows' terms."""
         params = self.params
-        kp = new_rows @ params.w_k
-        vp = new_rows @ params.w_v
-        scale = head_scale(params)
-        for h, sl in enumerate(head_slices(params)):
-            scores = self.qp[:, sl] @ kp[:, sl].T
-            scores *= scale
-            top = np.maximum(self.top[h], scores.max(axis=-1, keepdims=True))
-            shift_exp(scores, top)
-            # exp(old max - new max), in the old maxima's storage
-            rescale = shift_exp(self.top[h], top)
-            self.den[h] *= rescale
-            self.den[h] += scores.sum(axis=-1, keepdims=True)
-            self.num[h] *= rescale
-            self.num[h] += scores @ vp[:, sl]
-            self.top[h] = top
+        kp = split_heads(new_rows @ params.w_k, params.heads)
+        vp = split_heads(new_rows @ params.w_v, params.heads)
+        scores = self.qp @ kp.swapaxes(-1, -2)
+        scores *= head_scale(params)
+        top = np.maximum(self.top, scores.max(axis=-1, keepdims=True))
+        shift_exp(scores, top)
+        # exp(old max - new max), in the old maxima's storage
+        rescale = shift_exp(self.top, top)
+        self.den *= rescale
+        self.den += scores.sum(axis=-1, keepdims=True)
+        self.num *= rescale
+        self.num += scores @ vp
+        self.top = top
         self.rows += len(new_rows)
 
     def context(self) -> np.ndarray:
-        """Each head's num / den, concatenated over heads: (N_R, d)."""
-        heads = self.num / self.den
-        return heads.swapaxes(0, 1).reshape(len(self.qp), -1)
+        """Each head's num / den, heads side by side: (N_R, d)."""
+        return merge_heads(self.num / self.den)
 
 
 class MemoryBank:
@@ -369,7 +367,7 @@ def read_context(bank: MemoryBank, queries: QueryBank,
     with an optional residual connection back onto the queries. The
     attention comes from the bank's streaming read state, so a read
     projects and scores only the rows written since the previous one and
-    holds one head's N_R x (new rows) scores at a time. It equals one
+    holds every head's N_R x (new rows) scores at once. It equals one
     `attention` over all memory rows up to rounding: the softmax is
     normalised after the weighted sum, not before it, and rescaled as the
     running maxima rise.
@@ -453,18 +451,22 @@ def accounting_report(bank: MemoryBank, buffer, config) -> AccountingReport:
     """Token and byte accounting for a processed stream.
 
     LLM-input length is W*T + 1 + p*min(K_c, T): the separator row is always
-    present, and at most T frames can be selected. The peak transient
-    scores are one head's read scores over the rows of one sub-clip,
-    N_R*W*min(F, T).
+    present, at most T frames can be selected (L >= K_c is validated), and
+    p is pool_tokens clamped to the buffer's P, as pooling clamps it. The
+    peak transient scores are every head's read scores over the rows of
+    one sub-clip, heads*N_R*W*min(F, T).
     """
     T = len(bank)
     W = bank.W
     d = bank.d
     memory_tokens = W * T
     buffer_tokens = buffer.token_count() if buffer is not None else 0
-    selected = config.pool_tokens * min(config.Kc, T)
-    llm_len = memory_tokens + 1 + selected
-    peak_scores = config.n_read * W * min(config.subclip_frames, T)
+    p = config.pool_tokens
+    if buffer:  # pooling clamps p to the P tokens of a buffered frame
+        p = min(p, buffer_tokens // len(buffer))
+    llm_len = memory_tokens + 1 + p * min(config.Kc, T)
+    peak_scores = (config.heads * config.n_read * W
+                   * min(config.subclip_frames, T))
     est = {
         "memory": memory_tokens * d * 4,
         "buffer": buffer_tokens * d * 4,

@@ -17,8 +17,6 @@ Artifacts written to the output directory:
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .assembly import assemble, save_llm_input
 from .config import RunConfig, format_config
 from .dfs import dfs_select, format_selection_report, uniform_select
@@ -114,8 +112,8 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
     Tracks, after every sub-clip, the bytes held by the bank (its live
     rows and the streaming read state, whose size does not depend on T)
     and by the buffer, plus two workspaces that do not grow with T:
-    - the read's: one head's N_R x W*min(F, T) scores over the rows of one
-      sub-clip;
+    - the read's: every head's N_R x W*min(F, T) scores over the rows of
+      one sub-clip;
     - the perceiver's, for a sub-clip of f frames with P+I keys each: four
       f x (P+I) x d arrays (the float64 frames, the keys with instruction
       rows, and their K and V projections) and three f x N_Q x 4d arrays
@@ -137,7 +135,8 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
     def on_subclip(clip, bank, buffer):
         nonlocal peak
         resident = bank.resident_bytes() + buffer.resident_bytes()
-        read_scores = config.n_read * bank.W * min(F, stream.T) * 8
+        read_scores = (config.heads * config.n_read * bank.W
+                       * min(F, stream.T) * 8)
         perceive = len(clip.frames) * config.d * 8 * (
             4 * n_keys + 3 * config.n_read * 4)
         peak = max(peak, resident + read_scores + perceive)

@@ -2,12 +2,13 @@
 and the finite-difference gradient checker.
 
 Every function works over the last axis, so a stack of matrices with any
-leading batch axes goes through one call. Each kernel has one forward,
-written on float64 ndarrays. Softmax, layer norm, GELU and concatenation
-are marked `differentiable(vjp)`, with their vector-Jacobian product next
-to the forward, so the autodiff tape runs this same forward when gradient
+leading batch axes goes through one call; heads are one more batch axis,
+laid out by `split_heads` and `merge_heads` alone. Each kernel has one
+forward, written on float64 ndarrays. Softmax, layer norm and GELU are
+marked `differentiable(vjp)`, with their vector-Jacobian product next to
+the forward, so the autodiff tape runs this same forward when gradient
 checks pass it tape values; attention is a composition of those kernels
-with matmul and slicing, and needs no VJP of its own.
+with matmul, reshape and swapaxes, and needs no VJP of its own.
 """
 
 from dataclasses import dataclass
@@ -144,24 +145,13 @@ def gelu(x):
     return out
 
 
-def _concat_vjp(g, out, args, i):
-    start = sum(a.shape[-1] for a in args[:i])
-    return g[..., start:start + args[i].shape[-1]]
-
-
-@differentiable(_concat_vjp)
-def concat_last(*parts):
-    """Concatenation along the last axis."""
-    return np.concatenate(parts, axis=-1)
-
-
 def attention(q, k, v, params: AttentionParams):
     """Multi-head scaled dot-product attention with learned projections.
 
     Shapes: q (..., n_q, d), k and v (..., n_kv, d); returns (..., n_q, d).
     Leading batch axes broadcast, so a 2-D q attends over every element of
-    a stacked k/v. Each batch element goes through the same per-head gemms
-    as a 2-D call, so the values are identical to one call per element.
+    a stacked k/v. Each batch element and head gets the gemms of a 2-D
+    one-head call, so the values equal one call per element.
     Raises on an empty key set: callers that attend over growing stores
     must guard the empty case themselves.
     """
@@ -171,10 +161,17 @@ def attention(q, k, v, params: AttentionParams):
     return attend(q @ params.w_q, k @ params.w_k, v @ params.w_v, params)
 
 
-def head_slices(params: AttentionParams) -> list:
-    """The column slice of each head in the projected rows, in head order."""
-    dh = params.dim_model // params.heads
-    return [slice(h * dh, (h + 1) * dh) for h in range(params.heads)]
+def split_heads(x, heads: int):
+    """View (..., n, d) rows as (..., heads, n, d/heads), heads in column
+    order."""
+    x = x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
+    return x.swapaxes(-2, -3)
+
+
+def merge_heads(x):
+    """The inverse of `split_heads`: (..., heads, n, dh) to (..., n, d)."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
 
 
 def head_scale(params: AttentionParams) -> float:
@@ -187,22 +184,20 @@ def attend(qp, kp, vp, params: AttentionParams):
     w_v: per-head softmax of the logits scaled by 1/sqrt(d/heads), the
     weighted values, and the output projection w_o.
 
-    Each head's (..., n_q, n_kv) score array is scaled and normalised in
-    its own storage; a tape value has no in-place multiply, so `*=`
-    rebinds it to the same product.
+    The (..., heads, n_q, n_kv) scores of all heads are scaled and
+    normalised in their own storage; a tape value has no in-place multiply,
+    so `*=` rebinds it to the same product.
     """
     if kp.shape[-2] != vp.shape[-2]:
         raise ValueError("k and v must have the same row count")
     if kp.shape[-2] == 0:
         raise ValueError("attention over an empty key set")
     params.validate_finite()
-    scale = head_scale(params)
-    heads_out = []
-    for sl in head_slices(params):
-        scores = qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)
-        scores *= scale
-        heads_out.append(_softmax_inplace(scores) @ vp[..., sl])
-    return concat_last(*heads_out) @ params.w_o
+    h = params.heads
+    scores = split_heads(qp, h) @ split_heads(kp, h).swapaxes(-1, -2)
+    scores *= head_scale(params)
+    weighted = _softmax_inplace(scores) @ split_heads(vp, h)
+    return merge_heads(weighted) @ params.w_o
 
 
 def grad_check(f, theta: np.ndarray, h: float = 1e-5,

@@ -206,3 +206,11 @@ class TestConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("seed=-1\n")
+
+    def test_L_below_Kc_rejected(self):
+        """Fewer candidates than centers would select fewer than
+        min(Kc, T) frames, so the accounting could not count them."""
+        with pytest.raises(ConfigError):
+            parse_config("dfs.L=4\ndfs.Kc=8\n")
+        config = parse_config("dfs.L=8\ndfs.Kc=8\n")
+        assert config.L == config.Kc == 8

@@ -221,6 +221,13 @@ class TestExitCodes:
                      "--config", str(cfg),
                      "--out-dir", str(tmp_path / "o")]) == 3
 
+    def test_L_below_Kc_is_3(self, tmp_path, stream_path):
+        cfg = tmp_path / "few.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("dfs.L=8", "dfs.L=1"))
+        assert main(["process", "--stream", stream_path, "--instruction", "x",
+                     "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "o")]) == 3
+
     def test_numeric_error_is_4(self, tmp_path, config_path):
         bad = tmp_path / "nan.rwfs"
         payload = np.full(4 * 8, np.nan, dtype="<f4").tobytes()
@@ -241,6 +248,28 @@ def processed(tmp_path, config_path, stream_path):
     assert main(["process", "--stream", stream_path, "--instruction", "x",
                  "--config", config_path, "--out-dir", str(out_dir)]) == 0
     return out_dir
+
+
+class TestAccountingMatchesArtifacts:
+    @pytest.mark.parametrize("pool_tokens", [2, 4, 64])  # P is 4
+    def test_llm_input_length_is_the_written_row_count(
+            self, tmp_path, stream_path, pool_tokens, capsys):
+        """accounting.txt, `streammem report` and the RWLI file agree on the
+        LLM-input length, also where dfs.pool_tokens exceeds P and pooling
+        clamps it to P."""
+        cfg = tmp_path / "pool.cfg"
+        cfg.write_text(CONFIG_TEXT.replace(
+            "dfs.pool_tokens=2", f"dfs.pool_tokens={pool_tokens}"))
+        out_dir = tmp_path / "run"
+        assert main(["process", "--stream", stream_path, "--instruction", "x",
+                     "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        rows = load_llm_input(str(out_dir / "llm_input.rwli")).total_rows
+        assert rows == 2 * 10 + 1 + min(pool_tokens, 4) * 2
+        written = (out_dir / "accounting.txt").read_text()
+        assert f"llm_input_length={rows}\n" in written
+        capsys.readouterr()
+        assert main(["report", "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().out == written
 
 
 class TestMalformedArtifactExitCodes:

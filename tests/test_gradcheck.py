@@ -7,8 +7,9 @@ import pytest
 
 from streammem import autodiff, perceiver, tensor
 from streammem.autodiff import Var
-from streammem.tensor import (_softmax_inplace, attention, concat_last, gelu,
-                              layer_norm, make_attention_params, softmax_rows)
+from streammem.tensor import (_softmax_inplace, attention, gelu, layer_norm,
+                              make_attention_params, merge_heads,
+                              softmax_rows, split_heads)
 from streammem.verify import (_grad_error, attention_grad_error,
                               ffn_grad_error, layer_norm_grad_error,
                               perceiver_layer_grad_error)
@@ -56,8 +57,10 @@ VAR_OPS = {
     "batched_matmul_both": (lambda a, b: a @ b, [(3, 2, 4), (3, 4, 5)]),
     "swapaxes": (lambda x, w: x.swapaxes(0, 1) @ w, [(2, 3, 4), (4, 2)]),
     "last_axis_slice": (lambda x: x[..., 1:3] * x[..., 2:4], [(2, 3, 5)]),
-    "concat_last": (lambda x, y: concat_last(y, x[..., :2], y),
-                    [(2, 3, 4), (2, 3, 1)]),
+    # rows cut into 3 heads, each head's rows mixed by a per-head weight
+    "split_heads": (lambda x, w: split_heads(x, 3) @ w,
+                    [(2, 4, 6), (3, 2, 2)]),
+    "merge_heads": (lambda x, w: merge_heads(x) @ w, [(2, 3, 4, 2), (6, 5)]),
     "softmax_last": (lambda x: softmax_rows(x), [(2, 3, 4)]),
     "layer_norm_last": (lambda x, g, b: layer_norm(x, g, b),
                         [(2, 3, 4), (4,), (4,)]),
@@ -128,10 +131,10 @@ def test_float32_operands_promote_exactly():
 
 def test_no_mirrored_forward_is_left():
     gone = {"_any_var", "_float64", "_concat_last", "_add_into",
-            "softmax_rows_v", "layer_norm_v", "gelu_v"}
+            "softmax_rows_v", "layer_norm_v", "gelu_v", "head_slices",
+            "concat_last", "_concat_vjp"}
     for module in (autodiff, perceiver, tensor):
         assert not gone & set(vars(module))
-    assert not hasattr(autodiff, "concat_last")
 
 
 @pytest.mark.parametrize("module", ["tensor.py", "perceiver.py"])

@@ -570,7 +570,7 @@ class TestReadScoreCache:
         assert beyond[512] == beyond[2048] == (4 * 16 + 2 * 4 * (2 + 8)) * 8
 
     def test_stage1_peak_counts_the_read_workspace(self):
-        """The modelled peak holds one head's N_R x W*min(F, T) read scores
+        """The modelled peak holds every head's N_R x W*min(F, T) read scores
         and the perceiver's workspace on top of the bank's rows and read
         state and the float64 buffer."""
         config = RunConfig(d=16, heads=2, layers=1, n_read=4, n_write=2,
@@ -583,7 +583,7 @@ class TestReadScoreCache:
         for start in range(0, T, F):
             n = min(start + F, T)
             resident = n * (W * d * 8 + 2 * 8) + state + n * P * d * 8
-            read_scores = 4 * W * F * 8
+            read_scores = 2 * 4 * W * F * 8  # heads x N_R x W*F
             perceive = (n - start) * d * 8 * (4 * n_keys + 3 * 4 * 4)
             peak = max(peak, resident + read_scores + perceive)
         assert stage1_peak_resident_bytes(config, stream, "probe") == peak
@@ -817,7 +817,8 @@ class TestAccounting:
         report = accounting_report(bank, None, config)
         assert report.memory_token_count == 1096
         assert report.llm_input_length == 1353
-        assert report.peak_transient_scores == 32 * 2 * 16  # N_R*W*F
+        # heads*N_R*W*F
+        assert report.peak_transient_scores == 4 * 32 * 2 * 16
         assert "1184*" in report.note
         assert "1353" in report.note
         text = report.render_text()

@@ -197,11 +197,13 @@ class TestAttendInPlace:
         ((4, 8), (6, 40, 8)),  # shared queries over a batch, as in the read
         ((6, 4, 8), (6, 9, 8)),  # batched queries and keys
         ((2, 3, 5, 8), (2, 3, 7, 8)),  # two batch axes
+        # the perceiver's cross-attention at the reference shape
+        ((32, 64), (16, 37, 64)),
     ])
-    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("heads", [1, 2, 4, 8])  # 8 at d=8: 1 column a head
     def test_matches_out_of_place(self, q_shape, kv_shape, heads):
         rng = np.random.default_rng(len(q_shape) * 10 + heads)
-        params = _params(heads, heads=heads)
+        params = _params(heads, d=q_shape[-1], heads=heads)
         qp = rng.standard_normal(q_shape) * 3.0
         kp = rng.standard_normal(kv_shape) * 3.0
         vp = rng.standard_normal(kv_shape)
