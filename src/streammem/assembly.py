@@ -26,8 +26,11 @@ class LLMInputSequence:
         return self.memory_rows + 1 + self.selected_rows
 
     def rows(self) -> np.ndarray:
+        """The three sections stacked into one (total_rows, d) array of
+        RWLI's float32 payload, each value cast once on the way in, so no
+        float64 copy of the rows is made."""
         return np.concatenate([self.memory_tokens, self.separator[None, :],
-                               self.selected_tokens], axis=0)
+                               self.selected_tokens], axis=0, dtype="<f4")
 
 
 def assemble(bank: MemoryBank, selection: SelectionResult,

@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 format error, 3 config error, 4 numeric error.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -40,7 +41,11 @@ def _load_config_arg(path) -> RunConfig:
     return load_config(path)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then once per process:
+    `main` may run many commands in one process, and parsing keeps no
+    state between calls, so every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="streammem",
         description="Streaming memory engine over per-frame token streams")
@@ -218,6 +223,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; a usage error exits 2
+    through argparse's SystemExit. The parser is built once per process
+    (`build_parser`), so a process that calls `main` for every query does
+    not rebuild it each time."""
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -13,9 +13,10 @@ import numpy as np
 from .memory import MemoryBank
 from .stream import InstructionEncoding
 
-# 8 rows keep sq_dist_matrix's (block, n, d) difference temporary within L2
-# (1 MB at n=256, d=64)
-_DIST_BLOCK = 8
+# float64s in sq_dist_matrix's difference scratch (512 kB): a block takes
+# as many rows as fit, 4 at n=256, d=64 and 16 at n=64. Measured in the
+# requery loop, 8 rows of 256 (1 MB) made the process fault more pages.
+_DIST_SCRATCH = 65536
 
 
 @dataclass
@@ -91,17 +92,23 @@ def sq_dist_matrix(z: np.ndarray) -> np.ndarray:
 
     The difference form (rather than the Gram-matrix trick) keeps results
     accurate enough to compare against loop oracles at 1e-12. Rows go in
-    blocks, so the difference temporary is at most (_DIST_BLOCK, n, d),
-    not (n, n, d), and each block is computed against the columns from its
-    own first row on only: a - b is exactly -(b - a), so the entries below
-    the diagonal are the transposed blocks, and each entry is the same sum
-    as one full (n, n, d) difference gives.
+    blocks, and each block is computed against the columns from its own
+    first row on only: a - b is exactly -(b - a), so the entries below the
+    diagonal are the transposed blocks, and each entry is the same sum as
+    one full (n, n, d) difference gives. Every block subtracts into the
+    leading, C-contiguous part of one (rows, n, d) scratch allocated per
+    call, so the differences lie in memory as a fresh block would and a
+    call allocates no difference temporary per block. `z` is only read.
     """
-    n = z.shape[0]
+    n, d = z.shape
+    rows = max(min(_DIST_SCRATCH // max(n * d, 1), n), 1)
     out = np.empty((n, n))
-    for start in range(0, n, _DIST_BLOCK):
-        stop = start + _DIST_BLOCK
-        diff = z[start:stop, None, :] - z[None, start:, :]
+    scratch = np.empty(rows * n * d)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        shape = (stop - start, n - start, d)
+        diff = scratch[:math.prod(shape)].reshape(shape)
+        np.subtract(z[start:stop, None, :], z[None, start:, :], out=diff)
         block = np.einsum("ijk,ijk->ij", diff, diff)
         out[start:stop, start:] = block
         out[start:, start:stop] = block.T
@@ -215,20 +222,20 @@ def uniform_select(bank: MemoryBank, buffer, K_c: int,
 
 def format_selection_report(result: SelectionResult) -> str:
     """Machine-readable report: one candidate per line, fields in the order
-    frame_index relevance sigma rho weighted chosen."""
+    frame_index relevance sigma rho weighted chosen. Scores are formatted
+    from Python floats (`tolist`), which print as the float64 values do,
+    through one %-format per line."""
     lines = [
         f"# selection strategy={result.strategy}",
         "# centers: " + " ".join(str(c) for c in result.centers),
         "# fields: frame_index relevance sigma rho weighted chosen",
     ]
-    chosen = set(result.diagnostics.centers)
-    cand = result.candidates
-    for i, frame in enumerate(cand.frames):
-        sigma = result.diagnostics.sigma[i]
-        rho = result.diagnostics.rho[i]
-        weighted = result.diagnostics.weighted[i]
-        lines.append(f"{frame} {cand.relevance[i]:.17g} {sigma:.17g} "
-                     f"{rho:.17g} {weighted:.17g} {int(frame in chosen)}")
+    diag, cand = result.diagnostics, result.candidates
+    chosen = set(diag.centers)
+    lines += ["%d %.17g %.17g %.17g %.17g %d" % (*row, row[0] in chosen)
+              for row in zip(cand.frames, cand.relevance.tolist(),
+                             diag.sigma.tolist(), diag.rho.tolist(),
+                             diag.weighted.tolist(), strict=True)]
     return "\n".join(lines) + "\n"
 
 

@@ -410,10 +410,13 @@ def bank_bytes(bank: MemoryBank) -> bytes:
 
 
 def load_bank(path) -> MemoryBank:
+    """The bank an RWMB file holds, in a bank of exactly its `count` rows.
+    A non-finite token raises NonFiniteDataError (exit 4) in the codec's
+    decode, before `append` sees the rows."""
     header, records = RWMB.load(path)
     if min(header) < 1:
         raise MalformedArtifactError(f"RWMB bank {tuple(header)} is empty")
-    bank = MemoryBank(W=header.W, d=header.d)
+    bank = MemoryBank(W=header.W, d=header.d, capacity=header.count)
     try:
         append(bank, records["frame"], records["subclip"], records["tokens"])
     except ValueError as exc:

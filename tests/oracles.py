@@ -255,6 +255,34 @@ def sq_dist_matrix_unblocked(z):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def llm_input_rows_float64(seq):
+    """The three sections of an LLM input stacked in float64, before any
+    cast to the RWLI payload."""
+    import numpy as np
+
+    return np.concatenate([seq.memory_tokens, seq.separator[None, :],
+                           seq.selected_tokens], axis=0)
+
+
+def format_selection_report_indexed(result):
+    """The selection report with each score read as a numpy scalar, one
+    index at a time, and formatted through an f-string."""
+    lines = [
+        f"# selection strategy={result.strategy}",
+        "# centers: " + " ".join(str(c) for c in result.centers),
+        "# fields: frame_index relevance sigma rho weighted chosen",
+    ]
+    chosen = set(result.diagnostics.centers)
+    cand = result.candidates
+    for i, frame in enumerate(cand.frames):
+        sigma = result.diagnostics.sigma[i]
+        rho = result.diagnostics.rho[i]
+        weighted = result.diagnostics.weighted[i]
+        lines.append(f"{frame} {cand.relevance[i]:.17g} {sigma:.17g} "
+                     f"{rho:.17g} {weighted:.17g} {int(frame in chosen)}")
+    return "\n".join(lines) + "\n"
+
+
 def pool_tokens_loop(raw, p):
     """Mean-pool rows into p contiguous groups, larger groups first, one
     mean per group."""

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from streammem.assembly import (LLMInputSequence, assemble, load_llm_input,
-                                save_llm_input)
+from streammem.assembly import (RWLI, LLMInputSequence, assemble,
+                                load_llm_input, save_llm_input)
 from streammem.config import (RunConfig, format_config, load_config,
                               parse_config)
 from streammem.dfs import CandidateSet, ClusterDiagnostics, SelectionResult
@@ -10,6 +10,8 @@ from streammem.errors import (BadMagicError, BadVersionError, ConfigError,
                               MalformedArtifactError, NonFiniteDataError,
                               TruncatedPayloadError)
 from streammem.memory import MemoryBank, append
+
+from oracles import llm_input_rows_float64
 
 
 def _bank(seed, T=4, W=2, d=3):
@@ -50,10 +52,12 @@ class TestAssemble:
         tau = rng.standard_normal(3)
         seq = assemble(bank, _selection([1, 3], [pooled_a, pooled_b]), tau)
         rows = seq.rows()
-        assert np.array_equal(rows[:8], bank.all_tokens())
-        assert np.array_equal(rows[8], tau)
-        assert np.array_equal(rows[9:11], pooled_a)
-        assert np.array_equal(rows[11:13], pooled_b)
+        assert rows.dtype == np.dtype("<f4")
+        f32 = np.float32
+        assert np.array_equal(rows[:8], bank.all_tokens().astype(f32))
+        assert np.array_equal(rows[8], tau.astype(f32))
+        assert np.array_equal(rows[9:11], pooled_a.astype(f32))
+        assert np.array_equal(rows[11:13], pooled_b.astype(f32))
 
     def test_centers_resorted_ascending(self):
         bank = _bank(2)
@@ -93,6 +97,26 @@ class TestLLMInputFile:
         save_llm_input(loaded, tmp_path / "b.rwli")
         assert (tmp_path / "a.rwli").read_bytes() == \
             (tmp_path / "b.rwli").read_bytes()
+
+    @pytest.mark.parametrize("selected", [0, 1, 3])
+    def test_one_pass_write_matches_float64_rows(self, tmp_path, selected):
+        """The payload cast straight to float32 is the float64 rows cast
+        afterwards, byte for byte, also for values float32 rounds, flushes
+        to subnormals or to zero, and with no selected rows."""
+        rng = np.random.default_rng(40 + selected)
+        bank = _bank(40 + selected, T=5)
+        pooled = [rng.standard_normal((2, 3)) * 10.0 ** rng.integers(
+            -50, 37, size=(2, 3)) for _ in range(selected)]
+        seq = assemble(bank, _selection(range(selected), pooled),
+                       np.array([1e-46, -3e-39, 1.0 + 2.0 ** -30]))
+        save_llm_input(seq, tmp_path / "one_pass.rwli")
+        RWLI.save(tmp_path / "two_pass.rwli",
+                  llm_input_rows_float64(seq).astype("<f4"),
+                  total=seq.total_rows, d=seq.separator.shape[0],
+                  memory_rows=seq.memory_rows,
+                  selected_rows=seq.selected_rows)
+        assert (tmp_path / "one_pass.rwli").read_bytes() == \
+            (tmp_path / "two_pass.rwli").read_bytes()
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.rwli").write_bytes(b"XXXX" + b"\x00" * 20)

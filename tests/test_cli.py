@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from streammem.assembly import load_llm_input
-from streammem.cli import main
+from streammem.cli import build_parser, main
 from streammem.dfs import parse_selection_centers
 from streammem.stream import load_stream
 
@@ -242,6 +242,68 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "o")]) == 1
 
 
+class TestCachedParser:
+    """`main` reuses one parser per process; a run of different commands
+    through it gives what a fresh parser per call gives."""
+
+    def _calls(self, processed, config_path, tmp_path):
+        bank = str(processed / "memory.rwmb")
+        instr = tmp_path / "instr.txt"
+        instr.write_text("who closes the window", encoding="utf-8")
+        select = ["select", "--bank", bank, "--buffer-manifest",
+                  str(processed / "buffer.manifest"), "--config", config_path]
+        out = str(tmp_path / "sel.txt")
+        return [
+            select + ["--instruction", "x", "--strategy", "uniform",
+                      "--out", out],
+            select + ["--instruction-file", str(instr), "--strategy", "dfs",
+                      "--out", out],
+            select + ["--instruction", "x", "--instruction-file",
+                      str(instr), "--out", out],  # usage error
+            select + ["--instruction", "what happens at the end",
+                      "--out", out],  # default strategy
+            ["assemble", "--bank", bank, "--selection", out,
+             "--config", config_path],  # usage error: no --out
+            ["assemble", "--bank", bank, "--selection", out,
+             "--config", config_path, "--out", str(tmp_path / "seq.rwli")],
+            ["report", "--out-dir", str(processed)],
+        ]
+
+    def _run(self, calls, tmp_path, capsys, fresh):
+        build_parser.cache_clear()
+        results = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            printed = capsys.readouterr()
+            files = {p.name: p.read_bytes()
+                     for p in sorted(tmp_path.glob("se*"))}
+            results.append((code, printed.out, printed.err, files))
+        return results
+
+    def test_same_as_a_fresh_parser_per_call(self, processed, config_path,
+                                             tmp_path, capsys):
+        calls = self._calls(processed, config_path, tmp_path)
+        fresh = self._run(calls, tmp_path, capsys, fresh=True)
+        for path in tmp_path.glob("se*"):
+            path.unlink()
+        cached = self._run(calls, tmp_path, capsys, fresh=False)
+        assert build_parser.cache_info().misses == 1
+        assert cached == fresh
+        assert [code for code, *_ in cached] == [0, 0, 2, 0, 2, 0, 0]
+        # each select reports its own strategy and instruction
+        reports = [files["sel.txt"] for _, _, _, files in cached]
+        assert reports[0].startswith(b"# selection strategy=uniform\n")
+        assert reports[1].startswith(b"# selection strategy=dfs\n")
+        assert reports[3].startswith(b"# selection strategy=dfs\n")
+        assert reports[1] != reports[3]
+        assert "not allowed with argument" in cached[2][2]
+
+
 @pytest.fixture
 def processed(tmp_path, config_path, stream_path):
     out_dir = tmp_path / "run"
@@ -353,6 +415,32 @@ class TestMalformedArtifactExitCodes:
         assert not (processed / "sel.txt").exists()
         assert main(["report", "--out-dir", str(processed)]) == 2
         assert capsys.readouterr().err.count("error:") == 2
+
+
+@pytest.mark.parametrize("command", ["select", "assemble", "report"])
+def test_non_finite_bank_is_4(processed, config_path, capsys, command):
+    """A NaN token in memory.rwmb fails the codec's finiteness check:
+    exit 4 for every command that loads the bank, with no output."""
+    path = processed / "memory.rwmb"
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    bank = str(path)
+    out = processed / "again.out"
+    argv = {
+        "select": ["select", "--bank", bank, "--buffer-manifest",
+                   str(processed / "buffer.manifest"), "--instruction", "x",
+                   "--config", config_path, "--out", str(out)],
+        "assemble": ["assemble", "--bank", bank, "--selection",
+                     str(processed / "selection.txt"), "--config",
+                     config_path, "--out", str(out)],
+        "report": ["report", "--out-dir", str(processed)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 4
+    printed = capsys.readouterr()
+    assert "not finite" in printed.err and printed.out == ""
+    assert not out.exists()
 
 
 class TestSpillGuards:

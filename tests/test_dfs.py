@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from streammem.dfs import (dfs_select, distance_index, dpc_knn_select,
-                           format_selection_report, frame_relevance,
-                           local_density, parse_selection_centers,
-                           pool_tokens, select_top_L, sq_dist_matrix,
-                           uniform_select)
+from streammem.dfs import (_DIST_SCRATCH, CandidateSet, ClusterDiagnostics,
+                           SelectionResult, dfs_select, distance_index,
+                           dpc_knn_select, format_selection_report,
+                           frame_relevance, local_density,
+                           parse_selection_centers, pool_tokens,
+                           select_top_L, sq_dist_matrix, uniform_select)
 from streammem.memory import FeatureBuffer, MemoryBank, append
 from streammem.stream import InstructionEncoding
 from streammem.verify import dpc_bruteforce, random_cluster_instance
 
 from oracles import (distance_index_loop, dpc_rank_loop,
+                     format_selection_report_indexed,
                      frame_relevance_loop, local_density_loop,
                      pool_tokens_loop, select_top_L_loop,
                      sq_dist_matrix_unblocked)
@@ -127,6 +129,23 @@ class TestStage2MatchesEntryLoop:
     def test_blocked_distances(self, n, d):
         z = np.random.default_rng(n).standard_normal((n, d))
         assert np.array_equal(sq_dist_matrix(z), sq_dist_matrix_unblocked(z))
+
+    @pytest.mark.parametrize("n,d", [
+        (0, 64), (1, 64), (2, 64), (3, 64), (255, 64), (256, 64), (257, 64),
+        (15, 4096), (16, 4096), (17, 4096),  # blocks of 1, 1 and 0 -> 1 row
+        (257, 256), (256, 1), (257, 1)])
+    def test_scratch_distances(self, n, d):
+        """Blocks of as many rows as the scratch holds (4, 4 and 3 rows at
+        d=64 for n=255..257, so the last block is short or full; one row
+        when a single row overfills it; one block for d=1) give the
+        unblocked sums bit for bit. The input is only read, so a read-only
+        array works and keeps its bytes."""
+        assert _DIST_SCRATCH // (257 * 64) == 3
+        z = np.random.default_rng(1000 + n + d).standard_normal((n, d))
+        before = z.copy()
+        z.flags.writeable = False
+        assert np.array_equal(sq_dist_matrix(z), sq_dist_matrix_unblocked(z))
+        assert np.array_equal(z, before)
 
 
 class TestDensityAndDistance:
@@ -369,6 +388,46 @@ class TestSelectionReport:
             fields = line.split()
             assert len(fields) == 6
             assert fields[5] in ("0", "1")
+
+    @staticmethod
+    def _result(relevance, sigma, rho, weighted, strategy="dfs"):
+        n = len(relevance)
+        frames = [3 * i + 1 for i in range(n)][::-1]
+        diag = ClusterDiagnostics(sigma=np.array(sigma), rho=np.array(rho),
+                                  weighted=np.array(weighted),
+                                  centers=frames[:2])
+        cand = CandidateSet(frames=frames, vectors=np.zeros((n, 2)),
+                            relevance=np.array(relevance), L=n)
+        return SelectionResult(centers=sorted(frames[:2]), pooled=[],
+                               diagnostics=diag, candidates=cand,
+                               strategy=strategy)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 0.0, -0.0],
+        [5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310],
+        [1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308],
+        [1.0, -3.0, 2.0 ** 53, 1e16],
+        [0.1, 1 / 3, -2.5e-7, 123456.789],
+    ], ids=["signed_zero", "subnormal", "huge", "integer_valued", "mixed"])
+    def test_format_matches_indexed_oracle(self, values):
+        """Each field in each position: the values, rotated one field per
+        column, so every value lands in relevance, sigma, rho and weighted."""
+        cols = [values[k:] + values[:k] for k in range(4)]
+        result = self._result(*cols)
+        assert format_selection_report(result) == \
+            format_selection_report_indexed(result)
+
+    def test_format_matches_indexed_oracle_on_selections(self):
+        bank, buffer = _populated(15, T=16)
+        instr = _instruction(4, np.random.default_rng(15))
+        for result in (dfs_select(bank, buffer, instr, 16, 3, 4, 2),
+                       uniform_select(bank, buffer, K_c=4, p=2)):
+            assert format_selection_report(result) == \
+                format_selection_report_indexed(result)
+        # the uniform baseline reports all-zero diagnostics
+        assert all(line.split()[1:5] == ["0"] * 4
+                   for line in format_selection_report(result)
+                   .splitlines()[3:])
 
     def test_missing_centers_line_rejected(self):
         with pytest.raises(ValueError):

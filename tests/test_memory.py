@@ -391,7 +391,13 @@ class TestFeatureBuffer:
     @pytest.mark.parametrize("text", ["{not json", "[]", "{}",
                                       '{"frames": [[0]]}',
                                       '{"frames": [["a", 0]]}',
-                                      '{"frames": [[0, -20]]}'])
+                                      '{"frames": [[0, -20]]}',
+                                      '{"frames": [[0, 0, 0]]}',
+                                      '{"frames": [[[0, 0]], [[1, 40]]]}',
+                                      '{"frames": [[0, 0], [0, 40]]}',
+                                      '{"frames": [[0, null]]}',
+                                      '{"frames": {"0": 0}}',
+                                      '{"frames": 7}'])
     def test_malformed_manifest_rejected(self, tmp_path, text):
         data, manifest = self._spilled(tmp_path)
         manifest.write_text(text)
@@ -443,6 +449,21 @@ class TestFeatureBuffer:
         manifest.write_text('{"frames": [[0, %s]]}' % offset)
         with pytest.raises(MalformedArtifactError):
             DiskFeatureBuffer(data, manifest)
+
+    def test_manifest_order_and_empty_manifest(self, tmp_path):
+        """Frames may be listed in any order; an empty list is no frames."""
+        data, manifest = self._spilled(tmp_path)
+        record = 20 + 2 * 4 * 4
+        manifest.write_text('{"frames": [[2, %d], [0, 0], [1, %d]]}'
+                            % (2 * record, record))
+        disk = DiskFeatureBuffer(data, manifest)
+        assert disk.frame_indices() == [0, 1, 2] and len(disk) == 3
+        for t in range(3):
+            assert np.array_equal(disk.get(t), np.full((2, 4), float(t)))
+        manifest.write_text('{"frames": []}')
+        disk = DiskFeatureBuffer(data, manifest)
+        assert (disk.frame_indices(), len(disk), disk.token_count()) == \
+            ([], 0, 0)
 
     def test_short_record_body_is_truncated(self, tmp_path):
         data, manifest = self._spilled(tmp_path)
