@@ -223,11 +223,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code; a usage error exits 2
-    through argparse's SystemExit. The parser is built once per process
-    (`build_parser`), so a process that calls `main` for every query does
-    not rebuild it each time."""
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code: argparse's 2 for a usage
+    error and 0 for `--help`, which argparse raises as SystemExit and
+    `main` returns, so an in-process caller gets a code for every outcome.
+    The parser is built once per process (`build_parser`), so a process
+    that calls `main` for every query does not rebuild it each time."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
     except EngineError as exc:

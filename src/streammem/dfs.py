@@ -54,13 +54,28 @@ def frame_relevance(bank: MemoryBank,
 
     The stacked (T, W, d) @ (d,) product runs one gemv per frame, as a
     per-frame loop would; one flattened (T*W, d) gemv rounds differently.
+    The max over the W columns is W - 1 elementwise `np.maximum` calls,
+    not a reduce over the short axis, which runs numpy's inner loop once
+    per frame. Both give the same maximum value; they can differ only in
+    how they write it: the sign of a zero maximum and the bits of a NaN
+    one (numpy's reduce writes +NaN for a row that starts with a NaN).
+    Rows whose maximum is a zero or a NaN, which takes an exactly zero or
+    an overflowing dot product, are taken from the reduce, so every byte
+    is the reduce's.
     """
     if len(bank) == 0:
         raise ValueError("cannot score an empty memory bank")
     if instruction_mean.shape != (bank.d,):
         raise ValueError("instruction mean must have length d")
     scale = 1.0 / math.sqrt(bank.d)
-    return (bank.tokens @ instruction_mean).max(axis=1) * scale
+    dots = bank.tokens @ instruction_mean
+    best = dots[:, 0]
+    for w in range(1, bank.W):
+        best = np.maximum(best, dots[:, w])
+    zero_or_nan = (best == 0) | np.isnan(best)
+    if zero_or_nan.any():
+        best[zero_or_nan] = dots[zero_or_nan].max(axis=1)
+    return best * scale
 
 
 def _candidate_vectors(tokens: np.ndarray, z_repr: str) -> np.ndarray:
@@ -75,12 +90,26 @@ def _candidate_vectors(tokens: np.ndarray, z_repr: str) -> np.ndarray:
 def select_top_L(relevance: np.ndarray, L: int, bank: MemoryBank,
                  z_repr: str = "mean") -> CandidateSet:
     """The min(L, T) highest-relevance frames; ties toward smaller frame
-    index. `relevance` is frame_relevance of this bank."""
+    index, NaN relevance last. `relevance` is frame_relevance of this bank.
+
+    The order is the full sort by (-relevance, frame), found without
+    sorting the whole bank: a partition finds the L-th smallest key, and
+    only the frames whose key is at or below it, L plus the ties at the
+    L-th key, are sorted. Every other frame sorts after all of them, so
+    the first L of the full order are the first L of theirs. A NaN L-th
+    key has no frames above it to leave out, so every frame is sorted.
+    """
     if L < 1:
         raise ValueError("L must be at least 1")
     if relevance.shape != (len(bank),):
         raise ValueError("relevance must hold one score per bank frame")
-    chosen = np.lexsort((bank.frames, -relevance))[:L]
+    key = -relevance
+    keep = np.arange(len(key))
+    if L < len(key):
+        kth = np.partition(key, L - 1)[L - 1]
+        if not np.isnan(kth):
+            keep = np.flatnonzero(key <= kth)
+    chosen = keep[np.lexsort((bank.frames[keep], key[keep]))[:L]]
     return CandidateSet(frames=bank.frames[chosen].tolist(),
                         vectors=_candidate_vectors(bank.tokens[chosen],
                                                    z_repr),
@@ -167,22 +196,32 @@ def dpc_knn_select(candidates: CandidateSet, K: int,
 
 def pool_tokens(raw: np.ndarray, p: int) -> np.ndarray:
     """Mean-pool token rows into p contiguous groups of near-equal size;
-    larger groups come first.
+    larger groups come first. `raw` is one frame's (P, d) rows or a
+    (k, P, d) stack of frames, pooled to (p, d) or (k, p, d).
 
     The first `rem` groups hold base + 1 rows and the rest base rows, so
-    each run of equal groups is one reshaped mean. Reducing the middle
-    axis adds each group's rows in order, as one mean per group would, so
-    the values are the same bit for bit.
+    each run of equal groups is one reshaped mean over every frame at
+    once. Reducing the group's row axis adds each group's rows in order,
+    as one mean per group and frame would, so the values are the same bit
+    for bit.
     """
-    P, d = raw.shape
+    *lead, P, d = raw.shape
     if not (1 <= p <= P):
         raise ValueError(f"pool size {p} out of range [1, {P}]")
     base, rem = divmod(P, p)
     split = rem * (base + 1)
-    out = np.empty((p, d))
-    out[:rem] = raw[:split].reshape(rem, base + 1, d).mean(axis=1)
-    out[rem:] = raw[split:].reshape(p - rem, base, d).mean(axis=1)
+    out = np.empty((*lead, p, d))
+    out[..., :rem, :] = raw[..., :split, :].reshape(
+        *lead, rem, base + 1, d).mean(axis=-2)
+    out[..., rem:, :] = raw[..., split:, :].reshape(
+        *lead, p - rem, base, d).mean(axis=-2)
     return out
+
+
+def _pool_frames(buffer, frames, p: int) -> list:
+    """The buffered rows of `frames`, stacked and pooled in one call; one
+    (p, d) matrix per frame."""
+    return list(pool_tokens(np.stack([buffer.get(f) for f in frames]), p))
 
 
 def dfs_select(bank: MemoryBank, buffer, instruction: InstructionEncoding,
@@ -190,13 +229,17 @@ def dfs_select(bank: MemoryBank, buffer, instruction: InstructionEncoding,
                z_repr: str = "mean") -> SelectionResult:
     """Full Stage-2 selection: relevance -> top-L -> clustering -> pooling.
 
-    Centers are reported in ascending frame order.
+    Each step reads the memory once: one stacked gemv and W - 1
+    elementwise maxima score every frame, a partition keeps the top L
+    before anything is sorted, and the centers' buffered rows are pooled
+    in one call. Every step gives the bytes of its per-frame form, so the
+    selection does too. Centers are reported in ascending frame order.
     """
     scores = frame_relevance(bank, instruction.mean)
     candidates = select_top_L(scores, L, bank, z_repr)
     diagnostics = dpc_knn_select(candidates, K, K_c)
     centers = sorted(diagnostics.centers)
-    pooled = [pool_tokens(buffer.get(f), p) for f in centers]
+    pooled = _pool_frames(buffer, centers, p)
     return SelectionResult(centers=centers, pooled=pooled,
                            diagnostics=diagnostics, candidates=candidates)
 
@@ -207,7 +250,7 @@ def uniform_select(bank: MemoryBank, buffer, K_c: int,
     frames = bank.frame_indices()
     T = len(frames)
     positions = sorted({frames[(i * T) // K_c] for i in range(K_c)})
-    pooled = [pool_tokens(buffer.get(f), p) for f in positions]
+    pooled = _pool_frames(buffer, positions, p)
     n = len(positions)
     diagnostics = ClusterDiagnostics(sigma=np.zeros(n), rho=np.zeros(n),
                                      weighted=np.zeros(n),

@@ -246,6 +246,20 @@ def select_top_L_loop(bank, instruction_mean, L, z_repr):
             np.array([relevance[i] for i in order]))
 
 
+def select_top_L_full_sort(relevance, L, bank, z_repr):
+    """Top-L frames by one lexsort of the whole bank on (-relevance, frame),
+    NaN last; returns (frames, vectors, relevance) of the first L."""
+    import numpy as np
+
+    chosen = np.lexsort((bank.frames, -relevance))[:L]
+    tokens = bank.tokens[chosen]
+    if z_repr == "mean":
+        vectors = tokens.mean(axis=1)
+    else:
+        vectors = tokens.reshape(len(tokens), -1)
+    return bank.frames[chosen].tolist(), vectors, relevance[chosen]
+
+
 def sq_dist_matrix_unblocked(z):
     """The difference-form distance matrix through one (n, n, d)
     temporary."""

@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import streammem
 from streammem.assembly import load_llm_input
 from streammem.cli import build_parser, main
 from streammem.dfs import parse_selection_centers
@@ -302,6 +307,33 @@ class TestCachedParser:
         assert reports[3].startswith(b"# selection strategy=dfs\n")
         assert reports[1] != reports[3]
         assert "not allowed with argument" in cached[2][2]
+
+
+class TestUsageExitCodes:
+    """`main` returns argparse's codes instead of raising SystemExit: 2 for
+    a usage error and 0 for --help; the module's process exits with them."""
+
+    def test_usage_error_returns_2(self, capsys):
+        assert main(["select"]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("usage: streammem select")
+        assert "the following arguments are required" in printed.err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: streammem")
+
+    def test_module_exits_2_on_usage_error(self):
+        src = str(Path(streammem.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-m", "streammem.cli",
+                                 "select"], env=env, capture_output=True,
+                                text=True)
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage: streammem select")
 
 
 @pytest.fixture

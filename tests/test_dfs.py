@@ -1,8 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import streammem.dfs
 from streammem.dfs import (_DIST_SCRATCH, CandidateSet, ClusterDiagnostics,
                            SelectionResult, dfs_select, distance_index,
                            dpc_knn_select, format_selection_report,
@@ -16,13 +20,15 @@ from streammem.verify import dpc_bruteforce, random_cluster_instance
 from oracles import (distance_index_loop, dpc_rank_loop,
                      format_selection_report_indexed,
                      frame_relevance_loop, local_density_loop,
-                     pool_tokens_loop, select_top_L_loop,
-                     sq_dist_matrix_unblocked)
+                     pool_tokens_loop, select_top_L_full_sort,
+                     select_top_L_loop, sq_dist_matrix_unblocked)
 
 
-def _bank_from_tokens(token_list, d):
+def _bank_from_tokens(token_list, d, frames=None):
+    """A bank of the (W, d) token rows at `frames` (default 0..T-1)."""
     bank = MemoryBank(W=token_list[0].shape[0], d=d)
-    append(bank, range(len(token_list)), 0, np.stack(token_list))
+    append(bank, range(len(token_list)) if frames is None else frames, 0,
+           np.stack(token_list))
     return bank
 
 
@@ -96,6 +102,133 @@ class TestSelectTopL:
         scores = frame_relevance(_scored_bank([1.0, 2.0]), np.ones(4))
         with pytest.raises(ValueError):
             select_top_L(scores, 1, _scored_bank([1.0, 2.0, 3.0]))
+
+
+def _rows_covering(n, W, T, seed):
+    """(T, W) indices into n choices: every W-tuple once, then random."""
+    idx = np.random.default_rng(seed).integers(n, size=(T, W))
+    combos = np.array(list(itertools.product(range(n), repeat=W)))
+    idx[:len(combos)] = combos[:T]
+    return idx
+
+
+# d=16 token rows against the mean (2, -2, 2, -2, ...). The gemv sums from
+# +0.0, so both signed-zero rows dot to +0.0; the 1e308 rows overflow to
+# +inf or -inf, or give inf - inf = NaN inside one dot product.
+_EDGE_MEAN = np.tile([2.0, -2.0], 8)
+_EDGE_ROWS = np.array([np.tile(pair, 8) for pair in (
+    (0.0, 0.0), (-0.0, -0.0), (1e308, -1e308), (-1e308, 1e308),
+    (1e308, 1e308), (0.5, 0.25), (-1.0, 0.0))])
+
+
+class _PresetDots:
+    """Stands in for a bank's tokens: `tokens @ mean` gives preset (T, W)
+    dot products, and each row's `@` that row's, so the max over the W
+    columns meets dots a real gemv never returns, such as -0.0."""
+
+    def __init__(self, dots):
+        self.dots = dots
+
+    def __matmul__(self, mean):
+        return self.dots.copy()
+
+    def __iter__(self):
+        return (_PresetDots(row) for row in self.dots)
+
+
+class _PresetBank:
+    def __init__(self, dots, d=4):
+        self.tokens, self.frames = _PresetDots(dots), np.arange(len(dots))
+        self.W, self.d = dots.shape[1], d
+
+    def __len__(self):
+        return len(self.frames)
+
+
+class TestRelevanceBytes:
+    """frame_relevance writes the bytes of the per-frame reduce, signed
+    zeros and NaN bits included; `np.array_equal` would miss both."""
+
+    @pytest.mark.parametrize("W", [1, 2, 3])
+    @pytest.mark.parametrize("T", [1, 37, 4384])
+    def test_edge_dots_match_loop(self, W, T):
+        idx = _rows_covering(len(_EDGE_ROWS), W, T, seed=T + W)
+        bank = _bank_from_tokens(_EDGE_ROWS[idx], 16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = frame_relevance(bank, _EDGE_MEAN)
+            _, relevance = frame_relevance_loop(bank, _EDGE_MEAN)
+        assert scores.tobytes() == np.array(relevance).tobytes()
+        if T == 4384:  # every kind of maximum occurs
+            assert {np.isnan(scores).any(), np.isinf(scores).any(),
+                    (scores == 0).any()} == {True}
+
+    @pytest.mark.parametrize("W", [1, 2, 3, 9])
+    @pytest.mark.parametrize("T", [7, 4384])
+    def test_signed_zero_and_nan_dots_match_loop(self, W, T):
+        """Dots of +0.0 and -0.0 in both orders, with NaNs of either sign
+        (numpy's reduce writes a NaN first in its row as +NaN): at W=9
+        numpy's vectorised reduce picks its own zero sign too."""
+        values = np.array([0.0, -0.0, -1.0, np.nan, -np.nan])
+        n = len(values) if W < 9 else 3
+        dots = values[_rows_covering(n, W, T, seed=W)]
+        bank = _PresetBank(dots)
+        _, relevance = frame_relevance_loop(bank, np.ones(4))
+        assert frame_relevance(bank, np.ones(4)).tobytes() == \
+            np.array(relevance).tobytes()
+
+
+# relevance values with dense ties, both zeros, both infinities and NaNs
+# of both signs
+_TIED = [-1.5, -0.0, 0.0, 1.0, 2.5, np.inf, -np.inf, np.nan, -np.nan]
+
+
+class TestTopLMatchesFullSort:
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.sampled_from(_TIED), min_size=1, max_size=60),
+           gaps=st.lists(st.integers(1, 5), min_size=60, max_size=60),
+           z_repr=st.sampled_from(["mean", "concat"]))
+    def test_matches_full_sort(self, values, gaps, z_repr):
+        """Every L from 1 to past T that matters: 1, each tie boundary
+        (the L-th and L+1-th keys equal, NaN with NaN too), T - 1, T and
+        T + 5, on increasing frames with gaps."""
+        T, relevance = len(values), np.array(values)
+        frames = np.cumsum(gaps[:T])
+        rng = np.random.default_rng(T)
+        bank = _bank_from_tokens(rng.standard_normal((T, 2, 3)), 3, frames)
+        keys = -relevance[np.lexsort((frames, -relevance))]
+        ties = [L for L in range(1, T)
+                if keys[L - 1] == keys[L]
+                or np.isnan(keys[L - 1]) and np.isnan(keys[L])]
+        for L in {1, T - 1, T, T + 5, *ties} - {0}:
+            cand = select_top_L(relevance, L, bank, z_repr)
+            want = select_top_L_full_sort(relevance, L, bank, z_repr)
+            assert cand.frames == want[0]
+            assert cand.vectors.tobytes() == want[1].tobytes()
+            assert cand.relevance.tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize("levels", [400, None])
+    def test_sorts_only_the_top_L_and_its_ties(self, monkeypatch, levels):
+        """At T=4,384 and L=64 the sort sees at most L frames plus the ties
+        at the L-th key, never the whole bank: relevance drawn from 400
+        levels (about 11 frames per level) or continuous (no ties)."""
+        T, L = 4384, 64
+        rng = np.random.default_rng(64)
+        relevance = (rng.integers(levels, size=T).astype(float) if levels
+                     else rng.standard_normal(T))
+        bank = _bank_from_tokens(rng.standard_normal((T, 2, 4)), 4)
+        want = select_top_L_full_sort(relevance, L, bank, "mean")
+        sorted_sizes, lexsort = [], np.lexsort
+
+        def counting_lexsort(keys, *args, **kwargs):
+            sorted_sizes.append(len(keys[0]))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(streammem.dfs.np, "lexsort", counting_lexsort)
+        cand = select_top_L(relevance, L, bank)
+        kth = np.sort(-relevance)[L - 1]
+        assert sorted_sizes
+        assert max(sorted_sizes) <= L + np.count_nonzero(-relevance == kth)
+        assert cand.frames == want[0]
 
 
 class TestStage2MatchesEntryLoop:
@@ -287,12 +420,25 @@ class TestPoolTokens:
                 assert np.array_equal(pool_tokens(raw, p),
                                       pool_tokens_loop(raw, p)), (P, p)
 
+    @pytest.mark.parametrize("P,p", [(32, 5), (33, 4), (7, 3), (32, 1),
+                                     (32, 32), (1, 1)])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_stack_matches_one_frame_at_a_time(self, P, p, k):
+        """One call on a (k, P, d) stack pools each frame to the bytes a
+        call per frame gives."""
+        raw = np.random.default_rng(100 * P + p + k).standard_normal(
+            (k, P, 64))
+        pooled = pool_tokens(raw, p)
+        assert pooled.shape == (k, p, 64)
+        assert pooled.tobytes() == np.stack(
+            [pool_tokens_loop(frame, p) for frame in raw]).tobytes()
+
     def test_out_of_range_rejected(self):
-        raw = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            pool_tokens(raw, 4)
-        with pytest.raises(ValueError):
-            pool_tokens(raw, 0)
+        for raw in (np.zeros((3, 2)), np.zeros((4, 3, 2))):
+            with pytest.raises(ValueError):
+                pool_tokens(raw, 4)
+            with pytest.raises(ValueError):
+                pool_tokens(raw, 0)
 
 
 def _populated(seed, T=32, W=2, d=4, P=6):
@@ -332,6 +478,29 @@ class TestDfsSelectEndToEnd:
             raw = buffer.get(center)
             assert np.allclose(pooled[0], raw[:3].mean(axis=0), atol=1e-12)
             assert np.allclose(pooled[1], raw[3:].mean(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("strategy", ["dfs", "uniform"])
+    def test_one_pooling_call_per_selection(self, monkeypatch, strategy):
+        """The selected frames are pooled from one stack in one call, to
+        the bytes of one call per frame."""
+        bank, buffer = _populated(8)
+        calls, pool = [], pool_tokens
+
+        def counting_pool(raw, p):
+            calls.append(raw.shape)
+            return pool(raw, p)
+
+        monkeypatch.setattr(streammem.dfs, "pool_tokens", counting_pool)
+        if strategy == "dfs":
+            instr = _instruction(4, np.random.default_rng(8))
+            result = dfs_select(bank, buffer, instr, 12, 3, 4, 4)
+        else:
+            result = uniform_select(bank, buffer, K_c=4, p=4)
+        assert calls == [(len(result.centers), 6, 4)]
+        for center, pooled in zip(result.centers, result.pooled,
+                                  strict=True):
+            assert pooled.tobytes() == \
+                pool_tokens_loop(buffer.get(center), 4).tobytes()
 
     def test_deterministic_across_calls(self):
         bank, buffer = _populated(9)
