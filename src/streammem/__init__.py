@@ -22,10 +22,9 @@ from .params import ModelParams, init_model_params, load_params, save_params
 from .perceiver import (PerceiverLayerParams, PerceiverParams,
                         perceive_subclip, process_stream)
 from .pipeline import run_pipeline, stage1_peak_resident_bytes
-from .stream import (FrameTokenStream, InstructionEncoding, SubClip,
-                     encode_instruction, empty_instruction, iter_subclips,
-                     load_stream, save_stream, split_into_subclips,
-                     synth_stream)
+from .stream import (FrameTokenStream, InstructionEncoding,
+                     encode_instruction, empty_instruction, load_stream,
+                     save_stream, split_into_subclips, synth_stream)
 from .tensor import (AttentionParams, attention, gelu, grad_check, layer_norm,
                      make_attention_params, softmax_rows)
 

@@ -41,12 +41,9 @@ def assemble(bank: MemoryBank, selection: SelectionResult,
         raise ValueError("cannot assemble from an empty memory bank")
     if tau.shape != (bank.d,):
         raise ValueError("separator row must have length d")
-    order = sorted(range(len(selection.centers)),
-                   key=lambda i: selection.centers[i])
-    if selection.pooled:
-        selected = np.concatenate([selection.pooled[i] for i in order], axis=0)
-    else:
-        selected = np.zeros((0, bank.d))
+    pooled, centers = selection.pooled, selection.centers
+    order = sorted(range(len(centers)), key=centers.__getitem__)
+    selected = pooled[order].reshape(-1, pooled.shape[-1])
     memory_tokens = bank.all_tokens()
     return LLMInputSequence(memory_tokens=memory_tokens, separator=tau,
                             selected_tokens=selected,

@@ -17,7 +17,8 @@ from .errors import ConfigError, EngineError, MalformedArtifactError
 from .memory import (DiskFeatureBuffer, accounting_report, load_bank)
 from .params import init_model_params
 from .pipeline import run_pipeline
-from .stream import FrameTokenStream, encode_instruction, save_stream, synth_stream
+from .stream import (FrameTokenStream, encode_instruction, load_stream,
+                     save_stream, synth_stream)
 from .verify import self_check
 
 
@@ -154,9 +155,7 @@ def _cmd_select(args) -> int:
                                z_repr=config.z_repr)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_selection_report(selection))
-    save_stream(FrameTokenStream(len(selection.pooled), p, config.d,
-                                 list(selection.pooled)),
-                args.out + ".pooled.rwfs")
+    save_stream(FrameTokenStream(selection.pooled), args.out + ".pooled.rwfs")
     print(f"selected centers: {' '.join(str(c) for c in selection.centers)}")
     return 0
 
@@ -164,8 +163,6 @@ def _cmd_select(args) -> int:
 def _read_selection(path, bank):
     """The centers of the selection report at `path` and their pooled
     tokens, once they are distinct bank frames, each pooled at bank.d."""
-    from .stream import load_stream
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             centers = parse_selection_centers(fh.read())

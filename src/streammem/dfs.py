@@ -38,7 +38,7 @@ class ClusterDiagnostics:
 @dataclass
 class SelectionResult:
     centers: list  # chosen frame indices, ascending
-    pooled: list  # one (p, d) matrix per center, aligned with centers
+    pooled: np.ndarray  # (k, p, d): row i pools centers[i]
     diagnostics: ClusterDiagnostics
     candidates: CandidateSet
     strategy: str = "dfs"
@@ -218,10 +218,10 @@ def pool_tokens(raw: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _pool_frames(buffer, frames, p: int) -> list:
-    """The buffered rows of `frames`, stacked and pooled in one call; one
-    (p, d) matrix per frame."""
-    return list(pool_tokens(np.stack([buffer.get(f) for f in frames]), p))
+def _pool_frames(buffer, frames, p: int) -> np.ndarray:
+    """The buffered rows of `frames`, stacked and pooled in one call: the
+    (k, p, d) array whose row i pools frames[i]."""
+    return pool_tokens(np.stack([buffer.get(f) for f in frames]), p)
 
 
 def dfs_select(bank: MemoryBank, buffer, instruction: InstructionEncoding,

@@ -13,10 +13,12 @@ and read-query row, the online softmax (Milakov & Gimelshein, arXiv
 1805.02867) of the memory rows read so far, rescaled as FlashAttention does
 (Dao et al., arXiv 2205.14135). So each read projects and scores only the
 rows written since the previous one. Raw frame tokens go to a passive
-feature buffer that is never read during Stage 1. The buffer keeps a
-reference, not a copy, to a frame whose memory nobody can write (a view of
-a loaded stream's bytes, as `load_stream` returns); it copies every other
-frame, so a caller's later writes never reach it.
+feature buffer that is never read during Stage 1: the stream's (T, P, d)
+array plus a count of the frames buffered so far, advanced once per
+sub-clip. The buffer keeps the array itself, not a copy, when nobody can
+write its memory (a loaded stream's payload, as `load_stream` returns);
+it copies any other array once, so a caller's later writes never reach
+it.
 """
 
 import json
@@ -229,53 +231,65 @@ def _immutable(raw: np.ndarray) -> bool:
 
 
 class FeatureBuffer:
-    """In-memory raw-token store keyed by frame index; bit-exact retrieval.
+    """The raw tokens of a stream's first `len(buffer)` frames, bit-exact.
 
-    `store` keeps a reference to a frame that views immutable bytes (the
-    read-only float32 frames of a loaded stream) and a float64 copy of any
-    other frame, including a read-only view of a writable array. `get`
-    returns float64 either way, so what Stage 2 pools does not depend on
-    which was stored. `resident_bytes` models every frame at float64, the
-    bound of what the buffer would hold if it copied each one.
+    It holds the stream's (T, P, d) array and a count of the frames
+    buffered so far, which `buffer_store` advances one sub-clip at a time.
+    An array that views immutable bytes (a loaded stream's read-only
+    float32 payload) is kept as it is; any other array, including a
+    read-only view of a writable one, is copied once to float64, so a
+    caller's later writes never reach the buffer. `get` returns float64
+    either way, so what Stage 2 pools does not depend on which was kept.
+    `resident_bytes` models every buffered frame at float64, P*d*8 bytes,
+    the bound of what the buffer would hold if it copied each one.
     """
 
-    def __init__(self):
-        self._frames = {}
+    def __init__(self, frames: np.ndarray):
+        if not _immutable(frames):
+            frames = np.array(frames, dtype=np.float64, copy=True)
+        self._frames = frames
+        self._count = 0
 
-    def store(self, frame_index: int, raw: np.ndarray) -> None:
-        if frame_index in self._frames:
-            raise ValueError(f"frame {frame_index} already buffered")
-        if not _immutable(raw):
-            raw = np.array(raw, dtype=np.float64, copy=True)
-        self._frames[frame_index] = raw
+    @property
+    def frames(self) -> np.ndarray:
+        """(len, P, d) raw tokens of the buffered frames, a read-only view."""
+        return _readonly(self._frames[:self._count])
 
     def get(self, frame_index: int) -> np.ndarray:
+        if not 0 <= frame_index < self._count:
+            raise KeyError(frame_index)
         return np.asarray(self._frames[frame_index], dtype=np.float64)
 
     def frame_indices(self):
-        return sorted(self._frames)
+        return list(range(self._count))
 
     def __len__(self):
-        return len(self._frames)
+        return self._count
 
     def token_count(self) -> int:
-        return sum(f.shape[0] for f in self._frames.values())
+        return self._count * self._frames.shape[1]
 
     def resident_bytes(self) -> int:
-        return sum(f.size * 8 for f in self._frames.values())
+        return self.token_count() * self._frames.shape[2] * 8
 
 
-def buffer_store(buffer, frame_index: int, raw: np.ndarray) -> None:
-    buffer.store(frame_index, raw)
+def buffer_store(buffer: FeatureBuffer, end: int) -> None:
+    """Buffer the frames from the last one buffered up to `end`
+    (exclusive): the next sub-clip's. Storing backwards or past the end of
+    the stream is a bug in the caller and raises ValueError."""
+    if not buffer._count < end <= len(buffer._frames):
+        raise ValueError(f"cannot buffer frames {buffer._count} to {end} "
+                         f"of a {len(buffer._frames)}-frame stream")
+    buffer._count = end
 
 
 def save_buffer_spill(buffer: FeatureBuffer, data_path, manifest_path) -> None:
     """Spill the buffer to disk: one RWFS record per frame plus a manifest
-    mapping frame_index to byte offset. Values are stored as float32."""
+    mapping frame_index to byte offset. Values are stored as float32, cast
+    once from the buffered array."""
     offsets = []
     with open(data_path, "wb") as fh:
-        for frame_index in buffer.frame_indices():
-            raw = buffer.get(frame_index)
+        for frame_index, raw in enumerate(buffer.frames):
             offsets.append([frame_index, fh.tell()])
             fh.writelines(RWFS.encode(raw[None], T=1, P=len(raw),
                                       d=raw.shape[1]))

@@ -8,13 +8,14 @@ position-wise feed-forward. In "final" temporal mode the temporal sublayer
 runs once after the whole stack (using the last layer's temporal weights)
 instead of inside every layer.
 
-A sub-clip's F frames are processed together: the state is one stacked
-(F, N_Q, d) array and each sublayer is one batched call; the sub-clip's
-(F, W, d) memory tokens come from one write-attention call and enter the
-bank as one block. The sublayers are compositions of the tensor kernels,
-matmul and addition with no forward of their own to differentiate: given
-autodiff tape values they record this same forward on the tape, so
-gradient checks run the production code.
+A sub-clip is an (F, P, d) slice of the stream's array, and its F frames
+are processed together: the state is one stacked (F, N_Q, d) array and
+each sublayer is one batched call; the sub-clip's (F, W, d) memory tokens
+come from one write-attention call and enter the bank as one block. The
+sublayers are compositions of the tensor kernels, matmul and addition with
+no forward of their own to differentiate: given autodiff tape values they
+record this same forward on the tape, so gradient checks run the
+production code.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from .memory import (FeatureBuffer, MemoryBank, QueryBank, append,
                      buffer_store, read_context, write_frame)
-from .stream import FrameTokenStream, InstructionEncoding, SubClip, iter_subclips
+from .stream import FrameTokenStream, InstructionEncoding, split_into_subclips
 from .tensor import AttentionParams, attention, gelu, layer_norm
 
 
@@ -76,30 +77,31 @@ def temporal_sublayer(states, params: AttentionParams):
     return (seq + attention(normed, normed, normed, params)).swapaxes(0, 1)
 
 
-def _frame_keys(clip_frames, instruction: InstructionEncoding) -> np.ndarray:
-    """Stacked (F, P+I, d) key/value matrices: raw frame tokens with the
-    instruction rows appended to every frame."""
-    frames = np.asarray(clip_frames, dtype=np.float64)
+def _frame_keys(frames: np.ndarray,
+                instruction: InstructionEncoding) -> np.ndarray:
+    """The (F, P+I, d) float64 key/value matrices of the (F, P, d) frames:
+    their raw tokens with the instruction rows appended to every frame."""
     if instruction.tokens.shape[0] == 0:
-        return frames
+        return np.asarray(frames, dtype=np.float64)
     rows = np.broadcast_to(instruction.tokens,
                            (len(frames),) + instruction.tokens.shape)
-    return np.concatenate([frames, rows], axis=1)
+    return np.concatenate([frames, rows], axis=1, dtype=np.float64)
 
 
-def perceive_subclip(clip: SubClip, context, instruction: InstructionEncoding,
+def perceive_subclip(frames: np.ndarray, context,
+                     instruction: InstructionEncoding,
                      params: PerceiverParams) -> np.ndarray:
-    """Refine one sub-clip into its stacked (F, N_Q, d) query states, one
-    N_Q x d matrix per frame.
+    """Refine one sub-clip's (F, P, d) frames into their stacked
+    (F, N_Q, d) query states, one N_Q x d matrix per frame.
 
     Every frame starts from the same read context; instruction rows are
     appended to the keys/values of every layer's cross-attention.
     """
-    if len(clip) < 1:
+    if len(frames) < 1:
         raise ValueError("sub-clip is empty")
     if context.shape != (params.n_queries, params.d):
         raise ValueError("context must be N_Q x d")
-    keys = _frame_keys(clip.frames, instruction)
+    keys = _frame_keys(frames, instruction)
     # the (N_Q, d) context broadcasts against the (F, P+I, d) keys, so the
     # first cross-attention yields the stacked (F, N_Q, d) state
     states = context
@@ -118,22 +120,23 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
                    residual_read: bool = True, on_subclip=None):
     """Run the full read-perceive-write cycle over a stream.
 
-    Sub-clips are processed strictly in order; per sub-clip the bank is read
-    once, the clip perceived, every frame buffered raw, and the (F, W, d)
-    tokens of all its frames written by one attention call and appended
-    to the bank as one block. The bank is sized for the stream's T frames
-    up front. Returns the populated (bank, buffer).
+    Sub-clips are processed strictly in order, each as the view
+    `stream.frames[start:end]`; per sub-clip the bank is read once, the
+    frames perceived and buffered raw, and the (F, W, d) tokens of all of
+    them written by one attention call and appended to the bank as one
+    block. `on_subclip(frames, bank, buffer)` is called after each. The
+    bank is sized for the stream's T frames up front, and the buffer holds
+    the stream's array. Returns the populated (bank, buffer).
     """
     W = queries.n_write
     bank = MemoryBank(W=W, d=params.d, capacity=stream.T)
-    buffer = FeatureBuffer()
-    for clip in iter_subclips(stream, F):
+    buffer = FeatureBuffer(stream.frames)
+    for index, (start, end) in enumerate(split_into_subclips(stream.T, F)):
+        frames = stream.frames[start:end]
         context = read_context(bank, queries, residual=residual_read)
-        states = perceive_subclip(clip, context, instruction, params)
-        for frame_index, raw in zip(range(clip.start, clip.end), clip.frames):
-            buffer_store(buffer, frame_index, raw)
-        append(bank, range(clip.start, clip.end), clip.index,
-               write_frame(states, queries))
+        states = perceive_subclip(frames, context, instruction, params)
+        buffer_store(buffer, end)
+        append(bank, range(start, end), index, write_frame(states, queries))
         if on_subclip is not None:
-            on_subclip(clip, bank, buffer)
+            on_subclip(frames, bank, buffer)
     return bank, buffer

@@ -94,8 +94,7 @@ def run_pipeline(config: RunConfig, stream_source, instruction_text: str,
     save_buffer_spill(buffer, path("buffer.bin"), path("buffer.manifest"))
     with open(path("selection.txt"), "w", encoding="utf-8") as fh:
         fh.write(format_selection_report(selection))
-    save_stream(FrameTokenStream(len(selection.pooled), p, config.d,
-                                 list(selection.pooled)),
+    save_stream(FrameTokenStream(selection.pooled),
                 path("selection_pooled.rwfs"))
     save_llm_input(sequence, path("llm_input.rwli"))
     with open(path("accounting.txt"), "w", encoding="utf-8") as fh:
@@ -115,15 +114,17 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
     - the read's: every head's N_R x W*min(F, T) scores over the rows of
       one sub-clip;
     - the perceiver's, for a sub-clip of f frames with P+I keys each: four
-      f x (P+I) x d arrays (the float64 frames, the keys with instruction
-      rows, and their K and V projections) and three f x N_Q x 4d arrays
-      (the FFN's pre-activation, its GELU, and a bound on the narrower
-      temporaries around them).
+      f x (P+I) x d arrays (the float64 keys with instruction rows, which
+      live through every layer, their K and V projections, and a fourth
+      that stands in for part of the cross-attention scores, which are not
+      counted on their own) and three f x N_Q x 4d arrays (the FFN's
+      pre-activation, its GELU, and a bound on the narrower temporaries
+      around them).
     All are float64. The buffer is modelled at float64, P*d*8 bytes per
-    frame, even where it holds a loaded stream's float32 frames by
-    reference, so the model never falls below a buffer of copies. The peak
-    demonstrates the absence of any state that grows faster than linearly
-    in T.
+    buffered frame, even where it holds a loaded stream's float32 (T, P, d)
+    array by reference, so the model never falls below a buffer of copies.
+    The peak demonstrates the absence of any state that grows faster than
+    linearly in T.
     """
     config.validate()
     params = init_model_params(config)
@@ -132,12 +133,12 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
     n_keys = stream.P + instruction.tokens.shape[0]
     peak = 0
 
-    def on_subclip(clip, bank, buffer):
+    def on_subclip(frames, bank, buffer):
         nonlocal peak
         resident = bank.resident_bytes() + buffer.resident_bytes()
         read_scores = (config.heads * config.n_read * bank.W
                        * min(F, stream.T) * 8)
-        perceive = len(clip.frames) * config.d * 8 * (
+        perceive = len(frames) * config.d * 8 * (
             4 * n_keys + 3 * config.n_read * 4)
         peak = max(peak, resident + read_scores + perceive)
 

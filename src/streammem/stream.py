@@ -1,14 +1,16 @@
-"""Per-frame token streams, instruction encodings, sub-clip partitioning,
-and the RWFS on-disk stream format.
+"""Frame token streams, instruction encodings, sub-clip partitioning, and
+the RWFS on-disk stream format.
 
-Streams stand in for a real visual encoder: values are drawn from a
-counter-based generator keyed by (seed, frame index), so a stream's prefix
-never depends on its total length. Instruction rows are hash-seeded
-unit-norm vectors, one per whitespace-delimited word.
+A stream is one (T, P, d) array, and a sub-clip is a slice of it between
+two bounds of `split_into_subclips`, a view and not a copy. Synthetic
+streams stand in for a real visual encoder: frame t is drawn from a
+counter-based generator keyed by (seed, t), so a stream's prefix never
+depends on its total length. Instruction rows are hash-seeded unit-norm
+vectors, one per whitespace-delimited word.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,41 +20,23 @@ from .errors import MalformedArtifactError, NonFiniteDataError
 RWFS = Format(b"RWFS", 1, ("T", "P", "d"), lambda h: ("<f4", tuple(h)))
 
 
-@dataclass
 class FrameTokenStream:
-    T: int
-    P: int
-    d: int
-    # T matrices of shape (P, d). Synthetic streams hold float64 arrays; a
-    # loaded stream holds read-only float32 views of the file's bytes, not
-    # float64 copies, and consumers convert where they compute.
-    frames: list
+    """T frames of P d-wide tokens, one (T, P, d) array. A synthetic stream
+    holds float64; a loaded stream holds the file's read-only float32
+    payload, not a float64 copy, and consumers convert where they compute.
+    """
 
-    def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("stream must contain at least one frame")
-        if len(self.frames) != self.T:
-            raise ValueError("frame list length must equal T")
-        for f in self.frames:
-            if f.shape != (self.P, self.d):
-                raise ValueError("every frame must be P x d")
+    def __init__(self, frames: np.ndarray):
+        if frames.ndim != 3 or len(frames) < 1:
+            raise ValueError("frames must be a T x P x d array, T >= 1")
+        self.frames = frames
+        self.T, self.P, self.d = frames.shape
 
     def prefix(self, t: int) -> "FrameTokenStream":
-        """The first t frames as a stream of their own."""
+        """The first t frames as a stream of their own, viewing this one's."""
         if not (1 <= t <= self.T):
             raise ValueError("prefix length out of range")
-        return FrameTokenStream(t, self.P, self.d, self.frames[:t])
-
-
-@dataclass
-class SubClip:
-    index: int
-    start: int
-    end: int  # exclusive
-    frames: list = field(default_factory=list)
-
-    def __len__(self):
-        return self.end - self.start
+        return FrameTokenStream(self.frames[:t])
 
 
 @dataclass
@@ -68,11 +52,6 @@ def split_into_subclips(T: int, F: int):
     return [(start, min(start + F, T)) for start in range(0, T, F)]
 
 
-def iter_subclips(stream: FrameTokenStream, F: int):
-    return [SubClip(i, a, b, stream.frames[a:b])
-            for i, (a, b) in enumerate(split_into_subclips(stream.T, F))]
-
-
 def _frame_rng(seed: int, t: int) -> np.random.Generator:
     key = np.array([seed % 2**64, t], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -83,9 +62,10 @@ def synth_stream(seed: int, T: int, P: int, d: int) -> FrameTokenStream:
     (seed, t), values clipped to [-3, 3]."""
     if T < 1 or P < 1 or d < 1:
         raise ValueError("T, P and d must be at least 1")
-    frames = [np.clip(_frame_rng(seed, t).standard_normal((P, d)), -3.0, 3.0)
-              for t in range(T)]
-    return FrameTokenStream(T, P, d, frames)
+    frames = np.empty((T, P, d))
+    for t in range(T):
+        _frame_rng(seed, t).standard_normal(out=frames[t])
+    return FrameTokenStream(np.clip(frames, -3.0, 3.0, out=frames))
 
 
 def _word_vector(word: str, d: int) -> np.ndarray:
@@ -110,16 +90,18 @@ def empty_instruction(d: int) -> InstructionEncoding:
 
 
 def save_stream(stream: FrameTokenStream, path) -> None:
-    payload = np.stack(stream.frames).astype(np.float32)
+    payload = np.asarray(stream.frames, dtype=np.float32)
     if not np.all(np.isfinite(payload)):
         raise NonFiniteDataError("stream contains non-finite values")
     RWFS.save(path, payload, T=stream.T, P=stream.P, d=stream.d)
 
 
 def load_stream(path) -> FrameTokenStream:
-    """Read an RWFS file; its frames are read-only float32 views of one
-    payload array over the file's bytes."""
+    """Read an RWFS file; its frames are the decoded payload, a read-only
+    float32 (T, P, d) view of the file's bytes."""
     header, values = RWFS.load(path)
     if header.T < 1:
         raise MalformedArtifactError("RWFS stream holds no frames")
-    return FrameTokenStream(*header, list(values))
+    if header.P < 1:
+        raise MalformedArtifactError("RWFS frames hold no tokens")
+    return FrameTokenStream(values)

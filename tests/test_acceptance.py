@@ -205,13 +205,12 @@ def test_criterion_9_selection_vs_uniform_harness():
         rng = np.random.default_rng(1000 + seed)
         direction = rng.standard_normal(16)
         direction /= np.linalg.norm(direction)
-        frames = []
+        frames = np.empty((T, 4, 16))
         for t in range(T):
-            f = rng.standard_normal((4, 16)) * 0.1
+            frames[t] = rng.standard_normal((4, 16)) * 0.1
             if seg_a <= t < seg_b:
-                f = f + 3.0 * direction
-            frames.append(f)
-        stream = FrameTokenStream(T, 4, 16, frames)
+                frames[t] += 3.0 * direction
+        stream = FrameTokenStream(frames)
         bank, buffer = process_stream(stream, encode_instruction("probe", 16),
                                       params.query_bank, params.perceiver, 16)
         in_seg = np.concatenate(

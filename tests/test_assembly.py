@@ -35,7 +35,7 @@ class TestAssemble:
     def test_row_counting(self):
         bank = _bank(0, T=4, W=2)
         rng = np.random.default_rng(0)
-        selection = _selection([2], [rng.standard_normal((3, 3))])
+        selection = _selection([2], rng.standard_normal((1, 3, 3)))
         tau = rng.standard_normal(3)
         seq = assemble(bank, selection, tau)
         # W*T + 1 + Kc*p = 8 + 1 + 3
@@ -50,7 +50,8 @@ class TestAssemble:
         pooled_a = rng.standard_normal((2, 3))
         pooled_b = rng.standard_normal((2, 3))
         tau = rng.standard_normal(3)
-        seq = assemble(bank, _selection([1, 3], [pooled_a, pooled_b]), tau)
+        selection = _selection([1, 3], np.stack([pooled_a, pooled_b]))
+        seq = assemble(bank, selection, tau)
         rows = seq.rows()
         assert rows.dtype == np.dtype("<f4")
         f32 = np.float32
@@ -64,7 +65,7 @@ class TestAssemble:
         rng = np.random.default_rng(2)
         pooled_for_3 = rng.standard_normal((1, 3))
         pooled_for_1 = rng.standard_normal((1, 3))
-        selection = _selection([3, 1], [pooled_for_3, pooled_for_1])
+        selection = _selection([3, 1], np.stack([pooled_for_3, pooled_for_1]))
         seq = assemble(bank, selection, np.zeros(3))
         # frame 1's pooled rows must come before frame 3's
         assert np.array_equal(seq.selected_tokens[0], pooled_for_1[0])
@@ -72,20 +73,20 @@ class TestAssemble:
 
     def test_empty_bank_rejected(self):
         with pytest.raises(ValueError):
-            assemble(MemoryBank(W=2, d=3), _selection([], []), np.zeros(3))
+            assemble(MemoryBank(W=2, d=3),
+                     _selection([], np.zeros((0, 1, 3))), np.zeros(3))
 
     def test_tau_shape_rejected(self):
         bank = _bank(3)
         with pytest.raises(ValueError):
-            assemble(bank, _selection([0], [np.zeros((1, 3))]), np.zeros(4))
+            assemble(bank, _selection([0], np.zeros((1, 1, 3))), np.zeros(4))
 
 
 class TestLLMInputFile:
     def _seq(self, seed):
         bank = _bank(seed)
         rng = np.random.default_rng(seed)
-        selection = _selection([0, 2], [rng.standard_normal((2, 3)),
-                                        rng.standard_normal((2, 3))])
+        selection = _selection([0, 2], rng.standard_normal((2, 2, 3)))
         return assemble(bank, selection, rng.standard_normal(3))
 
     def test_round_trip_bitwise(self, tmp_path):
@@ -105,8 +106,10 @@ class TestLLMInputFile:
         to subnormals or to zero, and with no selected rows."""
         rng = np.random.default_rng(40 + selected)
         bank = _bank(40 + selected, T=5)
-        pooled = [rng.standard_normal((2, 3)) * 10.0 ** rng.integers(
-            -50, 37, size=(2, 3)) for _ in range(selected)]
+        pooled = np.reshape(
+            [rng.standard_normal((2, 3)) * 10.0 ** rng.integers(
+                -50, 37, size=(2, 3)) for _ in range(selected)],
+            (selected, 2, 3))
         seq = assemble(bank, _selection(range(selected), pooled),
                        np.array([1e-46, -3e-39, 1.0 + 2.0 ** -30]))
         save_llm_input(seq, tmp_path / "one_pass.rwli")

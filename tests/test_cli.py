@@ -3,10 +3,13 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import streammem
 from streammem.assembly import load_llm_input
@@ -168,6 +171,53 @@ class TestProcessChain:
             (out_b / "llm_input.rwli").read_bytes()
 
 
+class TestArtifactsReproduceProcess:
+    """`assemble` on the selection that `process` wrote, and `select
+    --strategy uniform` on its bank and spill, reproduce its bytes over
+    random stream, sub-clip and selection sizes. The dfs form of `select`
+    is left out: it scores the float32 bank on disk, not the float64 bank
+    `process` scored, so its relevance scores can differ."""
+
+    @given(T=st.integers(1, 40), P=st.integers(1, 8), F=st.integers(1, 8),
+           Kc=st.integers(1, 6), pool=st.integers(1, 10),
+           seed=st.integers(0, 1000))
+    @settings(max_examples=25, deadline=None)
+    def test_assemble_and_uniform_select(self, T, P, F, Kc, pool, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = tmp / "run.cfg"
+            cfg.write_text(
+                "model.d=8\nmodel.heads=2\nmodel.layers=1\n"
+                f"memory.n_read=4\nstream.subclip_frames={F}\ndfs.L=8\n"
+                f"dfs.Kc={Kc}\ndfs.pool_tokens={pool}\nseed={seed}\n")
+            stream = tmp / "s.rwfs"
+            assert main(["synth", "--frames", str(T), "--tokens-per-frame",
+                         str(P), "--dim", "8", "--seed", str(seed),
+                         "--out", str(stream)]) == 0
+            for strategy in ("dfs", "uniform"):
+                out = tmp / strategy
+                assert main(["process", "--stream", str(stream),
+                             "--instruction", "who opens the door",
+                             "--config", str(cfg), "--out-dir", str(out),
+                             "--select", strategy]) == 0
+                (out / "selection.txt.pooled.rwfs").write_bytes(
+                    (out / "selection_pooled.rwfs").read_bytes())
+                seq = tmp / f"{strategy}.rwli"
+                assert main(["assemble", "--bank", str(out / "memory.rwmb"),
+                             "--selection", str(out / "selection.txt"),
+                             "--config", str(cfg), "--out", str(seq)]) == 0
+                assert seq.read_bytes() == \
+                    (out / "llm_input.rwli").read_bytes()
+            report = tmp / "sel.txt"
+            assert main(["select", "--bank", str(out / "memory.rwmb"),
+                         "--buffer-manifest", str(out / "buffer.manifest"),
+                         "--instruction", "who opens the door",
+                         "--config", str(cfg), "--strategy", "uniform",
+                         "--out", str(report)]) == 0
+            assert (tmp / "sel.txt.pooled.rwfs").read_bytes() == \
+                (out / "selection_pooled.rwfs").read_bytes()
+
+
 class TestExitCodes:
     def test_format_error_is_2(self, tmp_path, config_path, capsys):
         bad = tmp_path / "bad.rwfs"
@@ -240,6 +290,29 @@ class TestExitCodes:
         assert main(["process", "--stream", str(bad), "--instruction", "x",
                      "--config", config_path,
                      "--out-dir", str(tmp_path / "o")]) == 4
+
+    def test_stream_without_tokens_is_2(self, tmp_path, config_path, capsys):
+        # T=20 frames of P=0 tokens: rejected on load, before Stage 1
+        bad = tmp_path / "empty.rwfs"
+        bad.write_bytes(struct.pack("<4sIIII", b"RWFS", 1, 20, 0, 8))
+        assert main(["process", "--stream", str(bad), "--instruction", "x",
+                     "--config", config_path,
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "no tokens" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_pooled_without_tokens_is_2(self, processed, config_path, capsys):
+        centers = parse_selection_centers(
+            (processed / "selection.txt").read_text())
+        assert len(centers) == 2
+        (processed / "selection.txt.pooled.rwfs").write_bytes(
+            struct.pack("<4sIIII", b"RWFS", 1, len(centers), 0, 8))
+        out = processed / "seq.rwli"
+        assert main(["assemble", "--bank", str(processed / "memory.rwmb"),
+                     "--selection", str(processed / "selection.txt"),
+                     "--config", config_path, "--out", str(out)]) == 2
+        assert "no tokens" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_1(self, tmp_path, config_path):
         assert main(["process", "--stream", str(tmp_path / "nope.rwfs"),

@@ -13,7 +13,7 @@ from streammem.dfs import (_DIST_SCRATCH, CandidateSet, ClusterDiagnostics,
                            frame_relevance, local_density,
                            parse_selection_centers, pool_tokens,
                            select_top_L, sq_dist_matrix, uniform_select)
-from streammem.memory import FeatureBuffer, MemoryBank, append
+from streammem.memory import FeatureBuffer, MemoryBank, append, buffer_store
 from streammem.stream import InstructionEncoding
 from streammem.verify import dpc_bruteforce, random_cluster_instance
 
@@ -444,10 +444,12 @@ class TestPoolTokens:
 def _populated(seed, T=32, W=2, d=4, P=6):
     rng = np.random.default_rng(seed)
     bank = MemoryBank(W=W, d=d)
-    buffer = FeatureBuffer()
+    frames = np.empty((T, P, d))
     for t in range(T):
         append(bank, [t], t // 8, rng.standard_normal((1, W, d)))
-        buffer.store(t, rng.standard_normal((P, d)))
+        frames[t] = rng.standard_normal((P, d))
+    buffer = FeatureBuffer(frames)
+    buffer_store(buffer, T)
     return bank, buffer
 
 
@@ -567,7 +569,8 @@ class TestSelectionReport:
                                   centers=frames[:2])
         cand = CandidateSet(frames=frames, vectors=np.zeros((n, 2)),
                             relevance=np.array(relevance), L=n)
-        return SelectionResult(centers=sorted(frames[:2]), pooled=[],
+        return SelectionResult(centers=sorted(frames[:2]),
+                               pooled=np.zeros((2, 1, 2)),
                                diagnostics=diag, candidates=cand,
                                strategy=strategy)
 

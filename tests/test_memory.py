@@ -338,51 +338,67 @@ class TestWriteFrame:
 
 class TestFeatureBuffer:
     def test_bitwise_fidelity(self):
-        buffer = FeatureBuffer()
-        raw = np.random.default_rng(10).standard_normal((3, 8))
-        buffer_store(buffer, 5, raw)
-        raw[0, 0] = 99.0  # mutating the source must not leak into the buffer
+        raw = np.random.default_rng(10).standard_normal((6, 3, 8))
+        buffer = FeatureBuffer(raw)
+        buffer_store(buffer, 6)
+        raw[5, 0, 0] = 99.0  # a write to the source must not reach the buffer
         got = buffer.get(5)
         assert got[0, 0] != 99.0
-        assert got.tobytes() != raw.tobytes()
-        raw[0, 0] = got[0, 0]
-        assert got.tobytes() == raw.tobytes()
+        assert got.tobytes() != raw[5].tobytes()
+        raw[5, 0, 0] = got[0, 0]
+        assert got.tobytes() == raw[5].tobytes()
 
-    def test_duplicate_store_rejected(self):
-        buffer = FeatureBuffer()
-        buffer_store(buffer, 0, np.zeros((1, 2)))
+    def test_store_backwards_or_past_the_end_rejected(self):
+        buffer = FeatureBuffer(np.zeros((6, 1, 2)))
         with pytest.raises(ValueError):
-            buffer_store(buffer, 0, np.zeros((1, 2)))
+            buffer_store(buffer, 7)  # past the end
+        buffer_store(buffer, 4)
+        for end in (4, 3, 0, 7):  # the same sub-clip again, backwards, past
+            with pytest.raises(ValueError):
+                buffer_store(buffer, end)
+        assert len(buffer) == 4
+        with pytest.raises(KeyError):
+            buffer.get(4)
+        buffer_store(buffer, 6)
+        assert buffer.frame_indices() == list(range(6))
 
     def test_counts(self):
-        buffer = FeatureBuffer()
-        buffer_store(buffer, 1, np.zeros((3, 4)))
-        buffer_store(buffer, 0, np.zeros((3, 4)))
+        buffer = FeatureBuffer(np.zeros((3, 3, 4)))
+        assert (len(buffer), buffer.token_count(), buffer.frame_indices(),
+                buffer.resident_bytes()) == (0, 0, [], 0)
+        buffer_store(buffer, 2)
         assert len(buffer) == 2
         assert buffer.token_count() == 6
         assert buffer.frame_indices() == [0, 1]
+        assert buffer.resident_bytes() == 2 * 3 * 4 * 8
 
     def test_spill_round_trip(self, tmp_path):
-        buffer = FeatureBuffer()
         rng = np.random.default_rng(11)
-        frames = {t: rng.standard_normal((2, 4)) for t in range(4)}
-        for t, raw in frames.items():
-            buffer_store(buffer, t, raw)
+        frames = rng.standard_normal((4, 2, 4))
+        buffer = FeatureBuffer(frames)
+        buffer_store(buffer, 4)
         data = tmp_path / "buffer.bin"
         manifest = tmp_path / "buffer.manifest"
         save_buffer_spill(buffer, data, manifest)
         disk = DiskFeatureBuffer(data, manifest)
         assert disk.frame_indices() == [0, 1, 2, 3]
         assert disk.token_count() == 8
-        for t, raw in frames.items():
+        for t, raw in enumerate(frames):
             # spill quantizes to float32; retrieval matches that rounding
             assert np.array_equal(disk.get(t),
                                   raw.astype(np.float32).astype(np.float64))
+        # a buffer that keeps float32 bytes as they are spills the same bytes
+        payload = np.frombuffer(frames.astype("<f4").tobytes(), "<f4")
+        buffer = FeatureBuffer(payload.reshape(frames.shape))
+        buffer_store(buffer, 4)
+        assert np.shares_memory(buffer.frames, payload)
+        save_buffer_spill(buffer, tmp_path / "f32.bin", manifest)
+        assert (tmp_path / "f32.bin").read_bytes() == data.read_bytes()
 
     def _spilled(self, tmp_path, frames=3):
-        buffer = FeatureBuffer()
-        for t in range(frames):
-            buffer_store(buffer, t, np.full((2, 4), float(t)))
+        buffer = FeatureBuffer(np.repeat(np.arange(float(frames)), 2 * 4)
+                               .reshape(frames, 2, 4))
+        buffer_store(buffer, frames)
         data = tmp_path / "buffer.bin"
         manifest = tmp_path / "buffer.manifest"
         save_buffer_spill(buffer, data, manifest)
@@ -640,19 +656,21 @@ class TestZeroCopyStream:
         path = tmp_path / "s.rwfs"
         _write_stream_file(path, 5, 3, 4)
         frames = load_stream(path).frames
-        assert all(f.dtype == np.float32 and not f.flags.writeable
-                   for f in frames)
-        payload = frames[0].base
-        assert payload.size == 5 * 3 * 4 and not payload.flags.writeable
-        assert all(f.base is payload for f in frames)
-        assert all(np.shares_memory(f, payload) for f in frames)
+        assert frames.shape == (5, 3, 4) and frames.dtype == np.float32
+        assert not frames.flags.writeable and not frames.flags.owndata
+        base = frames
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, bytes)  # the file's bytes, not a copy
+        assert all(np.shares_memory(f, frames) for f in frames)
 
     def test_buffer_shares_memory_with_loaded_frames(self, tmp_path):
         path = tmp_path / "s.rwfs"
         _write_stream_file(path, 9, 4, 8)
         stream, _, buffer = _load_and_process(path, d=8)
+        assert np.shares_memory(buffer.frames, stream.frames)
         for t, frame in enumerate(stream.frames):
-            assert np.shares_memory(buffer._frames[t], frame)
+            assert np.shares_memory(buffer.frames[t], frame)
             got = buffer.get(t)
             assert got.dtype == np.float64
             assert np.array_equal(got, frame)
@@ -660,28 +678,29 @@ class TestZeroCopyStream:
         assert buffer.resident_bytes() == 9 * 4 * 8 * 8
 
     def test_writable_frame_is_copied(self):
-        buffer = FeatureBuffer()
-        raw = np.ones((3, 4), dtype=np.float32)
-        buffer_store(buffer, 0, raw)
-        raw[0, 0] = 5.0
-        assert not np.shares_memory(buffer._frames[0], raw)
+        raw = np.ones((1, 3, 4), dtype=np.float32)
+        buffer = FeatureBuffer(raw)
+        buffer_store(buffer, 1)
+        raw[0, 0, 0] = 5.0
+        assert not np.shares_memory(buffer.frames, raw)
+        assert buffer.get(0).dtype == np.float64
         assert buffer.get(0)[0, 0] == 1.0
 
     def test_read_only_view_of_writable_array_is_copied(self):
-        buffer = FeatureBuffer()
         source = np.zeros((2, 3, 4))
-        view = source[1]
+        view = source[1:]
         view.flags.writeable = False
-        buffer_store(buffer, 0, view)
+        buffer = FeatureBuffer(view)
+        buffer_store(buffer, 1)
         source[1, 0, 0] = 7.0
-        assert not np.shares_memory(buffer._frames[0], source)
+        assert not np.shares_memory(buffer.frames, source)
         assert buffer.get(0)[0, 0] == 0.0
 
     def test_writable_bytes_backed_frame_is_copied(self):
         data = bytearray(np.ones((2, 2), dtype="<f4").tobytes())
-        raw = np.frombuffer(data, dtype="<f4").reshape(2, 2)
-        buffer = FeatureBuffer()
-        buffer_store(buffer, 0, raw)
+        raw = np.frombuffer(data, dtype="<f4").reshape(1, 2, 2)
+        buffer = FeatureBuffer(raw)
+        buffer_store(buffer, 1)
         data[:4] = np.float32(9.0).tobytes()
         assert buffer.get(0)[0, 0] == 1.0
 
@@ -857,9 +876,8 @@ class TestAccounting:
     def test_buffer_tokens_counted(self):
         config = RunConfig(d=8)
         bank = _filled_bank(16, frames=2)
-        buffer = FeatureBuffer()
-        buffer_store(buffer, 0, np.zeros((4, 8)))
-        buffer_store(buffer, 1, np.zeros((4, 8)))
+        buffer = FeatureBuffer(np.zeros((2, 4, 8)))
+        buffer_store(buffer, 2)
         report = accounting_report(bank, buffer, config)
         assert report.buffer_token_count == 8
         assert report.bytes_estimates["buffer"] == 8 * 8 * 4

@@ -12,7 +12,7 @@ from streammem.memory import bank_bytes
 from streammem.params import init_model_params, load_params, save_params
 from streammem.perceiver import (PerceiverParams, perceive_subclip,
                                  process_stream, temporal_sublayer)
-from streammem.stream import (InstructionEncoding, SubClip, empty_instruction,
+from streammem.stream import (InstructionEncoding, empty_instruction,
                               encode_instruction, synth_stream)
 
 from oracles import (attention_loop, layer_norm_two_pass,
@@ -27,11 +27,8 @@ def _config(**overrides):
     return RunConfig(**base).validate()
 
 
-def _clip(seed, n_frames=3, P=4, d=8, start=0, index=0):
-    rng = np.random.default_rng(seed)
-    frames = [rng.standard_normal((P, d)) for _ in range(n_frames)]
-    return SubClip(index=index, start=start, end=start + n_frames,
-                   frames=frames)
+def _clip(seed, n_frames=3, P=4, d=8):
+    return np.random.default_rng(seed).standard_normal((n_frames, P, d))
 
 
 class TestTemporalSublayer:
@@ -145,7 +142,7 @@ class TestPerceiveSubclip:
     def test_empty_clip_rejected(self):
         params = init_model_params(_config())
         with pytest.raises(ValueError):
-            perceive_subclip(SubClip(0, 0, 0, []), np.zeros((3, 8)),
+            perceive_subclip(np.zeros((0, 4, 8)), np.zeros((3, 8)),
                              empty_instruction(8), params.perceiver)
 
     def test_final_mode_differs_from_per_layer(self):
@@ -189,7 +186,7 @@ class TestBatchedForwardBitExact:
         context = np.random.default_rng(30).standard_normal((3, 8))
         instr = encode_instruction(text, 8) if text else empty_instruction(8)
         out = perceive_subclip(clip, context, instr, params.perceiver)
-        expected = perceive_subclip_loop(clip.frames, context, instr.tokens,
+        expected = perceive_subclip_loop(clip, context, instr.tokens,
                                          params.perceiver)
         assert out.shape == expected.shape
         assert np.array_equal(out, expected)
@@ -290,15 +287,22 @@ class TestProcessStream:
         assert bank_bytes(pre) != bank_bytes(full)
 
     def test_on_subclip_callback_order(self):
+        """Each sub-clip is a view of the stream's array, handed to the
+        callback after its frames are written and buffered."""
         config = _config()
         params = init_model_params(config)
         stream = synth_stream(14, 9, 4, 8)
         seen = []
+
+        def on_subclip(frames, bank, buf):
+            start = len(bank) - len(frames)
+            assert np.shares_memory(frames, stream.frames)
+            assert frames.tobytes() == stream.frames[start:len(bank)].tobytes()
+            seen.append((int(bank.subclips[-1]), start, len(bank), len(buf)))
+
         process_stream(stream, empty_instruction(8), params.query_bank,
-                       params.perceiver, F=4,
-                       on_subclip=lambda clip, bank, buf:
-                       seen.append((clip.index, len(bank), len(buf))))
-        assert seen == [(0, 4, 4), (1, 8, 8), (2, 9, 9)]
+                       params.perceiver, F=4, on_subclip=on_subclip)
+        assert seen == [(0, 0, 4, 4), (1, 4, 8, 8), (2, 8, 9, 9)]
 
     def test_residual_flag_changes_result(self):
         config = _config()

@@ -9,8 +9,8 @@ from streammem.errors import (BadMagicError, BadVersionError,
                               MalformedArtifactError, NonFiniteDataError,
                               TruncatedPayloadError)
 from streammem.stream import (FrameTokenStream, encode_instruction,
-                              iter_subclips, load_stream, save_stream,
-                              split_into_subclips, synth_stream)
+                              load_stream, save_stream, split_into_subclips,
+                              synth_stream)
 
 
 class TestSplitIntoSubclips:
@@ -145,6 +145,12 @@ class TestStreamFile:
         with pytest.raises(MalformedArtifactError):
             load_stream(path)
 
+    def test_no_tokens_rejected(self, tmp_path):
+        path = tmp_path / "bad.rwfs"
+        path.write_bytes(struct.pack("<4sIIII", b"RWFS", 1, 20, 0, 64))
+        with pytest.raises(MalformedArtifactError):
+            load_stream(path)
+
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "bad.rwfs"
         payload = np.array([np.inf], dtype="<f4").tobytes()
@@ -164,16 +170,32 @@ class TestStreamFile:
 
 
 def test_iter_subclips_views_frames():
+    """A sub-clip is the stream's array sliced between two bounds of
+    split_into_subclips: a view of the frames, not a copy."""
     stream = synth_stream(1, 7, 2, 4)
-    clips = iter_subclips(stream, 3)
-    assert [(c.start, c.end) for c in clips] == [(0, 3), (3, 6), (6, 7)]
-    assert clips[2].frames[0] is stream.frames[6]
+    ranges = split_into_subclips(stream.T, 3)
+    assert ranges == [(0, 3), (3, 6), (6, 7)]
+    clips = [stream.frames[a:b] for a, b in ranges]
+    assert [len(c) for c in clips] == [3, 3, 1]
+    assert all(np.shares_memory(c, stream.frames) for c in clips)
+    assert clips[2][0].tobytes() == stream.frames[6].tobytes()
+    assert np.concatenate(clips).tobytes() == stream.frames.tobytes()
 
 
 def test_prefix():
     stream = synth_stream(1, 7, 2, 4)
     pre = stream.prefix(3)
-    assert pre.T == 3
-    assert pre.frames[2] is stream.frames[2]
+    assert (pre.T, pre.P, pre.d) == (3, 2, 4)
+    assert np.shares_memory(pre.frames, stream.frames)
+    assert pre.frames[2].tobytes() == stream.frames[2].tobytes()
     with pytest.raises(ValueError):
         stream.prefix(0)
+
+
+def test_shape_read_from_the_array():
+    stream = FrameTokenStream(np.zeros((5, 3, 2), dtype=np.float32))
+    assert (stream.T, stream.P, stream.d) == (5, 3, 2)
+    with pytest.raises(ValueError):
+        FrameTokenStream(np.zeros((0, 3, 2)))
+    with pytest.raises(ValueError):
+        FrameTokenStream(np.zeros((5, 3)))
