@@ -61,7 +61,7 @@ def load_llm_input(path) -> LLMInputSequence:
     h, values = RWLI.load(path)
     if h.total != h.memory_rows + 1 + h.selected_rows:
         raise MalformedArtifactError("RWLI section sizes do not add up")
-    m, values = h.memory_rows, values.astype(np.float64)
+    m = h.memory_rows
     return LLMInputSequence(memory_tokens=values[:m], separator=values[m],
                             selected_tokens=values[m + 1:], memory_rows=m,
                             selected_rows=h.selected_rows)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .memory import MemoryBank
+from .special import float_array
 from .stream import InstructionEncoding
 
 # float64s in sq_dist_matrix's difference scratch (512 kB): a block takes
@@ -52,12 +53,12 @@ def frame_relevance(bank: MemoryBank,
     so the top-L ranking is the same and the logits are kept for numerical
     simplicity.
 
-    The stacked (T, W, d) @ (d,) product runs one gemv per frame, as a
-    per-frame loop would; one flattened (T*W, d) gemv rounds differently.
-    The max over the W columns is W - 1 elementwise `np.maximum` calls,
-    not a reduce over the short axis, which runs numpy's inner loop once
-    per frame. Both give the same maximum value; they can differ only in
-    how they write it: the sign of a zero maximum and the bits of a NaN
+    The scores are in the bank's dtype: the mean is cast to it, and one
+    (T*W, d) gemv over the flattened memory gives every token's dot
+    product. The max over the W columns is W - 1 elementwise `np.maximum`
+    calls, not a reduce over the short axis, which runs numpy's inner loop
+    once per frame. Both give the same maximum value; they can differ only
+    in how they write it: the sign of a zero maximum and the bits of a NaN
     one (numpy's reduce writes +NaN for a row that starts with a NaN).
     Rows whose maximum is a zero or a NaN, which takes an exactly zero or
     an overflowing dot product, are taken from the reduce, so every byte
@@ -68,7 +69,9 @@ def frame_relevance(bank: MemoryBank,
     if instruction_mean.shape != (bank.d,):
         raise ValueError("instruction mean must have length d")
     scale = 1.0 / math.sqrt(bank.d)
-    dots = bank.tokens @ instruction_mean
+    tokens = bank.all_tokens()
+    mean = instruction_mean.astype(tokens.dtype, copy=False)
+    dots = (tokens @ mean).reshape(len(bank), bank.W)
     best = dots[:, 0]
     for w in range(1, bank.W):
         best = np.maximum(best, dots[:, w])
@@ -197,7 +200,8 @@ def dpc_knn_select(candidates: CandidateSet, K: int,
 def pool_tokens(raw: np.ndarray, p: int) -> np.ndarray:
     """Mean-pool token rows into p contiguous groups of near-equal size;
     larger groups come first. `raw` is one frame's (P, d) rows or a
-    (k, P, d) stack of frames, pooled to (p, d) or (k, p, d).
+    (k, P, d) stack of frames, pooled to (p, d) or (k, p, d) in its dtype
+    (`special.float_array`).
 
     The first `rem` groups hold base + 1 rows and the rest base rows, so
     each run of equal groups is one reshaped mean over every frame at
@@ -205,12 +209,13 @@ def pool_tokens(raw: np.ndarray, p: int) -> np.ndarray:
     as one mean per group and frame would, so the values are the same bit
     for bit.
     """
+    raw = float_array(raw)
     *lead, P, d = raw.shape
     if not (1 <= p <= P):
         raise ValueError(f"pool size {p} out of range [1, {P}]")
     base, rem = divmod(P, p)
     split = rem * (base + 1)
-    out = np.empty((*lead, p, d))
+    out = np.empty((*lead, p, d), dtype=raw.dtype)
     out[..., :rem, :] = raw[..., :split, :].reshape(
         *lead, rem, base + 1, d).mean(axis=-2)
     out[..., rem:, :] = raw[..., split:, :].reshape(
@@ -229,11 +234,11 @@ def dfs_select(bank: MemoryBank, buffer, instruction: InstructionEncoding,
                z_repr: str = "mean") -> SelectionResult:
     """Full Stage-2 selection: relevance -> top-L -> clustering -> pooling.
 
-    Each step reads the memory once: one stacked gemv and W - 1
-    elementwise maxima score every frame, a partition keeps the top L
-    before anything is sorted, and the centers' buffered rows are pooled
-    in one call. Every step gives the bytes of its per-frame form, so the
-    selection does too. Centers are reported in ascending frame order.
+    Each step reads the memory once: one gemv and W - 1 elementwise
+    maxima score every frame, a partition keeps the top L before anything
+    is sorted, and the centers' buffered rows are pooled in one call.
+    Every step gives the bytes of its per-frame form, so the selection
+    does too. Centers are reported in ascending frame order.
     """
     scores = frame_relevance(bank, instruction.mean)
     candidates = select_top_L(scores, L, bank, z_repr)
@@ -266,8 +271,9 @@ def uniform_select(bank: MemoryBank, buffer, K_c: int,
 def format_selection_report(result: SelectionResult) -> str:
     """Machine-readable report: one candidate per line, fields in the order
     frame_index relevance sigma rho weighted chosen. Scores are formatted
-    from Python floats (`tolist`), which print as the float64 values do,
-    through one %-format per line."""
+    from Python floats (`tolist`), which print as the float64 values do
+    (the float32 relevance as its exact value), through one %-format per
+    line."""
     lines = [
         f"# selection strategy={result.strategy}",
         "# centers: " + " ".join(str(c) for c in result.centers),

@@ -17,8 +17,12 @@ feature buffer that is never read during Stage 1: the stream's (T, P, d)
 array plus a count of the frames buffered so far, advanced once per
 sub-clip. The buffer keeps the array itself, not a copy, when nobody can
 write its memory (a loaded stream's payload, as `load_stream` returns);
-it copies any other array once, so a caller's later writes never reach
-it.
+it copies any other array once, in its own dtype, so a caller's later
+writes never reach it.
+
+Everything here holds the dtype Stage 1 computes in, float32 for a run of
+the pipeline: the bank's tokens, the buffered frames, and the read state
+apart from its two running sums, which are a few kilobytes of float64.
 """
 
 import json
@@ -70,6 +74,10 @@ class _ReadState:
     of exp(score - top) times each row's projected value (`num`, dh wide),
     so the read context is num / den. Its size is fixed by the read
     queries and heads, whatever the number of rows.
+
+    The projected queries and the maxima are in the read weights' dtype,
+    as the scores are; the two sums are float64, and the context is
+    rounded back to the weights' dtype.
     """
 
     def __init__(self, queries: "QueryBank"):
@@ -77,7 +85,7 @@ class _ReadState:
         shape = (params.heads, queries.n_read)
         self.read_queries, self.params = queries.read_queries, params
         self.qp = split_heads(queries.read_queries @ params.w_q, params.heads)
-        self.top = np.full(shape + (1,), -np.inf)
+        self.top = np.full(shape + (1,), -np.inf, dtype=self.qp.dtype)
         self.den = np.zeros(shape + (1,))
         self.num = np.zeros(shape + (params.dim_model // params.heads,))
         self.rows = 0
@@ -110,8 +118,10 @@ class _ReadState:
         self.rows += len(new_rows)
 
     def context(self) -> np.ndarray:
-        """Each head's num / den, heads side by side: (N_R, d)."""
-        return merge_heads(self.num / self.den)
+        """Each head's num / den, heads side by side, in the projected
+        queries' dtype: (N_R, d)."""
+        return merge_heads(self.num / self.den).astype(self.qp.dtype,
+                                                        copy=False)
 
 
 class MemoryBank:
@@ -126,14 +136,16 @@ class MemoryBank:
 
     `capacity` frames are allocated once up front; a bank that outgrows
     them doubles its arrays. Untouched capacity is never written, so it is
-    not counted.
+    not counted. Tokens are stored in `dtype`, and appended blocks are cast
+    to it; Stage 1 and `load_bank` build float32 banks.
     """
 
-    def __init__(self, W: int, d: int, capacity: int = 0):
+    def __init__(self, W: int, d: int, capacity: int = 0,
+                 dtype=np.float64):
         self.W = W
         self.d = d
         self._count = 0
-        self._tokens = np.empty((capacity, W, d))
+        self._tokens = np.empty((capacity, W, d), dtype=dtype)
         self._frames = np.empty(capacity, dtype=np.int64)
         self._subclips = np.empty(capacity, dtype=np.int64)
         self._read = None
@@ -190,11 +202,13 @@ def append(bank: MemoryBank, frames, subclips, tokens) -> None:
     """Append an (n, W, d) block of `tokens` for the n `frames`, with one
     sub-clip index for the block or one per row. The whole block is checked
     before any row is stored, so a rejected block leaves the bank as it was:
-    the tokens must be n x W x d and finite, and the frames must increase
-    strictly, inside the block and after the bank's last frame. A duplicate
-    or a regression is a bug in the caller and raises ValueError."""
+    the tokens must be n x W x d and finite in the bank's dtype, and the
+    frames must increase strictly, inside the block and after the bank's
+    last frame. A duplicate or a regression is a bug in the caller and
+    raises ValueError."""
     frames = np.asarray(frames, dtype=np.int64)
-    tokens = np.asarray(tokens)
+    with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
+        tokens = np.asarray(tokens, dtype=bank._tokens.dtype)
     if tokens.ndim != 3 or tokens.shape[1:] != (bank.W, bank.d):
         raise ValueError(f"tokens must be n x {bank.W} x {bank.d}, "
                          f"not {tokens.shape}")
@@ -237,16 +251,16 @@ class FeatureBuffer:
     buffered so far, which `buffer_store` advances one sub-clip at a time.
     An array that views immutable bytes (a loaded stream's read-only
     float32 payload) is kept as it is; any other array, including a
-    read-only view of a writable one, is copied once to float64, so a
-    caller's later writes never reach the buffer. `get` returns float64
-    either way, so what Stage 2 pools does not depend on which was kept.
-    `resident_bytes` models every buffered frame at float64, P*d*8 bytes,
-    the bound of what the buffer would hold if it copied each one.
+    read-only view of a writable one, is copied once in its own dtype, so
+    a caller's later writes never reach the buffer. `get` returns a
+    read-only view of a frame in that dtype, float32 for a pipeline run.
+    `resident_bytes` counts every buffered frame at that dtype, P*d*4
+    bytes for float32, what the buffer holds if it copied each one.
     """
 
     def __init__(self, frames: np.ndarray):
         if not _immutable(frames):
-            frames = np.array(frames, dtype=np.float64, copy=True)
+            frames = np.array(frames)
         self._frames = frames
         self._count = 0
 
@@ -258,7 +272,7 @@ class FeatureBuffer:
     def get(self, frame_index: int) -> np.ndarray:
         if not 0 <= frame_index < self._count:
             raise KeyError(frame_index)
-        return np.asarray(self._frames[frame_index], dtype=np.float64)
+        return _readonly(self._frames[frame_index])
 
     def frame_indices(self):
         return list(range(self._count))
@@ -270,7 +284,7 @@ class FeatureBuffer:
         return self._count * self._frames.shape[1]
 
     def resident_bytes(self) -> int:
-        return self.token_count() * self._frames.shape[2] * 8
+        return self._frames[:self._count].nbytes
 
 
 def buffer_store(buffer: FeatureBuffer, end: int) -> None:
@@ -285,8 +299,8 @@ def buffer_store(buffer: FeatureBuffer, end: int) -> None:
 
 def save_buffer_spill(buffer: FeatureBuffer, data_path, manifest_path) -> None:
     """Spill the buffer to disk: one RWFS record per frame plus a manifest
-    mapping frame_index to byte offset. Values are stored as float32, cast
-    once from the buffered array."""
+    mapping frame_index to byte offset. Values are stored as float32, as
+    a pipeline run buffers them; any other dtype is cast once."""
     offsets = []
     with open(data_path, "wb") as fh:
         for frame_index, raw in enumerate(buffer.frames):
@@ -330,8 +344,9 @@ class DiskFeatureBuffer:
         return len(self._offsets) * self.get(self.frame_indices()[0]).shape[0]
 
     def get(self, frame_index: int) -> np.ndarray:
-        """The frame's float64 tokens. Its record must be one frame of the
-        first record's P x d and end inside the file, checked up front."""
+        """The frame's float32 tokens, a read-only view of its record. The
+        record must be one frame of the first record's P x d and end inside
+        the file, checked up front."""
         offset = self._offsets.get(frame_index)
         if offset is None:
             # unreachable from the CLI: _open_disk_buffer rejects a manifest
@@ -353,7 +368,7 @@ class DiskFeatureBuffer:
             if size > end - fh.tell():
                 raise TruncatedPayloadError(f"{where} is truncated")
             values = RWFS.read_payload(header, fh.read(size))
-        return values[0].astype(np.float64)
+        return values[0]
 
 
 @dataclass
@@ -424,13 +439,15 @@ def bank_bytes(bank: MemoryBank) -> bytes:
 
 
 def load_bank(path) -> MemoryBank:
-    """The bank an RWMB file holds, in a bank of exactly its `count` rows.
-    A non-finite token raises NonFiniteDataError (exit 4) in the codec's
-    decode, before `append` sees the rows."""
+    """The bank an RWMB file holds, in a float32 bank of exactly its
+    `count` rows: the tokens Stage 1 wrote, as it wrote them. A non-finite
+    token raises NonFiniteDataError (exit 4) in the codec's decode, before
+    `append` sees the rows."""
     header, records = RWMB.load(path)
     if min(header) < 1:
         raise MalformedArtifactError(f"RWMB bank {tuple(header)} is empty")
-    bank = MemoryBank(W=header.W, d=header.d, capacity=header.count)
+    bank = MemoryBank(W=header.W, d=header.d, capacity=header.count,
+                      dtype=np.float32)
     try:
         append(bank, records["frame"], records["subclip"], records["tokens"])
     except ValueError as exc:

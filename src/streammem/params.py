@@ -11,6 +11,10 @@ All parameters are derived from the run seed in one documented draw order
     5. per layer: cross attention block, temporal attention block,
        ffn w1 (d x 4d), b1 (4d), w2 (4d x d), b2 (d), ffn ln gain/bias
     6. separator row tau (d), standard normal
+
+Each tensor is drawn in float64 and rounded to float32 once, so the model
+that runs is exactly the one RWPM stores, and a run from a loaded
+checkpoint is the run that saved it.
 """
 
 import math
@@ -45,6 +49,10 @@ class ModelParams:
     query_bank: QueryBank
     perceiver: PerceiverParams
     tau: np.ndarray  # (d,) separator row
+
+    def nbytes(self) -> int:
+        """The bytes of every tensor: the weights a run keeps resident."""
+        return sum(t.nbytes for t in _model_tensors(self))
 
 
 def _ffn_hidden(d: int) -> int:
@@ -82,7 +90,7 @@ def init_model_params(config: RunConfig) -> ModelParams:
     h = RWPM.Header(config.d, config.heads, config.layers, config.n_read,
                     config.n_write, _ffn_hidden(config.d),
                     TEMPORAL_MODES.index(config.temporal))
-    return _build(h, lambda shape, kind: draw[kind](shape))
+    return _build(h, lambda shape, kind: draw[kind](shape).astype(np.float32))
 
 
 def _model_tensors(params: ModelParams):
@@ -117,11 +125,11 @@ def load_params(path) -> ModelParams:
     if (h.heads < 1 or h.d < 1 or h.d % h.heads
             or h.temporal_mode >= len(TEMPORAL_MODES)):
         raise MalformedArtifactError(f"RWPM header {tuple(h)} is not a model")
-    flat, pos = values.astype(np.float64), 0
+    pos = 0
 
     def take(shape, kind):
         nonlocal pos
         pos += math.prod(shape)
-        return flat[pos - math.prod(shape):pos].reshape(shape)
+        return values[pos - math.prod(shape):pos].reshape(shape)
 
     return _build(h, take)

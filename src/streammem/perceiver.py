@@ -11,11 +11,12 @@ instead of inside every layer.
 A sub-clip is an (F, P, d) slice of the stream's array, and its F frames
 are processed together: the state is one stacked (F, N_Q, d) array and
 each sublayer is one batched call; the sub-clip's (F, W, d) memory tokens
-come from one write-attention call and enter the bank as one block. The
-sublayers are compositions of the tensor kernels, matmul and addition with
-no forward of their own to differentiate: given autodiff tape values they
-record this same forward on the tape, so gradient checks run the
-production code.
+come from one write-attention call and enter the bank as one block. Stage
+1 computes in the dtype of its inputs: float32 for float32 frames and
+weights, as every artifact stores them. The sublayers are compositions of
+the tensor kernels, matmul and addition with no forward of their own to
+differentiate: given autodiff tape values they record this same forward
+on the tape, so gradient checks run the production code.
 """
 
 from dataclasses import dataclass
@@ -79,13 +80,14 @@ def temporal_sublayer(states, params: AttentionParams):
 
 def _frame_keys(frames: np.ndarray,
                 instruction: InstructionEncoding) -> np.ndarray:
-    """The (F, P+I, d) float64 key/value matrices of the (F, P, d) frames:
-    their raw tokens with the instruction rows appended to every frame."""
+    """The (F, P+I, d) key/value matrices of the (F, P, d) frames, in
+    their dtype: their raw tokens with the instruction rows appended to
+    every frame."""
     if instruction.tokens.shape[0] == 0:
-        return np.asarray(frames, dtype=np.float64)
+        return frames
     rows = np.broadcast_to(instruction.tokens,
                            (len(frames),) + instruction.tokens.shape)
-    return np.concatenate([frames, rows], axis=1, dtype=np.float64)
+    return np.concatenate([frames, rows], axis=1, dtype=frames.dtype)
 
 
 def perceive_subclip(frames: np.ndarray, context,
@@ -125,11 +127,14 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
     frames perceived and buffered raw, and the (F, W, d) tokens of all of
     them written by one attention call and appended to the bank as one
     block. `on_subclip(frames, bank, buffer)` is called after each. The
-    bank is sized for the stream's T frames up front, and the buffer holds
-    the stream's array. Returns the populated (bank, buffer).
+    bank is sized for the stream's T frames up front, in the dtype Stage 1
+    computes in (the frames' and weights' common dtype), and the buffer
+    holds the stream's array. Returns the populated (bank, buffer).
     """
     W = queries.n_write
-    bank = MemoryBank(W=W, d=params.d, capacity=stream.T)
+    bank = MemoryBank(W=W, d=params.d, capacity=stream.T,
+                      dtype=np.result_type(stream.frames,
+                                           queries.write_queries))
     buffer = FeatureBuffer(stream.frames)
     for index, (start, end) in enumerate(split_into_subclips(stream.T, F)):
         frames = stream.frames[start:end]

@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .memory import accounting_report, save_bank, save_buffer_spill
 from .params import init_model_params, save_params
 from .perceiver import process_stream
+from .special import erf_scratch_bytes
 from .stream import (FrameTokenStream, encode_instruction, load_stream,
                      save_stream)
 
@@ -110,36 +111,41 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
 
     Tracks, after every sub-clip, the bytes held by the bank (its live
     rows and the streaming read state, whose size does not depend on T)
-    and by the buffer, plus two workspaces that do not grow with T:
+    and by the buffer, plus the model's weights, resident through Stage 1,
+    and two workspaces that do not grow with T:
     - the read's: every head's N_R x W*min(F, T) scores over the rows of
       one sub-clip;
-    - the perceiver's, for a sub-clip of f frames with P+I keys each: four
-      f x (P+I) x d arrays (the float64 keys with instruction rows, which
-      live through every layer, their K and V projections, and a fourth
-      that stands in for part of the cross-attention scores, which are not
-      counted on their own) and three f x N_Q x 4d arrays (the FFN's
-      pre-activation, its GELU, and a bound on the narrower temporaries
-      around them).
-    All are float64. The buffer is modelled at float64, P*d*8 bytes per
-    buffered frame, even where it holds a loaded stream's float32 (T, P, d)
-    array by reference, so the model never falls below a buffer of copies.
-    The peak demonstrates the absence of any state that grows faster than
-    linearly in T.
+    - the perceiver's, for a sub-clip of f frames with P+I keys each: three
+      f x (P+I) x d arrays (the keys with instruction rows, which live
+      through every layer, and their K and V projections), the
+      cross-attention scores, f x heads x N_Q x (P+I), three f x N_Q x 4d
+      arrays (the FFN's pre-activation, its GELU, and a bound on the
+      narrower temporaries around them), and the scratch of the GELU's
+      erf.
+    Every term counts the itemsize Stage 1 runs at, the bank's: 4 bytes
+    for a float32 run. The buffer counts P*d of it per buffered frame, also
+    where it holds a loaded stream's (T, P, d) array by reference, so the
+    model never falls below a buffer of copies. The peak demonstrates the
+    absence of any state that grows faster than linearly in T.
     """
     config.validate()
     params = init_model_params(config)
     instruction = encode_instruction(instruction_text, config.d)
-    F = config.subclip_frames
+    F, d, n_read = config.subclip_frames, config.d, config.n_read
     n_keys = stream.P + instruction.tokens.shape[0]
+    weights = params.nbytes()
     peak = 0
 
     def on_subclip(frames, bank, buffer):
         nonlocal peak
-        resident = bank.resident_bytes() + buffer.resident_bytes()
-        read_scores = (config.heads * config.n_read * bank.W
-                       * min(F, stream.T) * 8)
-        perceive = len(frames) * config.d * 8 * (
-            4 * n_keys + 3 * config.n_read * 4)
+        size = bank.tokens.itemsize
+        resident = weights + bank.resident_bytes() + buffer.resident_bytes()
+        read_scores = (config.heads * n_read * bank.W * min(F, stream.T)
+                       * size)
+        hidden = len(frames) * n_read * 4 * d
+        perceive = size * (
+            len(frames) * (3 * n_keys * d + config.heads * n_read * n_keys)
+            + 3 * hidden) + erf_scratch_bytes(hidden, bank.tokens.dtype)
         peak = max(peak, resident + read_scores + perceive)
 
     process_stream(stream, instruction, params.query_bank, params.perceiver,

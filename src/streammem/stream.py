@@ -21,9 +21,10 @@ RWFS = Format(b"RWFS", 1, ("T", "P", "d"), lambda h: ("<f4", tuple(h)))
 
 
 class FrameTokenStream:
-    """T frames of P d-wide tokens, one (T, P, d) array. A synthetic stream
-    holds float64; a loaded stream holds the file's read-only float32
-    payload, not a float64 copy, and consumers convert where they compute.
+    """T frames of P d-wide tokens, one (T, P, d) array, float32 for a
+    synthetic stream and for a loaded one, which holds the file's
+    read-only payload rather than a copy. Stage 1 computes in the frames'
+    dtype.
     """
 
     def __init__(self, frames: np.ndarray):
@@ -59,13 +60,16 @@ def _frame_rng(seed: int, t: int) -> np.random.Generator:
 
 def synth_stream(seed: int, T: int, P: int, d: int) -> FrameTokenStream:
     """Deterministic synthetic stream; frame t is a pure function of
-    (seed, t), values clipped to [-3, 3]."""
+    (seed, t): float64 normals clipped to [-3, 3] and rounded to float32
+    once, the values `save_stream` writes."""
     if T < 1 or P < 1 or d < 1:
         raise ValueError("T, P and d must be at least 1")
-    frames = np.empty((T, P, d))
+    frames = np.empty((T, P, d), dtype=np.float32)
+    draw = np.empty((P, d))
     for t in range(T):
-        _frame_rng(seed, t).standard_normal(out=frames[t])
-    return FrameTokenStream(np.clip(frames, -3.0, 3.0, out=frames))
+        _frame_rng(seed, t).standard_normal(out=draw)
+        np.clip(draw, -3.0, 3.0, out=frames[t])
+    return FrameTokenStream(frames)
 
 
 def _word_vector(word: str, d: int) -> np.ndarray:

@@ -4,20 +4,24 @@ and the finite-difference gradient checker.
 Every function works over the last axis, so a stack of matrices with any
 leading batch axes goes through one call; heads are one more batch axis,
 laid out by `split_heads` and `merge_heads` alone. Each kernel has one
-forward, written on float64 ndarrays. Softmax, layer norm and GELU are
+forward, which computes in its input's dtype (`special.float_array`):
+float32 in Stage 1, float64 in the gradient checks and the oracles. Its
+scalars are Python floats, which numpy casts to the array's dtype, so no
+float64 scalar promotes a float32 array. Softmax, layer norm and GELU are
 marked `differentiable(vjp)`, with their vector-Jacobian product next to
 the forward, so the autodiff tape runs this same forward when gradient
 checks pass it tape values; attention is a composition of those kernels
 with matmul, reshape and swapaxes, and needs no VJP of its own.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import differentiable
 from .errors import NumericError
-from .special import erf
+from .special import erf, float_array
 
 DEFAULT_EPS = 1e-5
 
@@ -68,7 +72,7 @@ def _softmax_vjp(g, out, args, i):
 
 @differentiable(_softmax_vjp)
 def _softmax_inplace(m: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a float64 array, in its own storage."""
+    """Softmax over the last axis of a float array, in its own storage."""
     shift_exp(m, m.max(axis=-1, keepdims=True))
     m /= m.sum(axis=-1, keepdims=True)
     return m
@@ -77,16 +81,17 @@ def _softmax_inplace(m: np.ndarray) -> np.ndarray:
 @differentiable(_softmax_vjp)
 def softmax_rows(m):
     """Row-wise softmax, shift-invariant (max subtracted before exp)."""
-    m = np.array(m, dtype=np.float64)
+    m = float_array(m, copy=True)
     _require_finite(m, "softmax input")
     return _softmax_inplace(m)
 
 
 def _centred(x, eps):
-    """x minus its row mean, and the row standard deviation with eps."""
+    """x minus its row mean, and the row standard deviation with eps, in
+    x's dtype."""
     out = x - x.mean(axis=-1, keepdims=True)
     std = np.square(out).mean(axis=-1, keepdims=True)
-    std += eps
+    std += float(eps)
     np.sqrt(std, out=std)
     return out, std
 
@@ -114,7 +119,7 @@ def layer_norm(x, gain, bias, eps: float = DEFAULT_EPS):
         raise ValueError("gain length must match column count")
     if np.shape(bias) != np.shape(gain):
         raise ValueError("bias shape must match gain shape")
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x)
     gain = np.asarray(gain)
     # np.var would subtract the mean again; the variance is the mean of
     # the squared centred rows either way, bit for bit
@@ -137,8 +142,8 @@ def _gelu_vjp(g, out, args, i):
 
 @differentiable(_gelu_vjp)
 def gelu(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = x / np.sqrt(2.0)
+    x = float_array(x)
+    out = x / math.sqrt(2.0)
     erf(out, out=out)
     out += 1.0
     out *= 0.5 * x
@@ -175,8 +180,8 @@ def merge_heads(x):
 
 
 def head_scale(params: AttentionParams) -> float:
-    """The logit scale 1/sqrt(d/heads)."""
-    return 1.0 / np.sqrt(params.dim_model // params.heads)
+    """The logit scale 1/sqrt(d/heads), a Python float."""
+    return 1.0 / math.sqrt(params.dim_model // params.heads)
 
 
 def attend(qp, kp, vp, params: AttentionParams):

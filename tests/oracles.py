@@ -98,10 +98,10 @@ def perceive_subclip_loop(frames, context, instruction_tokens, perceiver):
     from streammem.tensor import attention, gelu, layer_norm
 
     if len(instruction_tokens):
-        keys = [np.concatenate([f, instruction_tokens], axis=0)
+        keys = [np.concatenate([f, instruction_tokens], axis=0, dtype=f.dtype)
                 for f in frames]
     else:
-        keys = [np.asarray(f, dtype=np.float64) for f in frames]
+        keys = list(frames)
 
     def cross(state, kv, layer):
         normed = layer_norm(state, layer.cross.ln_gain, layer.cross.ln_bias)
@@ -164,18 +164,20 @@ def read_context_loop(mem, queries, reads, residual=True):
 
     Each chunk runs the same row products and the same elementwise steps
     as the bank's read state, so the two agree bit for bit; only the
-    state's bookkeeping differs.
+    state's bookkeeping differs. As there, the scores and maxima are in
+    the projected queries' dtype, the running sums in float64, and the
+    context is rounded back to that dtype.
     """
     import numpy as np
 
     params = queries.read_attention
     dh = params.dim_model // params.heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)
     qp = queries.read_queries @ params.w_q
     heads_out = []
     for h in range(params.heads):
         sl = slice(h * dh, (h + 1) * dh)
-        top = np.full((len(qp), 1), -np.inf)
+        top = np.full((len(qp), 1), -np.inf, dtype=qp.dtype)
         den = np.zeros((len(qp), 1))
         num = np.zeros((len(qp), dh))
         for a, b in zip([0] + list(reads[:-1]), reads):
@@ -189,7 +191,7 @@ def read_context_loop(mem, queries, reads, residual=True):
             num = num * rescale + e @ v[:, sl]
             top = new_top
         heads_out.append(num / den)
-    out = np.concatenate(heads_out, axis=1) @ params.w_o
+    out = np.concatenate(heads_out, axis=1).astype(qp.dtype) @ params.w_o
     return queries.read_queries + out if residual else out
 
 
@@ -220,13 +222,21 @@ def bank_bytes_loop(bank):
 
 
 def frame_relevance_loop(bank, instruction_mean):
-    """Per frame, max over its tokens of the dot product with the mean,
-    scaled by 1/sqrt(d); returns (frames, relevance) lists."""
+    """Per frame, max over its W tokens' dot products with the mean,
+    scaled by 1/sqrt(d); returns (frames, relevance) lists of numpy
+    scalars in the bank's dtype. The dot products are one flattened
+    (T*W, d) gemv with the mean cast to the tokens' dtype, as
+    `frame_relevance` takes them; the max and the scale run frame by
+    frame."""
+    import numpy as np
+
+    tokens = bank.all_tokens()
+    dots = tokens @ np.asarray(instruction_mean).astype(tokens.dtype)
     scale = 1.0 / math.sqrt(bank.d)
-    rows = list(zip(bank.frames.tolist(), bank.tokens))
-    return ([frame for frame, _ in rows],
-            [float((tokens @ instruction_mean).max() * scale)
-             for _, tokens in rows])
+    frames = bank.frames.tolist()
+    W = bank.W
+    return frames, [dots[i * W:(i + 1) * W].max() * scale
+                    for i in range(len(frames))]
 
 
 def select_top_L_loop(bank, instruction_mean, L, z_repr):
@@ -453,3 +463,21 @@ def attend_out_of_place(qp, kp, vp, params):
         e = np.exp(shifted)
         heads_out.append(e / e.sum(axis=-1, keepdims=True) @ vp[..., sl])
     return np.concatenate(heads_out, axis=-1) @ params.w_o
+
+
+def cast_model(obj, dtype):
+    """A copy of a model (its dataclasses, lists and arrays) with every
+    array cast to dtype: the same weights, run in another precision."""
+    import dataclasses
+
+    import numpy as np
+
+    if isinstance(obj, np.ndarray):
+        return obj.astype(dtype)
+    if isinstance(obj, list):
+        return [cast_model(item, dtype) for item in obj]
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.replace(obj, **{
+            f.name: cast_model(getattr(obj, f.name), dtype)
+            for f in dataclasses.fields(obj) if f.init})
+    return obj

@@ -172,17 +172,16 @@ class TestProcessChain:
 
 
 class TestArtifactsReproduceProcess:
-    """`assemble` on the selection that `process` wrote, and `select
-    --strategy uniform` on its bank and spill, reproduce its bytes over
-    random stream, sub-clip and selection sizes. The dfs form of `select`
-    is left out: it scores the float32 bank on disk, not the float64 bank
-    `process` scored, so its relevance scores can differ."""
+    """`assemble` on the selection that `process` wrote, and `select` with
+    either strategy on its bank and spill, reproduce its bytes over random
+    stream, sub-clip and selection sizes. `select --strategy dfs` scores
+    the float32 bank on disk, which is the bank `process` scored."""
 
     @given(T=st.integers(1, 40), P=st.integers(1, 8), F=st.integers(1, 8),
            Kc=st.integers(1, 6), pool=st.integers(1, 10),
            seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
-    def test_assemble_and_uniform_select(self, T, P, F, Kc, pool, seed):
+    def test_assemble_and_select(self, T, P, F, Kc, pool, seed):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             cfg = tmp / "run.cfg"
@@ -208,14 +207,17 @@ class TestArtifactsReproduceProcess:
                              "--config", str(cfg), "--out", str(seq)]) == 0
                 assert seq.read_bytes() == \
                     (out / "llm_input.rwli").read_bytes()
-            report = tmp / "sel.txt"
-            assert main(["select", "--bank", str(out / "memory.rwmb"),
-                         "--buffer-manifest", str(out / "buffer.manifest"),
-                         "--instruction", "who opens the door",
-                         "--config", str(cfg), "--strategy", "uniform",
-                         "--out", str(report)]) == 0
-            assert (tmp / "sel.txt.pooled.rwfs").read_bytes() == \
-                (out / "selection_pooled.rwfs").read_bytes()
+                report = tmp / f"{strategy}.txt"
+                assert main(["select", "--bank", str(out / "memory.rwmb"),
+                             "--buffer-manifest",
+                             str(out / "buffer.manifest"),
+                             "--instruction", "who opens the door",
+                             "--config", str(cfg), "--strategy", strategy,
+                             "--out", str(report)]) == 0
+                assert report.read_bytes() == \
+                    (out / "selection.txt").read_bytes()
+                assert (tmp / f"{strategy}.txt.pooled.rwfs").read_bytes() \
+                    == (out / "selection_pooled.rwfs").read_bytes()
 
 
 class TestExitCodes:

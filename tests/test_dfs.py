@@ -122,24 +122,25 @@ _EDGE_ROWS = np.array([np.tile(pair, 8) for pair in (
 
 
 class _PresetDots:
-    """Stands in for a bank's tokens: `tokens @ mean` gives preset (T, W)
-    dot products, and each row's `@` that row's, so the max over the W
-    columns meets dots a real gemv never returns, such as -0.0."""
+    """Stands in for a bank's flattened tokens: `tokens @ mean` gives the
+    preset T*W dot products, so the max over the W columns meets dots a
+    real gemv never returns, such as -0.0."""
 
     def __init__(self, dots):
-        self.dots = dots
+        self.dots, self.dtype = dots, dots.dtype
 
     def __matmul__(self, mean):
         return self.dots.copy()
 
-    def __iter__(self):
-        return (_PresetDots(row) for row in self.dots)
-
 
 class _PresetBank:
     def __init__(self, dots, d=4):
-        self.tokens, self.frames = _PresetDots(dots), np.arange(len(dots))
+        self.frames = np.arange(len(dots))
         self.W, self.d = dots.shape[1], d
+        self._tokens = _PresetDots(dots.reshape(-1))
+
+    def all_tokens(self):
+        return self._tokens
 
     def __len__(self):
         return len(self.frames)
@@ -161,6 +162,19 @@ class TestRelevanceBytes:
         if T == 4384:  # every kind of maximum occurs
             assert {np.isnan(scores).any(), np.isinf(scores).any(),
                     (scores == 0).any()} == {True}
+
+    @pytest.mark.parametrize("W", [1, 2, 3])
+    def test_float32_bank_scores_in_float32(self, W):
+        """A float32 bank, as Stage 1 and `load_bank` build it, is scored
+        in float32 with the float64 mean cast to it."""
+        rng = np.random.default_rng(W)
+        bank = MemoryBank(W=W, d=64, dtype=np.float32)
+        append(bank, range(300), 0, rng.standard_normal((300, W, 64)))
+        mean = rng.standard_normal(64)
+        scores = frame_relevance(bank, mean)
+        _, relevance = frame_relevance_loop(bank, mean)
+        assert scores.dtype == np.float32
+        assert scores.tobytes() == np.array(relevance).tobytes()
 
     @pytest.mark.parametrize("W", [1, 2, 3, 9])
     @pytest.mark.parametrize("T", [7, 4384])

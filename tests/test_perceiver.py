@@ -12,10 +12,12 @@ from streammem.memory import bank_bytes
 from streammem.params import init_model_params, load_params, save_params
 from streammem.perceiver import (PerceiverParams, perceive_subclip,
                                  process_stream, temporal_sublayer)
-from streammem.stream import (InstructionEncoding, empty_instruction,
-                              encode_instruction, synth_stream)
+from streammem.pipeline import run_pipeline
+from streammem.stream import (FrameTokenStream, InstructionEncoding,
+                              empty_instruction, encode_instruction,
+                              synth_stream)
 
-from oracles import (attention_loop, layer_norm_two_pass,
+from oracles import (attention_loop, cast_model, layer_norm_two_pass,
                      perceive_subclip_loop, process_stream_loop,
                      read_context_loop)
 
@@ -315,6 +317,91 @@ class TestProcessStream:
         # the first sub-clip sees an empty bank either way; later ones differ
         assert np.allclose(a.tokens[0], b.tokens[0])
         assert not np.allclose(a.tokens[7], b.tokens[7])
+
+
+def _recording(monkeypatch, names, seen):
+    """Wrap each of `names` in the perceiver module so its outputs are
+    appended to seen[name]."""
+    import streammem.perceiver as perceiver_module
+
+    for name in names:
+        real = getattr(perceiver_module, name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            out = _real(*args, **kwargs)
+            seen.setdefault(_name, []).append(out)
+            return out
+
+        monkeypatch.setattr(perceiver_module, name, wrapper)
+
+
+class TestFloat32StageOne:
+    """Stage 1 runs in float32 from the float32 stream and weights, and
+    stays close to a float64 run of the same float32-rounded weights."""
+
+    SUBLAYERS = ("cross_sublayer", "temporal_sublayer", "ffn_sublayer",
+                 "read_context", "write_frame", "perceive_subclip")
+
+    @pytest.mark.parametrize("temporal", ["per_layer", "final"])
+    def test_every_stage_one_array_is_float32(self, monkeypatch, temporal):
+        config = _config(temporal=temporal)
+        params = init_model_params(config)
+        stream = synth_stream(40, 10, 4, 8)
+        assert stream.frames.dtype == np.float32
+        seen = {}
+        _recording(monkeypatch, self.SUBLAYERS, seen)
+        bank, buffer = process_stream(stream, encode_instruction("a cup", 8),
+                                      params.query_bank, params.perceiver,
+                                      F=4)
+        assert set(seen) == set(self.SUBLAYERS)
+        for name, outputs in seen.items():
+            assert {out.dtype for out in outputs} == {np.dtype(np.float32)}, \
+                name
+        assert bank.tokens.dtype == np.float32
+        assert {buffer.get(t).dtype for t in range(10)} == \
+            {np.dtype(np.float32)}
+
+    def test_close_to_float64_run_of_the_same_weights(self, monkeypatch):
+        """Default model with 2 layers: states within 5e-6 and memory
+        tokens within 5e-8 of the float64 run, absolute."""
+        config = RunConfig(layers=2).validate()
+        params = init_model_params(config)
+        wide = cast_model(params, np.float64)
+        stream = synth_stream(41, 64, 32, config.d)
+        instruction = encode_instruction("who picks up the red cup",
+                                         config.d)
+        runs = []
+        for model, frames in ((params, stream.frames),
+                              (wide, stream.frames.astype(np.float64))):
+            seen = {}
+            _recording(monkeypatch, ["perceive_subclip"], seen)
+            bank, _ = process_stream(FrameTokenStream(frames), instruction,
+                                     model.query_bank, model.perceiver,
+                                     config.subclip_frames)
+            runs.append((np.stack(seen["perceive_subclip"]), bank.tokens))
+        (states, tokens), (states64, tokens64) = runs
+        assert states.dtype == tokens.dtype == np.float32
+        assert states64.dtype == tokens64.dtype == np.float64
+        assert np.abs(states - states64).max() <= 5e-6
+        assert np.abs(tokens - tokens64).max() <= 5e-8
+
+
+class TestCheckpointReproducesRun:
+    """A run from the params that `load_params` reads back from a run's
+    `params.rwpm` writes the bytes of that run's `memory.rwmb`."""
+
+    @pytest.mark.parametrize("temporal", ["per_layer", "final"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_memory_bytes_equal(self, tmp_path, layers, temporal):
+        config = _config(layers=layers, temporal=temporal, seed=layers)
+        stream = synth_stream(42, 11, 4, 8)
+        text = "find the red car"
+        run_pipeline(config, stream, text, tmp_path)
+        loaded = load_params(tmp_path / "params.rwpm")
+        bank, _ = process_stream(stream, encode_instruction(text, 8),
+                                 loaded.query_bank, loaded.perceiver,
+                                 config.subclip_frames)
+        assert bank_bytes(bank) == (tmp_path / "memory.rwmb").read_bytes()
 
 
 class TestCheckpointFile:
