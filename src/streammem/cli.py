@@ -126,12 +126,16 @@ def _load_bank_for(config: RunConfig, path):
 
 def _open_disk_buffer(data_path, manifest_path, bank) -> DiskFeatureBuffer:
     """The spilled buffer, once its manifest is known to list exactly the
-    bank's frames, so a mismatch fails before any selection work."""
+    bank's frames and its frames to be the bank's d wide, so a mismatch
+    fails before any selection work."""
     buffer = DiskFeatureBuffer(data_path, manifest_path)
     if buffer.frame_indices() != bank.frame_indices():
         raise MalformedArtifactError(
             f"buffer manifest lists {len(buffer)} frames that differ from "
             f"the {len(bank)} frames of the memory bank")
+    if buffer.d != bank.d:
+        raise MalformedArtifactError(
+            f"buffer dim {buffer.d} differs from the bank's {bank.d}")
     return buffer
 
 
@@ -141,11 +145,7 @@ def _cmd_select(args) -> int:
     data = args.buffer_data or os.path.join(
         os.path.dirname(args.buffer_manifest), "buffer.bin")
     buffer = _open_disk_buffer(data, args.buffer_manifest, bank)
-    first = buffer.get(bank.frame_indices()[0])
-    if first.shape[1] != bank.d:
-        raise MalformedArtifactError(
-            f"buffer dim {first.shape[1]} differs from the bank's {bank.d}")
-    p = min(config.pool_tokens, first.shape[0])
+    p = min(config.pool_tokens, buffer.P)
     if args.strategy == "uniform":
         selection = uniform_select(bank, buffer, config.Kc, p)
     else:

@@ -14,8 +14,8 @@ decodes to a read-only view of the bytes it was read from, never a copy.
     RWLI    1    total d memory_rows            total x d float32
                  selected_rows
 
-`buffer.bin` holds one RWFS record of T = 1 per frame, at the offsets that
-`buffer.manifest` lists. RWPM's temporal_mode indexes TEMPORAL_MODES.
+`buffer.bin` is one RWFS record; `buffer.manifest` maps each frame to the
+offset of its tokens in it. RWPM's temporal_mode indexes TEMPORAL_MODES.
 """
 
 import math

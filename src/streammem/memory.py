@@ -298,39 +298,53 @@ def buffer_store(buffer: FeatureBuffer, end: int) -> None:
 
 
 def save_buffer_spill(buffer: FeatureBuffer, data_path, manifest_path) -> None:
-    """Spill the buffer to disk: one RWFS record per frame plus a manifest
-    mapping frame_index to byte offset. Values are stored as float32, as
-    a pipeline run buffers them; any other dtype is cast once."""
-    offsets = []
-    with open(data_path, "wb") as fh:
-        for frame_index, raw in enumerate(buffer.frames):
-            offsets.append([frame_index, fh.tell()])
-            fh.writelines(RWFS.encode(raw[None], T=1, P=len(raw),
-                                      d=raw.shape[1]))
-    manifest = {"format": "RWFS-spill", "version": 1, "frames": offsets}
+    """Spill the buffer's frames to disk as one float32 RWFS record, the
+    bytes `save_stream` writes for them, plus a manifest mapping each
+    frame_index to the byte offset of its tokens in that record."""
+    frames = buffer.frames
+    T, P, d = frames.shape
+    RWFS.save(data_path, frames, T=T, P=P, d=d)
+    offsets = [[t, RWFS.header_size + t * P * d * 4] for t in range(T)]
+    manifest = {"format": "RWFS-spill", "version": 2, "frames": offsets}
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
 class DiskFeatureBuffer:
-    """Read-only view over a spilled feature buffer."""
+    """Read-only view over a spilled feature buffer. Opening it checks the
+    spill once: a header of at least one P x d frame, a file of exactly the
+    payload it declares, and every manifest offset at the start of a frame;
+    `get` decodes, and checks for finiteness, only the frame it reads."""
 
     def __init__(self, data_path, manifest_path):
         with open(manifest_path, "r", encoding="utf-8") as fh:
             try:
                 manifest = json.load(fh)
                 pairs = [(int(i), int(off)) for i, off in manifest["frames"]]
+                offsets = np.array([off for _, off in pairs], dtype=np.int64)
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise MalformedArtifactError(
                     f"malformed buffer manifest: {exc!r}") from exc
         self._offsets = dict(pairs)
         if len(self._offsets) != len(pairs):
             raise MalformedArtifactError("buffer manifest lists a frame twice")
-        if any(off < 0 for off in self._offsets.values()):
-            raise MalformedArtifactError("negative offset in buffer manifest")
+        with open(data_path, "rb") as fh:
+            header = RWFS.read_header(fh.read(RWFS.header_size))
+            size = fh.seek(0, os.SEEK_END) - RWFS.header_size
+        if min(header) < 1:
+            raise MalformedArtifactError(f"buffer {tuple(header)} is empty")
+        if size != RWFS.layout(header)[2]:
+            raise TruncatedPayloadError(
+                f"buffer payload of {size} bytes is not {tuple(header)}")
+        self.P, self.d = header.P, header.d
+        self._frame = RWFS.Header(1, header.P, header.d)
+        self._frame_bytes = frame = size // header.T
+        start = offsets - RWFS.header_size  # int64's minimum wraps past size
+        if np.any((start < 0) | (start >= size) | (start % frame != 0)):
+            raise MalformedArtifactError(
+                "buffer manifest lists an offset that starts no frame")
         self._data_path = data_path
-        self._shape = None  # (P, d) of every record, once one is read
 
     def frame_indices(self):
         return sorted(self._offsets)
@@ -339,14 +353,11 @@ class DiskFeatureBuffer:
         return len(self._offsets)
 
     def token_count(self) -> int:
-        if not self._offsets:
-            return 0
-        return len(self._offsets) * self.get(self.frame_indices()[0]).shape[0]
+        return len(self._offsets) * self.P
 
     def get(self, frame_index: int) -> np.ndarray:
-        """The frame's float32 tokens, a read-only view of its record. The
-        record must be one frame of the first record's P x d and end inside
-        the file, checked up front."""
+        """The frame's (P, d) float32 tokens, a read-only view of the bytes
+        read for it; a non-finite value raises NonFiniteDataError."""
         offset = self._offsets.get(frame_index)
         if offset is None:
             # unreachable from the CLI: _open_disk_buffer rejects a manifest
@@ -354,21 +365,10 @@ class DiskFeatureBuffer:
             # and `report` ask only for bank frames; it guards library callers
             raise MalformedArtifactError(
                 f"frame {frame_index} is not in the buffer manifest")
-        where = f"buffer record of frame {frame_index} at offset {offset}"
         with open(self._data_path, "rb") as fh:
-            end = fh.seek(0, os.SEEK_END)
-            fh.seek(min(offset, end))
-            header = RWFS.read_header(fh.read(RWFS.header_size))
-            shape = self._shape = self._shape or header[1:]
-            if header.T != 1 or header.P < 1 or header[1:] != shape:
-                raise MalformedArtifactError(
-                    f"{where} holds {header.T} x {header.P} x {header.d} "
-                    f"tokens, not 1 x {shape[0]} x {shape[1]}")
-            size = RWFS.layout(header)[2]
-            if size > end - fh.tell():
-                raise TruncatedPayloadError(f"{where} is truncated")
-            values = RWFS.read_payload(header, fh.read(size))
-        return values[0]
+            fh.seek(offset)
+            data = fh.read(self._frame_bytes)
+        return RWFS.read_payload(self._frame, data)[0]
 
 
 @dataclass
@@ -404,7 +404,6 @@ def read_context(bank: MemoryBank, queries: QueryBank,
     if len(bank) == 0:
         return queries.read_queries.copy()
     params = queries.read_attention
-    params.validate_finite()
     attended = bank.read_state(queries).context() @ params.w_o
     if residual:
         return queries.read_queries + attended

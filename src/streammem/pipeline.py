@@ -6,15 +6,19 @@ Artifacts written to the output directory:
     config.txt            canonical key=value dump of the run configuration
     params.rwpm           model parameter checkpoint
     memory.rwmb           memory bank
-    buffer.bin            spilled feature buffer (one RWFS record per frame)
-    buffer.manifest       frame_index -> byte offset map for buffer.bin
+    buffer.bin            spilled feature buffer (one RWFS record)
+    buffer.manifest       frame_index -> offset of its tokens in buffer.bin
     selection.txt         per-candidate selection report
     selection_pooled.rwfs pooled tokens of the selected frames
     llm_input.rwli        assembled LLM-input sequence
     accounting.txt        token/byte accounting report
+
+They are written into a temporary directory inside the output directory
+and moved out once all nine are written, so a failed run leaves none.
 """
 
 import os
+import tempfile
 from dataclasses import dataclass
 
 from .assembly import assemble, save_llm_input
@@ -84,22 +88,25 @@ def run_pipeline(config: RunConfig, stream_source, instruction_text: str,
     report = accounting_report(bank, buffer, config)
 
     os.makedirs(out_dir, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".streammem-",
+                                     dir=out_dir) as staging:
+        def path(name):
+            return os.path.join(staging, name)
 
-    def path(name):
-        return os.path.join(out_dir, name)
-
-    with open(path("config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(format_config(config))
-    save_params(params, path("params.rwpm"))
-    save_bank(bank, path("memory.rwmb"))
-    save_buffer_spill(buffer, path("buffer.bin"), path("buffer.manifest"))
-    with open(path("selection.txt"), "w", encoding="utf-8") as fh:
-        fh.write(format_selection_report(selection))
-    save_stream(FrameTokenStream(selection.pooled),
-                path("selection_pooled.rwfs"))
-    save_llm_input(sequence, path("llm_input.rwli"))
-    with open(path("accounting.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.render_text())
+        with open(path("config.txt"), "w", encoding="utf-8") as fh:
+            fh.write(format_config(config))
+        save_params(params, path("params.rwpm"))
+        save_bank(bank, path("memory.rwmb"))
+        save_buffer_spill(buffer, path("buffer.bin"), path("buffer.manifest"))
+        with open(path("selection.txt"), "w", encoding="utf-8") as fh:
+            fh.write(format_selection_report(selection))
+        save_stream(FrameTokenStream(selection.pooled),
+                    path("selection_pooled.rwfs"))
+        save_llm_input(sequence, path("llm_input.rwli"))
+        with open(path("accounting.txt"), "w", encoding="utf-8") as fh:
+            fh.write(report.render_text())
+        for name in os.listdir(staging):
+            os.replace(path(name), os.path.join(out_dir, name))
     return PipelineResult(bank=bank, buffer=buffer, selection=selection,
                           sequence=sequence, report=report,
                           out_dir=str(out_dir))

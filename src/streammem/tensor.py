@@ -36,7 +36,8 @@ class AttentionParams:
     """Projection weights for one attention block.
 
     ln_gain/ln_bias are the pre-norm parameters of the sublayer this block
-    lives in; attention() itself does not apply them.
+    lives in; attention() itself does not apply them. Weights are finite
+    where they enter: seeded draws, or a checkpoint the codec checked.
     """
 
     heads: int
@@ -51,12 +52,6 @@ class AttentionParams:
     def __post_init__(self):
         if self.dim_model % self.heads != 0:
             raise ValueError("dim_model must be divisible by heads")
-
-    def validate_finite(self) -> None:
-        for name in ("w_q", "w_k", "w_v", "w_o", "ln_gain", "ln_bias"):
-            w = getattr(self, name)
-            if isinstance(w, np.ndarray):
-                _require_finite(w, f"attention weight {name}")
 
 
 def shift_exp(m: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -197,7 +192,6 @@ def attend(qp, kp, vp, params: AttentionParams):
         raise ValueError("k and v must have the same row count")
     if kp.shape[-2] == 0:
         raise ValueError("attention over an empty key set")
-    params.validate_finite()
     h = params.heads
     scores = split_heads(qp, h) @ split_heads(kp, h).swapaxes(-1, -2)
     scores *= head_scale(params)

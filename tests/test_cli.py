@@ -419,6 +419,49 @@ def processed(tmp_path, config_path, stream_path):
     return out_dir
 
 
+class TestArtifactSet:
+    """`process` writes its nine artifacts as a set: a run that fails
+    while writing them leaves none of them, and every other file in the
+    output directory as it was."""
+
+    def _before(self, out_dir):
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("kept")
+        (out_dir / "config.txt").write_text("an earlier run's")
+        return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    def _process(self, stream, config_path, out_dir):
+        return main(["process", "--stream", str(stream), "--instruction",
+                     "x", "--config", config_path, "--out-dir", str(out_dir)])
+
+    def test_failed_write_leaves_no_artifact(self, tmp_path, config_path,
+                                             stream_path, monkeypatch):
+        import streammem.pipeline as pipeline
+
+        def fail(*args):
+            raise streammem.NonFiniteDataError("refused")
+
+        monkeypatch.setattr(pipeline, "save_llm_input", fail)
+        out_dir = tmp_path / "run"
+        before = self._before(out_dir)
+        assert self._process(stream_path, config_path, out_dir) == 4
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_overflowing_pooled_tokens_leave_no_artifact(self, tmp_path,
+                                                         config_path):
+        """±3e38 frames pool to infinities, which `save_stream` refuses
+        after six artifacts are written."""
+        signs = np.random.default_rng(0).random((10, 4, 8)) < 0.5
+        stream = tmp_path / "big.rwfs"
+        streammem.save_stream(streammem.FrameTokenStream(
+            np.where(signs, -3e38, 3e38).astype(np.float32)), stream)
+        out_dir = tmp_path / "run"
+        before = self._before(out_dir)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self._process(stream, config_path, out_dir) == 4
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 class TestAccountingMatchesArtifacts:
     @pytest.mark.parametrize("pool_tokens", [2, 4, 64])  # P is 4
     def test_llm_input_length_is_the_written_row_count(
@@ -550,71 +593,106 @@ def test_non_finite_bank_is_4(processed, config_path, capsys, command):
     assert not out.exists()
 
 
+SPILL_HEADER = streammem.stream.RWFS.header_size
+SPILL_FRAME = 4 * 8 * 4  # bytes of one 4 x 8 float32 frame of `processed`
+
+
+def _select_and_report(processed, config_path):
+    """The exit codes of `select` and `report` on the artifacts."""
+    select = main(["select", "--bank", str(processed / "memory.rwmb"),
+                   "--buffer-manifest", str(processed / "buffer.manifest"),
+                   "--instruction", "x", "--config", config_path,
+                   "--out", str(processed / "sel.txt")])
+    return select, main(["report", "--out-dir", str(processed)])
+
+
 class TestSpillGuards:
-    """A spill record or manifest offset that no spill could hold exits 2
-    before its payload is read."""
-
-    RECORD = 20 + 4 * 8 * 4  # RWFS header and one 4 x 8 float32 frame
-
-    def _exits(self, processed, config_path):
-        select = main(["select", "--bank", str(processed / "memory.rwmb"),
-                       "--buffer-manifest", str(processed / "buffer.manifest"),
-                       "--instruction", "x", "--config", config_path,
-                       "--out", str(processed / "sel.txt")])
-        return select, main(["report", "--out-dir", str(processed)])
+    """A spill header or manifest offset that no spill could hold exits 2
+    before any frame is read."""
 
     @pytest.mark.parametrize("field,value", [("T", 2**30), ("P", 2**31),
                                              ("d", 2**31), ("T", 2)])
     def test_record_header_is_2(self, processed, config_path, capsys, field,
                                 value):
-        # frame 0's record: T, P and d are the u32s at bytes 8, 12 and 16
+        # the one header: T, P and d are the u32s at bytes 8, 12 and 16
         path = processed / "buffer.bin"
         raw = bytearray(path.read_bytes())
         pos = {"T": 8, "P": 12, "d": 16}[field]
         raw[pos:pos + 4] = value.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
-        assert self._exits(processed, config_path) == (2, 2)
+        assert _select_and_report(processed, config_path) == (2, 2)
         assert capsys.readouterr().err.count("error:") == 2
 
     @pytest.mark.parametrize("offset", ["1e30", "Infinity", str(2**63 - 1),
-                                        str(10**40), "inside", "past_end"])
+                                        str(10**40), "inside", "past_end",
+                                        "at_end", "in_header"])
     def test_manifest_offset_is_2(self, processed, config_path, capsys,
                                   offset):
         size = (processed / "buffer.bin").stat().st_size
-        if offset == "inside":  # 4 bytes into a record: its version, T, P
-            # and d read as magic, version, T and P, and a float as d
-            offset = str(size - self.RECORD + 4)
-        elif offset == "past_end":
-            offset = str(size + 1)
-        entries = [f"[{i}, {i * self.RECORD}]" for i in range(1, 10)]
+        offset = {"inside": str(size - SPILL_FRAME + 4),  # 4 bytes into one
+                  "past_end": str(size + 1), "at_end": str(size),
+                  "in_header": str(SPILL_HEADER - 4)}.get(offset, offset)
+        entries = [f"[{i}, {SPILL_HEADER + i * SPILL_FRAME}]"
+                   for i in range(1, 10)]
         (processed / "buffer.manifest").write_text(
             '{"frames": [[0, %s], %s]}' % (offset, ", ".join(entries)))
-        assert self._exits(processed, config_path) == (2, 2)
+        assert _select_and_report(processed, config_path) == (2, 2)
         assert capsys.readouterr().err.count("error:") == 2
 
-    @pytest.mark.parametrize("field,value", [("P", 1), ("d", 7)])
-    def test_record_unlike_the_first_is_2(self, processed, config_path,
-                                          field, value):
-        """Each selected frame's record is read; one of another P x d than
-        the first record's would pool to the wrong shape."""
+    def test_record_dim_unlike_the_bank_is_2(self, processed, config_path):
+        # 10 x 4 x 8 -> 10 x 8 x 4: same bytes, wrong d for the bank
+        path = processed / "buffer.bin"
+        raw = bytearray(path.read_bytes())
+        raw[12:20] = struct.pack("<II", 8, 4)
+        path.write_bytes(bytes(raw))
+        assert _select_and_report(processed, config_path) == (2, 2)
+
+
+class TestSpillFrames:
+    """`buffer.bin` is the stream's RWFS bytes, and a command decodes only
+    the frames it reads from it."""
+
+    def test_spill_is_the_stream(self, tmp_path, config_path, stream_path):
+        for breakpoint in (None, 7):
+            out = tmp_path / f"run{breakpoint}"
+            argv = ["process", "--stream", stream_path, "--instruction",
+                    "x", "--config", config_path, "--out-dir", str(out)]
+            if breakpoint is not None:
+                argv += ["--breakpoint", str(breakpoint)]
+                expected = tmp_path / "prefix.rwfs"
+                streammem.save_stream(
+                    load_stream(stream_path).prefix(breakpoint), expected)
+            else:
+                expected = Path(stream_path)
+            assert main(argv) == 0
+            assert (out / "buffer.bin").read_bytes() == \
+                expected.read_bytes()
+
+    def _poison(self, processed, frame):
+        at = SPILL_HEADER + frame * SPILL_FRAME + 4
+        path = processed / "buffer.bin"
+        raw = bytearray(path.read_bytes())
+        raw[at:at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+
+    def test_non_finite_selected_frame_is_4(self, processed, config_path,
+                                            capsys):
         centers = parse_selection_centers(
             (processed / "selection.txt").read_text())
-        path = processed / "buffer.bin"
-        raw = bytearray(path.read_bytes())
-        pos = centers[-1] * self.RECORD + {"P": 12, "d": 16}[field]
-        raw[pos:pos + 4] = value.to_bytes(4, "little")
-        path.write_bytes(bytes(raw))
-        assert self._exits(processed, config_path)[0] == 2
+        self._poison(processed, centers[-1])
+        assert _select_and_report(processed, config_path) == (4, 0)
+        assert "not finite" in capsys.readouterr().err
 
-    def test_record_dim_unlike_the_bank_is_2(self, processed, config_path):
-        # every record 4 x 8 -> 8 x 4: same bytes, wrong d for the bank
-        path = processed / "buffer.bin"
-        raw = bytearray(path.read_bytes())
-        for i in range(10):
-            raw[i * self.RECORD + 12:i * self.RECORD + 20] = \
-                struct.pack("<II", 8, 4)
-        path.write_bytes(bytes(raw))
-        assert self._exits(processed, config_path)[0] == 2
+    def test_non_finite_unread_frame_is_0(self, processed, config_path):
+        """A frame no command reads is never decoded, so its NaN goes
+        unseen: opening the spill does not decode all of it."""
+        centers = parse_selection_centers(
+            (processed / "selection.txt").read_text())
+        unread = min(set(range(10)) - set(centers))
+        self._poison(processed, unread)
+        assert _select_and_report(processed, config_path) == (0, 0)
+        assert parse_selection_centers(
+            (processed / "sel.txt").read_text()) == centers
 
 
 class TestAssembleInputs:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from streammem.config import RunConfig
 from streammem.errors import (BadMagicError, BadVersionError,
                               MalformedArtifactError, NonFiniteDataError,
-                              NumericError, TruncatedPayloadError)
+                              TruncatedPayloadError)
 from streammem.memory import (DiskFeatureBuffer, FeatureBuffer, MemoryBank,
                               QueryBank, accounting_report, append,
                               bank_bytes, buffer_store, load_bank, read_context,
@@ -16,7 +16,7 @@ from streammem.memory import (DiskFeatureBuffer, FeatureBuffer, MemoryBank,
 from streammem.params import init_model_params
 from streammem.perceiver import process_stream
 from streammem.pipeline import stage1_peak_resident_bytes
-from streammem.stream import (empty_instruction, encode_instruction,
+from streammem.stream import (RWFS, empty_instruction, encode_instruction,
                               load_stream, synth_stream)
 from streammem.tensor import make_attention_params
 
@@ -286,14 +286,6 @@ class TestReadKVCache:
             reader.read(second)
         assert len(reader.reads) == 1  # the last read restarted the state
 
-    def test_non_finite_weights_raise_on_cached_read(self):
-        queries = _query_bank(24)
-        bank = _filled_bank(25)
-        read_context(bank, queries)
-        queries.read_attention.w_o[0, 0] = np.inf
-        with pytest.raises(NumericError):
-            read_context(bank, queries)
-
     def test_resident_bytes_count_the_cache(self):
         # the read state: the projected read queries, and per head and
         # read-query row a maximum, a denominator and a dh-wide numerator
@@ -350,6 +342,9 @@ class TestWriteFrame:
 
 
 class TestFeatureBuffer:
+    HEADER = RWFS.header_size
+    FRAME = 2 * 4 * 4  # bytes of one 2 x 4 float32 frame of `_spilled`
+
     def test_bitwise_fidelity(self):
         raw = np.random.default_rng(10).standard_normal((6, 3, 8))
         buffer = FeatureBuffer(raw)
@@ -393,9 +388,11 @@ class TestFeatureBuffer:
         data = tmp_path / "buffer.bin"
         manifest = tmp_path / "buffer.manifest"
         save_buffer_spill(buffer, data, manifest)
+        # one RWFS record of every frame, as `save_stream` writes them
+        assert data.read_bytes() == _rwfs_bytes(frames)
         disk = DiskFeatureBuffer(data, manifest)
         assert disk.frame_indices() == [0, 1, 2, 3]
-        assert disk.token_count() == 8
+        assert (disk.token_count(), disk.P, disk.d) == (8, 2, 4)
         for t, raw in enumerate(frames):
             # spill quantizes to float32; retrieval matches that rounding
             assert np.array_equal(disk.get(t),
@@ -434,16 +431,32 @@ class TestFeatureBuffer:
             DiskFeatureBuffer(data, manifest)
 
     def test_offset_past_end_is_truncated(self, tmp_path):
+        """An offset past the last frame's tokens, at the end of the file
+        or beyond it, fails when the buffer is opened."""
         data, manifest = self._spilled(tmp_path)
-        manifest.write_text('{"frames": [[0, 100000]]}')
-        with pytest.raises(TruncatedPayloadError):
-            DiskFeatureBuffer(data, manifest).get(0)
+        for offset in (self.HEADER + 3 * self.FRAME, 100000):
+            manifest.write_text('{"frames": [[0, %d]]}' % offset)
+            with pytest.raises(MalformedArtifactError):
+                DiskFeatureBuffer(data, manifest)
+
+    @pytest.mark.parametrize("offset", [0, HEADER - 1, HEADER + 4,
+                                        HEADER + FRAME + FRAME // 2,
+                                        2**63, -2**63, -2**63 - 1])
+    def test_offset_off_a_frame_start_rejected(self, tmp_path, offset):
+        """Inside the header, inside a frame, past int64 either way, or at
+        its minimum, which wraps when the header is taken off: no frame's
+        tokens start there."""
+        data, manifest = self._spilled(tmp_path)
+        manifest.write_text('{"frames": [[0, %d]]}' % offset)
+        with pytest.raises(MalformedArtifactError):
+            DiskFeatureBuffer(data, manifest)
 
     @pytest.mark.parametrize("frames", [0, 2])
     def test_record_of_wrong_frame_count_rejected(self, tmp_path, frames):
+        """An empty record, or one of fewer frames than the manifest
+        lists, fails when the buffer is opened."""
         data, manifest = self._spilled(tmp_path)
         data.write_bytes(_rwfs_bytes(np.zeros((frames, 2, 4))))
-        manifest.write_text('{"frames": [[0, 0]]}')
         with pytest.raises(MalformedArtifactError):
             DiskFeatureBuffer(data, manifest).get(0)
 
@@ -458,19 +471,8 @@ class TestFeatureBuffer:
         data, manifest = self._spilled(tmp_path)
         data.write_bytes(_rwfs_bytes(np.zeros((1, 2, 4)))[:12]
                          + struct.pack("<II", 2**31, 2**31))
-        manifest.write_text('{"frames": [[0, 0]]}')
         with pytest.raises(TruncatedPayloadError):
             DiskFeatureBuffer(data, manifest).get(0)
-
-    @pytest.mark.parametrize("shape", [(1, 0, 4), (1, 3, 4), (1, 2, 2)])
-    def test_record_unlike_the_first_rejected(self, tmp_path, shape):
-        data, manifest = self._spilled(tmp_path, frames=2)
-        first = data.read_bytes()[:20 + 2 * 4 * 4]
-        data.write_bytes(first + _rwfs_bytes(np.zeros(shape)))
-        disk = DiskFeatureBuffer(data, manifest)
-        disk.get(0)
-        with pytest.raises(MalformedArtifactError):
-            disk.get(1)
 
     @pytest.mark.parametrize("offset", ["Infinity", "NaN", "1e400"])
     def test_non_integer_offset_rejected(self, tmp_path, offset):
@@ -482,9 +484,9 @@ class TestFeatureBuffer:
     def test_manifest_order_and_empty_manifest(self, tmp_path):
         """Frames may be listed in any order; an empty list is no frames."""
         data, manifest = self._spilled(tmp_path)
-        record = 20 + 2 * 4 * 4
-        manifest.write_text('{"frames": [[2, %d], [0, 0], [1, %d]]}'
-                            % (2 * record, record))
+        at = [self.HEADER + t * self.FRAME for t in range(3)]
+        manifest.write_text('{"frames": [[2, %d], [0, %d], [1, %d]]}'
+                            % (at[2], at[0], at[1]))
         disk = DiskFeatureBuffer(data, manifest)
         assert disk.frame_indices() == [0, 1, 2] and len(disk) == 3
         for t in range(3):
@@ -497,10 +499,27 @@ class TestFeatureBuffer:
     def test_short_record_body_is_truncated(self, tmp_path):
         data, manifest = self._spilled(tmp_path)
         data.write_bytes(data.read_bytes()[:-4])
-        disk = DiskFeatureBuffer(data, manifest)
-        disk.get(0)
         with pytest.raises(TruncatedPayloadError):
-            disk.get(2)
+            DiskFeatureBuffer(data, manifest)
+
+    def test_trailing_bytes_are_truncated(self, tmp_path):
+        data, manifest = self._spilled(tmp_path)
+        data.write_bytes(data.read_bytes() + bytes(4))
+        with pytest.raises(TruncatedPayloadError):
+            DiskFeatureBuffer(data, manifest)
+
+    def test_non_finite_frame_fails_only_when_read(self, tmp_path):
+        """Each `get` checks the frame it reads, and only that frame."""
+        data, manifest = self._spilled(tmp_path)
+        raw = bytearray(data.read_bytes())
+        at = self.HEADER + self.FRAME + 8
+        raw[at:at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        data.write_bytes(bytes(raw))
+        disk = DiskFeatureBuffer(data, manifest)
+        for t in (0, 2):
+            assert np.array_equal(disk.get(t), np.full((2, 4), float(t)))
+        with pytest.raises(NonFiniteDataError):
+            disk.get(1)
 
 
 class TestReadScoreCache:

@@ -7,7 +7,8 @@ import pytest
 from streammem.autodiff import Var
 from streammem.config import RunConfig
 from streammem.errors import (BadMagicError, BadVersionError,
-                              MalformedArtifactError, TruncatedPayloadError)
+                              MalformedArtifactError, NonFiniteDataError,
+                              TruncatedPayloadError)
 from streammem.memory import bank_bytes
 from streammem.params import init_model_params, load_params, save_params
 from streammem.perceiver import (PerceiverParams, perceive_subclip,
@@ -478,6 +479,20 @@ class TestCheckpointFile:
         raw[pos:pos + 4] = struct.pack("<I", value)
         path.write_bytes(bytes(raw))
         with pytest.raises(MalformedArtifactError):
+            load_params(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [36, -4])  # the first value, tau's last
+    def test_non_finite_weight_rejected(self, tmp_path, at, value):
+        """The codec's check at load is the only finiteness check that
+        weights get: attention does not re-check them on every call."""
+        path = tmp_path / "p.rwpm"
+        save_params(init_model_params(_config()), path)
+        raw = bytearray(path.read_bytes())
+        at %= len(raw)
+        raw[at:at + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NonFiniteDataError):
             load_params(path)
 
     def test_version_1_rejected(self, tmp_path):
