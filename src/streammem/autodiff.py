@@ -1,7 +1,7 @@
 """Minimal reverse-mode tape used to verify the analytic derivatives.
 
-`Var` records addition, multiplication, batched matmul, slicing, reshape
-and swapaxes on arrays with any number of leading batch axes, so the tape
+`Var` records addition, multiplication, batched matmul, reshape and
+swapaxes on arrays with any number of leading batch axes, so the tape
 runs `split_heads` and `merge_heads` as they are. Every other kernel
 (softmax, layer norm, GELU) has one forward, the ndarray function in
 `tensor.py`, marked `differentiable(vjp)` with its vector-Jacobian product
@@ -85,15 +85,6 @@ class Var:
     def reshape(self, shape):
         return Var(self.value.reshape(shape), (self,),
                    (lambda g: g.reshape(self.shape),))
-
-    def __getitem__(self, index):
-        """Basic (slice) indexing, e.g. `x[..., a:b]` for a column block."""
-        def vjp(g):
-            out = np.zeros_like(self.value)
-            out[index] = g
-            return out
-
-        return Var(self.value[index], (self,), (vjp,))
 
     def sum(self):
         return Var(self.value.sum(), (self,),

@@ -125,14 +125,14 @@ def _load_bank_for(config: RunConfig, path):
 
 
 def _open_disk_buffer(data_path, manifest_path, bank) -> DiskFeatureBuffer:
-    """The spilled buffer, once its manifest is known to list exactly the
-    bank's frames and its frames to be the bank's d wide, so a mismatch
-    fails before any selection work."""
+    """The spilled buffer, once it is known to hold as many frames as the
+    bank, each the bank's d wide, so a mismatch fails before any selection
+    work."""
     buffer = DiskFeatureBuffer(data_path, manifest_path)
-    if buffer.frame_indices() != bank.frame_indices():
+    if len(buffer) != len(bank):
         raise MalformedArtifactError(
-            f"buffer manifest lists {len(buffer)} frames that differ from "
-            f"the {len(bank)} frames of the memory bank")
+            f"buffer of {len(buffer)} frames differs from the {len(bank)} "
+            f"frames of the memory bank")
     if buffer.d != bank.d:
         raise MalformedArtifactError(
             f"buffer dim {buffer.d} differs from the bank's {bank.d}")
@@ -169,7 +169,7 @@ def _read_selection(path, bank):
     except ValueError as exc:
         raise MalformedArtifactError(f"selection report: {exc}") from exc
     pooled = load_stream(path + ".pooled.rwfs")
-    n, frames = len(centers), set(centers) & set(bank.frame_indices())
+    n, frames = len(centers), {c for c in centers if 0 <= c < len(bank)}
     if (len(frames), pooled.T, pooled.d) != (n, n, bank.d):
         raise MalformedArtifactError(
             f"selected frames {centers} with {pooled.T} pooled frames of "

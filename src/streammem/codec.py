@@ -15,7 +15,9 @@ decodes to a read-only view of the bytes it was read from, never a copy.
                  selected_rows
 
 `buffer.bin` is one RWFS record; `buffer.manifest` maps each frame to the
-offset of its tokens in it. RWPM's temporal_mode indexes TEMPORAL_MODES.
+offset of its tokens in it, and is read back only as the exact bytes
+written for that record's header. An RWMB frame field is the entry's
+position, 0..count-1. RWPM's temporal_mode indexes TEMPORAL_MODES.
 """
 
 import math

@@ -112,8 +112,8 @@ def select_top_L(relevance: np.ndarray, L: int, bank: MemoryBank,
         kth = np.partition(key, L - 1)[L - 1]
         if not np.isnan(kth):
             keep = np.flatnonzero(key <= kth)
-    chosen = keep[np.lexsort((bank.frames[keep], key[keep]))[:L]]
-    return CandidateSet(frames=bank.frames[chosen].tolist(),
+    chosen = keep[np.lexsort((keep, key[keep]))[:L]]
+    return CandidateSet(frames=chosen.tolist(),
                         vectors=_candidate_vectors(bank.tokens[chosen],
                                                    z_repr),
                         relevance=relevance[chosen], L=L)
@@ -252,9 +252,8 @@ def dfs_select(bank: MemoryBank, buffer, instruction: InstructionEncoding,
 def uniform_select(bank: MemoryBank, buffer, K_c: int,
                    p: int) -> SelectionResult:
     """Harness baseline: K_c evenly spaced frames, index floor(i*T/K_c)."""
-    frames = bank.frame_indices()
-    T = len(frames)
-    positions = sorted({frames[(i * T) // K_c] for i in range(K_c)})
+    T = len(bank)
+    positions = sorted({(i * T) // K_c for i in range(K_c)})
     pooled = _pool_frames(buffer, positions, p)
     n = len(positions)
     diagnostics = ClusterDiagnostics(sigma=np.zeros(n), rho=np.zeros(n),

@@ -2,30 +2,30 @@
 accounting.
 
 The bank is the only Stage-1 state that grows with stream length: W compact
-tokens per processed frame, kept in strict temporal order. It is stored as
-one (capacity, W, d) array plus frame and sub-clip index arrays, and rows
-enter it only through `append`, one checked (n, W, d) block at a time: a
-sub-clip's F frames in Stage 1, a whole RWMB file in `load_bank`. Appends
-are amortised O(1) and readers see views, never copies; a bank built for a
-stream of known length is sized for it once. The read keeps a streaming
-state on the bank whose size does not depend on the bank's length: per head
-and read-query row, the online softmax (Milakov & Gimelshein, arXiv
-1805.02867) of the memory rows read so far, rescaled as FlashAttention does
-(Dao et al., arXiv 2205.14135). So each read projects and scores only the
-rows written since the previous one. Raw frame tokens go to a passive
-feature buffer that is never read during Stage 1: the stream's (T, P, d)
-array plus a count of the frames buffered so far, advanced once per
-sub-clip. The buffer keeps the array itself, not a copy, when nobody can
-write its memory (a loaded stream's payload, as `load_stream` returns);
-it copies any other array once, in its own dtype, so a caller's later
-writes never reach it.
+tokens per processed frame, kept in strict temporal order, so a frame's
+index is its position. It is stored as one (capacity, W, d) array plus a
+sub-clip index array, and rows enter it only through `append`, one checked
+(n, W, d) block at a time: a sub-clip's F frames in Stage 1, a whole RWMB
+file in `load_bank`. Appends are amortised O(1) and readers see views,
+never copies; a bank built for a stream of known length is sized for it
+once. The read keeps a streaming state on the bank whose size does not
+depend on the bank's length: per head and read-query row, the online
+softmax (Milakov & Gimelshein, arXiv 1805.02867) of the memory rows read so
+far, rescaled as FlashAttention does (Dao et al., arXiv 2205.14135). So
+each read projects and scores only the rows written since the previous
+one. Raw frame tokens go to a passive feature buffer that is never read
+during Stage 1: the stream's (T, P, d) array plus a count of the frames
+buffered so far, advanced once per sub-clip. The buffer keeps the array
+itself, not a copy, when nobody can write its memory (a loaded stream's
+payload, as `load_stream` returns); it copies any other array once, in its
+own dtype, so a caller's later writes never reach it. Its spill keeps
+frames in the same order, so a frame's index is its position there too.
 
 Everything here holds the dtype Stage 1 computes in, float32 for a run of
 the pipeline: the bank's tokens, the buffered frames, and the read state
 apart from its two running sums, which are a few kilobytes of float64.
 """
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -125,14 +125,14 @@ class _ReadState:
 
 
 class MemoryBank:
-    """W memory tokens per frame in strict frame order.
+    """W memory tokens per frame in strict frame order: row t holds frame t.
 
-    `tokens`, `frames`, `subclips` and `all_tokens()` are read-only views
-    of the live rows. The bank also carries the streaming read state of the
-    last read queries (`read_state`), whose size depends on the read
-    queries and heads but not on the bank's length. Queries and attention
-    weights are fixed at inference, so the state assumes they are never
-    changed in place.
+    `tokens`, `subclips` and `all_tokens()` are read-only views of the live
+    rows, and `frames` is the read-only arange of their positions. The bank
+    also carries the streaming read state of the last read queries
+    (`read_state`), whose size depends on the read queries and heads but
+    not on the bank's length. Queries and attention weights are fixed at
+    inference, so the state assumes they are never changed in place.
 
     `capacity` frames are allocated once up front; a bank that outgrows
     them doubles its arrays. Untouched capacity is never written, so it is
@@ -146,7 +146,6 @@ class MemoryBank:
         self.d = d
         self._count = 0
         self._tokens = np.empty((capacity, W, d), dtype=dtype)
-        self._frames = np.empty(capacity, dtype=np.int64)
         self._subclips = np.empty(capacity, dtype=np.int64)
         self._read = None
 
@@ -160,7 +159,8 @@ class MemoryBank:
 
     @property
     def frames(self) -> np.ndarray:
-        return _readonly(self._frames[:self._count])
+        """Each row's frame index, which is its position."""
+        return _readonly(np.arange(self._count))
 
     @property
     def subclips(self) -> np.ndarray:
@@ -170,20 +170,19 @@ class MemoryBank:
         return self.W * self._count
 
     def frame_indices(self):
-        return self.frames.tolist()
+        return list(range(self._count))
 
     def all_tokens(self) -> np.ndarray:
         """All memory tokens flattened in temporal order, (W * len, d)."""
         return self.tokens.reshape(self.token_count(), self.d)
 
     def resident_bytes(self) -> int:
-        """Bytes of the live rows (tokens and frame and sub-clip indices)
-        plus the streaming read state. Spare capacity is never written, so
-        it is not counted."""
+        """Bytes of the live rows (tokens and sub-clip indices) plus the
+        streaming read state. Spare capacity is never written, so it is not
+        counted."""
         n = self._count
         state = self._read.nbytes() if self._read is not None else 0
-        return state + sum(a.nbytes for a in (
-            self._tokens[:n], self._frames[:n], self._subclips[:n]))
+        return state + self._tokens[:n].nbytes + self._subclips[:n].nbytes
 
     def read_state(self, queries: "QueryBank") -> _ReadState:
         """The streaming read state of `queries` with every memory row
@@ -203,9 +202,9 @@ def append(bank: MemoryBank, frames, subclips, tokens) -> None:
     sub-clip index for the block or one per row. The whole block is checked
     before any row is stored, so a rejected block leaves the bank as it was:
     the tokens must be n x W x d and finite in the bank's dtype, and the
-    frames must increase strictly, inside the block and after the bank's
-    last frame. A duplicate or a regression is a bug in the caller and
-    raises ValueError."""
+    frames must be the next n positions, len(bank) on, since a frame's index
+    is its position. Any other frame is a bug in the caller and raises
+    ValueError."""
     frames = np.asarray(frames, dtype=np.int64)
     with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
         tokens = np.asarray(tokens, dtype=bank._tokens.dtype)
@@ -218,18 +217,15 @@ def append(bank: MemoryBank, frames, subclips, tokens) -> None:
     subclips = np.broadcast_to(subclips, frames.shape)
     if not np.all(np.isfinite(tokens)):
         raise ValueError("memory tokens must be finite")
-    order = np.concatenate([bank.frames[-1:], frames])
-    late = np.flatnonzero(np.diff(order) <= 0)
-    if late.size:
-        raise ValueError(f"frames must increase strictly: frame "
-                         f"{order[late[0] + 1]} follows {order[late[0]]}")
     n = len(bank)
     end = n + len(frames)
+    wrong = np.flatnonzero(frames != np.arange(n, end))
+    if wrong.size:
+        raise ValueError(f"frame {frames[wrong[0]]} is not at its position "
+                         f"{n + wrong[0]}")
     bank._tokens = _reserve(bank._tokens, n, end)
-    bank._frames = _reserve(bank._frames, n, end)
     bank._subclips = _reserve(bank._subclips, n, end)
     bank._tokens[n:end] = tokens
-    bank._frames[n:end] = frames
     bank._subclips[n:end] = subclips
     bank._count = end
 
@@ -297,38 +293,36 @@ def buffer_store(buffer: FeatureBuffer, end: int) -> None:
     buffer._count = end
 
 
+def _spill_manifest(T: int, P: int, d: int) -> bytes:
+    """The manifest of a spill of T frames of P x d tokens: one line of
+    JSON, with sorted keys and no spaces, mapping each frame t to the byte
+    offset of its tokens, RWFS.header_size + t*P*d*4."""
+    frame = P * d * 4
+    offsets = ",".join([f"[{t},{RWFS.header_size + t * frame}]"
+                        for t in range(T)])
+    return ('{"format":"RWFS-spill","frames":[%s],"version":2}\n'
+            % offsets).encode()
+
+
 def save_buffer_spill(buffer: FeatureBuffer, data_path, manifest_path) -> None:
     """Spill the buffer's frames to disk as one float32 RWFS record, the
-    bytes `save_stream` writes for them, plus a manifest mapping each
-    frame_index to the byte offset of its tokens in that record."""
+    bytes `save_stream` writes for them, plus their manifest."""
     frames = buffer.frames
     T, P, d = frames.shape
     RWFS.save(data_path, frames, T=T, P=P, d=d)
-    offsets = [[t, RWFS.header_size + t * P * d * 4] for t in range(T)]
-    manifest = {"format": "RWFS-spill", "version": 2, "frames": offsets}
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    with open(manifest_path, "wb") as fh:
+        fh.write(_spill_manifest(T, P, d))
 
 
 class DiskFeatureBuffer:
-    """Read-only view over a spilled feature buffer. Opening it checks the
-    spill once: a header of at least one P x d frame, a file of exactly the
-    payload it declares, and every manifest offset at the start of a frame;
-    `get` decodes, and checks for finiteness, only the frame it reads."""
+    """Read-only view over a spilled feature buffer, frames 0 to T-1.
+    Opening it checks the spill once: a header of at least one P x d frame,
+    a file of exactly the payload it declares, and a manifest of exactly
+    the bytes `save_buffer_spill` writes for that header. `get(t)` reads
+    frame t's tokens at RWFS.header_size + t*P*d*4, and decodes, and checks
+    for finiteness, only the frame it reads."""
 
     def __init__(self, data_path, manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            try:
-                manifest = json.load(fh)
-                pairs = [(int(i), int(off)) for i, off in manifest["frames"]]
-                offsets = np.array([off for _, off in pairs], dtype=np.int64)
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise MalformedArtifactError(
-                    f"malformed buffer manifest: {exc!r}") from exc
-        self._offsets = dict(pairs)
-        if len(self._offsets) != len(pairs):
-            raise MalformedArtifactError("buffer manifest lists a frame twice")
         with open(data_path, "rb") as fh:
             header = RWFS.read_header(fh.read(RWFS.header_size))
             size = fh.seek(0, os.SEEK_END) - RWFS.header_size
@@ -337,36 +331,37 @@ class DiskFeatureBuffer:
         if size != RWFS.layout(header)[2]:
             raise TruncatedPayloadError(
                 f"buffer payload of {size} bytes is not {tuple(header)}")
-        self.P, self.d = header.P, header.d
+        expected = _spill_manifest(*header)
+        with open(manifest_path, "rb") as fh:
+            if fh.read(len(expected) + 1) != expected:
+                raise MalformedArtifactError(
+                    f"buffer manifest is not the one written for a spill of "
+                    f"{tuple(header)}")
+        self.T, self.P, self.d = header
         self._frame = RWFS.Header(1, header.P, header.d)
-        self._frame_bytes = frame = size // header.T
-        start = offsets - RWFS.header_size  # int64's minimum wraps past size
-        if np.any((start < 0) | (start >= size) | (start % frame != 0)):
-            raise MalformedArtifactError(
-                "buffer manifest lists an offset that starts no frame")
+        self._frame_bytes = size // header.T
         self._data_path = data_path
 
     def frame_indices(self):
-        return sorted(self._offsets)
+        return list(range(self.T))
 
     def __len__(self):
-        return len(self._offsets)
+        return self.T
 
     def token_count(self) -> int:
-        return len(self._offsets) * self.P
+        return self.T * self.P
 
     def get(self, frame_index: int) -> np.ndarray:
         """The frame's (P, d) float32 tokens, a read-only view of the bytes
         read for it; a non-finite value raises NonFiniteDataError."""
-        offset = self._offsets.get(frame_index)
-        if offset is None:
-            # unreachable from the CLI: _open_disk_buffer rejects a manifest
-            # whose frame set differs from the bank's, and Stage 2, `select`
-            # and `report` ask only for bank frames; it guards library callers
+        if not 0 <= frame_index < self.T:
+            # unreachable from the CLI: _open_disk_buffer rejects a spill of
+            # other than the bank's length, and Stage 2, `select` and
+            # `report` ask only for bank frames; it guards library callers
             raise MalformedArtifactError(
-                f"frame {frame_index} is not in the buffer manifest")
+                f"frame {frame_index} is not in the {self.T}-frame buffer")
         with open(self._data_path, "rb") as fh:
-            fh.seek(offset)
+            fh.seek(RWFS.header_size + frame_index * self._frame_bytes)
             data = fh.read(self._frame_bytes)
         return RWFS.read_payload(self._frame, data)[0]
 

@@ -83,11 +83,22 @@ def softmax_rows(m):
 
 def _centred(x, eps):
     """x minus its row mean, and the row standard deviation with eps, in
-    x's dtype."""
+    x's dtype. A row whose variance is not finite in x's dtype (a float32
+    row with |x| above about 1.8e19 squares past its range) is centred and
+    measured again in float64 and rounded once; every other row keeps the
+    bits of x's dtype."""
     out = x - x.mean(axis=-1, keepdims=True)
     std = np.square(out).mean(axis=-1, keepdims=True)
     std += float(eps)
     np.sqrt(std, out=std)
+    finite = np.isfinite(std[..., 0])
+    if not finite.all():
+        wide = ~finite
+        rows = x[wide].astype(np.float64)
+        rows -= rows.mean(axis=-1, keepdims=True)
+        out[wide] = rows
+        std[wide] = np.sqrt(np.square(rows).mean(axis=-1, keepdims=True)
+                            + float(eps))
     return out, std
 
 

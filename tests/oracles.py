@@ -481,3 +481,11 @@ def cast_model(obj, dtype):
             f.name: cast_model(getattr(obj, f.name), dtype)
             for f in dataclasses.fields(obj) if f.init})
     return obj
+
+
+def spill_manifest_text(frames, frame_bytes):
+    """The manifest text `process` writes for a spill, listing `frames` at
+    the offsets of their tokens: after the 20-byte RWFS header, frame t
+    starts t * frame_bytes bytes in."""
+    entries = ",".join(f"[{t},{20 + t * frame_bytes}]" for t in frames)
+    return '{"format":"RWFS-spill","frames":[%s],"version":2}\n' % entries

@@ -17,6 +17,8 @@ from streammem.cli import build_parser, main
 from streammem.dfs import parse_selection_centers
 from streammem.stream import load_stream
 
+from oracles import spill_manifest_text
+
 
 CONFIG_TEXT = """\
 model.d=8
@@ -31,6 +33,12 @@ dfs.Kc=2
 dfs.pool_tokens=2
 seed=1
 """
+
+
+def _manifest_text(frames):
+    """The manifest of a spill of 4 x 8 float32 frames, as `stream_path`
+    holds."""
+    return spill_manifest_text(frames, 4 * 8 * 4)
 
 
 @pytest.fixture
@@ -493,18 +501,27 @@ class TestMalformedArtifactExitCodes:
                      "--instruction", "x", "--config", config_path,
                      "--out", str(out_dir / "sel.txt")])
 
-    @pytest.mark.parametrize("frame", [0, 1])
+    @pytest.mark.parametrize("frames", [
+        pytest.param({1: 0}, id="0"),  # entry 1 gets frame 0: a duplicate
+        pytest.param({2: 1}, id="1"),  # entry 2 gets frame 1: a duplicate
+        pytest.param({t: t + 1 for t in range(2, 10)}, id="gap"),  # 0 1 3..
+        pytest.param({t: t + 1 for t in range(10)}, id="start_at_1")])
     def test_bank_frame_order_is_2(self, processed, config_path, capsys,
-                                   frame):
-        # entry 1 gets frame 0 (duplicate) or keeps 1 while entry 2 gets 1
+                                   frames):
+        """Bank frames other than positions 0..T-1 exit 2 from every
+        command that loads the bank."""
         path = processed / "memory.rwmb"
         raw = bytearray(path.read_bytes())
         entry = 8 + 2 * 8 * 4
-        slot = 20 + (1 if frame == 0 else 2) * entry
-        raw[slot:slot + 4] = frame.to_bytes(4, "little")
+        for i, frame in frames.items():
+            raw[20 + i * entry:24 + i * entry] = frame.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         assert self._select(processed, config_path) == 2
-        assert "error:" in capsys.readouterr().err
+        assert main(["assemble", "--bank", str(path), "--selection",
+                     str(processed / "selection.txt"), "--config",
+                     config_path, "--out", str(processed / "x.rwli")]) == 2
+        assert main(["report", "--out-dir", str(processed)]) == 2
+        assert capsys.readouterr().err.count("error:") == 3
 
     def test_empty_bank_is_2(self, processed):
         (processed / "memory.rwmb").write_bytes(
@@ -512,9 +529,17 @@ class TestMalformedArtifactExitCodes:
         (processed / "buffer.manifest").write_text('{"frames": []}')
         assert main(["report", "--out-dir", str(processed)]) == 2
 
-    @pytest.mark.parametrize("text", ["{not json", '{"version": 1}'])
+    @pytest.mark.parametrize("text", [
+        "{not json", '{"version": 1}',
+        pytest.param(_manifest_text([1, 0, *range(2, 10)]), id="reordered"),
+        pytest.param(_manifest_text(range(10)).replace(",", ", ", 1),
+                     id="added_space"),
+        pytest.param(_manifest_text(range(9)), id="other_T")])
     def test_malformed_manifest_is_2(self, processed, config_path, capsys,
                                      text):
+        """Any manifest but the bytes `process` writes for the spill."""
+        assert (processed / "buffer.manifest").read_text() == \
+            _manifest_text(range(10))
         (processed / "buffer.manifest").write_text(text)
         assert self._select(processed, config_path) == 2
         assert main(["report", "--out-dir", str(processed)]) == 2
@@ -527,7 +552,7 @@ class TestMalformedArtifactExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_manifest_offset_past_end_is_2(self, processed, capsys):
-        # every frame listed, so the offset is what fails, not the frame set
+        # every frame listed, one at an offset past the end
         manifest = json.loads((processed / "buffer.manifest").read_text())
         manifest["frames"][0][1] = 1000000
         (processed / "buffer.manifest").write_text(json.dumps(manifest))
@@ -535,14 +560,15 @@ class TestMalformedArtifactExitCodes:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("change", ["drop_last", "add_frame",
-                                        "renumber", "duplicate"])
+                                        "renumber", "duplicate",
+                                        "short_spill"])
     def test_manifest_frames_differ_from_bank_is_2(self, processed,
                                                     config_path, capsys,
                                                     monkeypatch, change):
-        """A manifest whose frame set is not the bank's, or that lists a
+        """A manifest whose frames are not the bank's, or that lists a
         frame twice, exits 2 before Stage 2 runs, even when no selected
-        frame is missing from it. A duplicate keeping its last offset would
-        pool another frame's tokens."""
+        frame is missing from it; so does a whole spill of fewer frames
+        than the bank, with its own manifest."""
         import streammem.cli as cli
 
         def stage2(*args, **kwargs):
@@ -558,9 +584,16 @@ class TestMalformedArtifactExitCodes:
             frames.append([len(frames), frames[0][1]])
         elif change == "duplicate":  # frame 3 again, at frame 5's record
             frames.append([3, frames[5][1]])
-        else:
+        elif change == "renumber":
             frames[-1][0] += 100
-        (processed / "buffer.manifest").write_text(json.dumps(manifest))
+        if change == "short_spill":
+            streammem.save_stream(
+                load_stream(processed / "buffer.bin").prefix(9),
+                processed / "buffer.bin")
+            (processed / "buffer.manifest").write_text(
+                _manifest_text(range(9)))
+        else:
+            (processed / "buffer.manifest").write_text(json.dumps(manifest))
         assert self._select(processed, config_path) == 2
         assert not (processed / "sel.txt").exists()
         assert main(["report", "--out-dir", str(processed)]) == 2

@@ -24,11 +24,10 @@ from oracles import (distance_index_loop, dpc_rank_loop,
                      select_top_L_loop, sq_dist_matrix_unblocked)
 
 
-def _bank_from_tokens(token_list, d, frames=None):
-    """A bank of the (W, d) token rows at `frames` (default 0..T-1)."""
+def _bank_from_tokens(token_list, d):
+    """A bank of the (W, d) token rows, frames 0..T-1."""
     bank = MemoryBank(W=token_list[0].shape[0], d=d)
-    append(bank, range(len(token_list)) if frames is None else frames, 0,
-           np.stack(token_list))
+    append(bank, range(len(token_list)), 0, np.stack(token_list))
     return bank
 
 
@@ -199,17 +198,15 @@ _TIED = [-1.5, -0.0, 0.0, 1.0, 2.5, np.inf, -np.inf, np.nan, -np.nan]
 class TestTopLMatchesFullSort:
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.sampled_from(_TIED), min_size=1, max_size=60),
-           gaps=st.lists(st.integers(1, 5), min_size=60, max_size=60),
            z_repr=st.sampled_from(["mean", "concat"]))
-    def test_matches_full_sort(self, values, gaps, z_repr):
+    def test_matches_full_sort(self, values, z_repr):
         """Every L from 1 to past T that matters: 1, each tie boundary
         (the L-th and L+1-th keys equal, NaN with NaN too), T - 1, T and
-        T + 5, on increasing frames with gaps."""
+        T + 5."""
         T, relevance = len(values), np.array(values)
-        frames = np.cumsum(gaps[:T])
         rng = np.random.default_rng(T)
-        bank = _bank_from_tokens(rng.standard_normal((T, 2, 3)), 3, frames)
-        keys = -relevance[np.lexsort((frames, -relevance))]
+        bank = _bank_from_tokens(rng.standard_normal((T, 2, 3)), 3)
+        keys = -relevance[np.lexsort((np.arange(T), -relevance))]
         ties = [L for L in range(1, T)
                 if keys[L - 1] == keys[L]
                 or np.isnan(keys[L - 1]) and np.isnan(keys[L])]
@@ -257,7 +254,7 @@ class TestStage2MatchesEntryLoop:
             tokens = rng.standard_normal((1, W, d))
             if t % 5 == 3:  # exact ties with the previous frame
                 tokens = bank.tokens[-1:].copy()
-            append(bank, [3 * t + 1], t // 8, tokens)
+            append(bank, [t], t // 8, tokens)
         mean = rng.standard_normal(d)
         _, relevance = frame_relevance_loop(bank, mean)
         scores = frame_relevance(bank, mean)

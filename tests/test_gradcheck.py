@@ -56,7 +56,6 @@ VAR_OPS = {
     "batched_matmul_left": (lambda a, b: a @ b, [(2, 4), (3, 4, 5)]),
     "batched_matmul_both": (lambda a, b: a @ b, [(3, 2, 4), (3, 4, 5)]),
     "swapaxes": (lambda x, w: x.swapaxes(0, 1) @ w, [(2, 3, 4), (4, 2)]),
-    "last_axis_slice": (lambda x: x[..., 1:3] * x[..., 2:4], [(2, 3, 5)]),
     # rows cut into 3 heads, each head's rows mixed by a per-head weight
     "split_heads": (lambda x, w: split_heads(x, 3) @ w,
                     [(2, 4, 6), (3, 2, 2)]),

@@ -21,7 +21,7 @@ from streammem.stream import (RWFS, empty_instruction, encode_instruction,
 from streammem.tensor import make_attention_params
 
 from oracles import (attention_oracle, bank_bytes_loop, read_context_loop,
-                     read_context_uncached)
+                     read_context_uncached, spill_manifest_text)
 
 
 def _query_bank(seed, d=8, heads=2, n_read=4, n_write=2):
@@ -131,10 +131,11 @@ class TestAppend:
         first = rng.standard_normal((3, 2, 8))
         second = rng.standard_normal((2, 2, 8))
         append(bank, [0, 1, 2], 4, first)  # one sub-clip for the block
-        append(bank, [4, 7], [5, 6], second)  # one per row
+        append(bank, [3, 4], [5, 6], second)  # one per row
         expected = np.concatenate([first, second])
         first[0, 0, 0] = 99.0  # the bank holds a copy of each block
-        assert bank.frame_indices() == [0, 1, 2, 4, 7]
+        assert bank.frame_indices() == [0, 1, 2, 3, 4]
+        assert bank.frames.tolist() == [0, 1, 2, 3, 4]
         assert bank.subclips.tolist() == [4, 4, 4, 5, 6]
         assert np.array_equal(bank.tokens, expected)
 
@@ -153,8 +154,9 @@ class TestAppend:
         assert len(bank._tokens) == capacity
 
     def test_out_of_order_rejected(self):
-        # inside the block, or a block that starts before the last frame
-        for frames in ([6, 5], [1, 4], [0, 9]):
+        # inside the block, a block that starts before the next position,
+        # or one that skips it
+        for frames in ([6, 5], [1, 4], [0, 9], [4, 5], [3, 5]):
             self._rejected(frames, np.zeros((2, 2, 8)))
 
     def test_duplicate_rejected(self):
@@ -207,11 +209,11 @@ class TestAppend:
         bank = MemoryBank(W=2, d=8)
         written = [rng.standard_normal((3, 2, 8)) for _ in range(14)]
         for k, tokens in enumerate(written):
-            append(bank, range(6 * k, 6 * k + 6, 2), k, tokens)
+            append(bank, range(3 * k, 3 * k + 3), k, tokens)
         assert np.array_equal(bank.tokens, np.concatenate(written))
         assert np.array_equal(bank.all_tokens(),
                               np.concatenate(written).reshape(-1, 8))
-        assert bank.frame_indices() == list(range(0, 84, 2))
+        assert bank.frame_indices() == list(range(42))
         assert bank.subclips.tolist() == [t // 3 for t in range(42)]
         for view in (bank.all_tokens(), bank.tokens, bank.frames,
                      bank.subclips):
@@ -290,7 +292,7 @@ class TestReadKVCache:
         # the read state: the projected read queries, and per head and
         # read-query row a maximum, a denominator and a dh-wide numerator
         bank = _filled_bank(26, frames=6)
-        rows = bank.tokens.nbytes + bank.frames.nbytes + bank.subclips.nbytes
+        rows = bank.tokens.nbytes + bank.subclips.nbytes
         assert bank.resident_bytes() == rows
         read_context(bank, _query_bank(27, d=8, heads=2, n_read=4))
         state = (4 * 8 + 2 * 4 * (2 + 4)) * 8
@@ -298,7 +300,7 @@ class TestReadKVCache:
         append(bank, [6], 3, np.ones((1, 2, 8)))
         read_context(bank, _query_bank(27, d=8, heads=2, n_read=4))
         assert bank.resident_bytes() == rows + bank.tokens.nbytes // 7 \
-            + 2 * 8 + state
+            + 8 + state
 
 
 class TestWriteFrame:
@@ -339,6 +341,12 @@ class TestWriteFrame:
         queries = _query_bank(9)
         with pytest.raises(ValueError):
             write_frame(np.zeros((4, 8)), queries)
+
+
+def _manifest_text(frames):
+    """The manifest of a spill of 2 x 4 float32 frames, as `_spilled` and
+    `test_spill_round_trip` write them."""
+    return spill_manifest_text(frames, 2 * 4 * 4)
 
 
 class TestFeatureBuffer:
@@ -390,6 +398,7 @@ class TestFeatureBuffer:
         save_buffer_spill(buffer, data, manifest)
         # one RWFS record of every frame, as `save_stream` writes them
         assert data.read_bytes() == _rwfs_bytes(frames)
+        assert manifest.read_text() == _manifest_text(range(4))
         disk = DiskFeatureBuffer(data, manifest)
         assert disk.frame_indices() == [0, 1, 2, 3]
         assert (disk.token_count(), disk.P, disk.d) == (8, 2, 4)
@@ -423,7 +432,14 @@ class TestFeatureBuffer:
                                       '{"frames": [[0, 0], [0, 40]]}',
                                       '{"frames": [[0, null]]}',
                                       '{"frames": {"0": 0}}',
-                                      '{"frames": 7}'])
+                                      '{"frames": 7}',
+                                      pytest.param(_manifest_text([1, 0, 2]),
+                                                   id="reordered"),
+                                      pytest.param(_manifest_text(range(3))
+                                                   .replace(",", ", ", 1),
+                                                   id="added_space"),
+                                      pytest.param(_manifest_text(range(2)),
+                                                   id="other_T")])
     def test_malformed_manifest_rejected(self, tmp_path, text):
         data, manifest = self._spilled(tmp_path)
         manifest.write_text(text)
@@ -444,8 +460,8 @@ class TestFeatureBuffer:
                                         2**63, -2**63, -2**63 - 1])
     def test_offset_off_a_frame_start_rejected(self, tmp_path, offset):
         """Inside the header, inside a frame, past int64 either way, or at
-        its minimum, which wraps when the header is taken off: no frame's
-        tokens start there."""
+        its minimum: no frame's tokens start there, so no spill's manifest
+        lists it."""
         data, manifest = self._spilled(tmp_path)
         manifest.write_text('{"frames": [[0, %d]]}' % offset)
         with pytest.raises(MalformedArtifactError):
@@ -462,8 +478,10 @@ class TestFeatureBuffer:
 
     def test_frame_missing_from_manifest_rejected(self, tmp_path):
         data, manifest = self._spilled(tmp_path)
-        with pytest.raises(MalformedArtifactError):
-            DiskFeatureBuffer(data, manifest).get(3)
+        disk = DiskFeatureBuffer(data, manifest)
+        for frame in (3, -1):
+            with pytest.raises(MalformedArtifactError):
+                disk.get(frame)
 
     def test_huge_record_is_truncated_before_reading(self, tmp_path):
         """A record declaring more bytes than the file holds fails before
@@ -482,19 +500,20 @@ class TestFeatureBuffer:
             DiskFeatureBuffer(data, manifest)
 
     def test_manifest_order_and_empty_manifest(self, tmp_path):
-        """Frames may be listed in any order; an empty list is no frames."""
+        """The manifest is the bytes `save_buffer_spill` writes: the same
+        frames in another order, or no frames, are rejected."""
         data, manifest = self._spilled(tmp_path)
-        at = [self.HEADER + t * self.FRAME for t in range(3)]
-        manifest.write_text('{"frames": [[2, %d], [0, %d], [1, %d]]}'
-                            % (at[2], at[0], at[1]))
-        disk = DiskFeatureBuffer(data, manifest)
-        assert disk.frame_indices() == [0, 1, 2] and len(disk) == 3
-        for t in range(3):
-            assert np.array_equal(disk.get(t), np.full((2, 4), float(t)))
-        manifest.write_text('{"frames": []}')
+        for text in (_manifest_text([2, 0, 1]), _manifest_text([]),
+                     '{"frames": []}'):
+            manifest.write_text(text)
+            with pytest.raises(MalformedArtifactError):
+                DiskFeatureBuffer(data, manifest)
+        manifest.write_text(_manifest_text(range(3)))
         disk = DiskFeatureBuffer(data, manifest)
         assert (disk.frame_indices(), len(disk), disk.token_count()) == \
-            ([], 0, 0)
+            ([0, 1, 2], 3, 6)
+        for t in range(3):
+            assert np.array_equal(disk.get(t), np.full((2, 4), float(t)))
 
     def test_short_record_body_is_truncated(self, tmp_path):
         data, manifest = self._spilled(tmp_path)
@@ -623,7 +642,8 @@ class TestReadScoreCache:
 
     def test_read_state_size_is_independent_of_T(self):
         """The O(1)-in-T claim: after Stage 1 the bank holds its token and
-        index rows plus a read state of the same size at T=512 and T=2048."""
+        sub-clip index rows plus a read state of the same size at T=512 and
+        T=2048."""
         config = RunConfig(d=16, heads=2, layers=1, n_read=4,
                            subclip_frames=16).validate()
         params = init_model_params(config)
@@ -632,10 +652,9 @@ class TestReadScoreCache:
             bank, _ = process_stream(synth_stream(46, T, 3, 16),
                                      empty_instruction(16), params.query_bank,
                                      params.perceiver, config.subclip_frames)
-            rows = bank.tokens.nbytes + bank.frames.nbytes \
-                + bank.subclips.nbytes
+            rows = bank.tokens.nbytes + bank.subclips.nbytes
             beyond[T] = bank.resident_bytes() - rows
-            assert rows == T * (2 * 16 * 4 + 2 * 8)
+            assert rows == T * (2 * 16 * 4 + 8)
         # float32 projected queries and maxima, float64 running sums
         assert beyond[512] == beyond[2048] == \
             (4 * 16 + 2 * 4) * 4 + 2 * 4 * (1 + 8) * 8
@@ -658,7 +677,7 @@ class TestReadScoreCache:
         peak = 0
         for start in range(0, T, F):
             n, f = min(start + F, T), min(F, T - start)
-            resident = (weights + n * (W * d * 4 + 2 * 8) + state
+            resident = (weights + n * (W * d * 4 + 8) + state
                         + n * P * d * 4)
             read_scores = 2 * 4 * W * F * 4  # heads x N_R x W*F
             hidden = f * 4 * 4 * d  # f x N_Q x 4d
@@ -874,20 +893,22 @@ class TestBankFile:
         with pytest.raises(NonFiniteDataError):
             load_bank(path)
 
-    @pytest.mark.parametrize("second", [0, 1, 7])
-    def test_frame_order_rejected(self, tmp_path, second):
-        # frames (1, second, 8): a regression, a duplicate, then in order
+    @pytest.mark.parametrize("frames", [
+        pytest.param((1, 0, 8), id="0"),  # a regression
+        pytest.param((1, 1, 8), id="1"),  # a duplicate
+        pytest.param((1, 7, 8), id="7"),  # increasing, with gaps
+        pytest.param((0, 1, 3), id="gap"),
+        pytest.param((1, 2, 3), id="start_at_1")])
+    def test_frame_order_rejected(self, tmp_path, frames):
+        """A bank's frames are its positions 0..count-1, and nothing else."""
         raw = bytearray(bank_bytes(_filled_bank(29, frames=3)))
         entry = 8 + 2 * 8 * 4
-        for i, frame in enumerate((1, second, 8)):
+        for i, frame in enumerate(frames):
             raw[20 + i * entry:24 + i * entry] = frame.to_bytes(4, "little")
         path = tmp_path / "m.rwmb"
         path.write_bytes(bytes(raw))
-        if second == 7:
-            assert load_bank(path).frame_indices() == [1, 7, 8]
-        else:
-            with pytest.raises(MalformedArtifactError):
-                load_bank(path)
+        with pytest.raises(MalformedArtifactError):
+            load_bank(path)
 
 
 class TestAccounting:

@@ -74,6 +74,27 @@ class TestLayerNorm:
         assert np.allclose(layer_norm(x, gain, bias, 1e-5)[0], expected,
                            atol=1e-12, rtol=0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square")
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (2, 3, 4)])
+    def test_float32_row_past_the_square_range(self, shape):
+        """A float32 row whose squares overflow is normalised within 2 ulp
+        of the float64 result, not silently to the bias; every other row
+        keeps its float32 bits."""
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal(shape).astype(np.float32)
+        huge = np.zeros(shape[:-1], dtype=bool)
+        huge.flat[::2] = True  # rows 0 and 2 of the batched case
+        x[huge] = [3e19, -3e19, 1e19, 0.0]
+        x[huge] *= np.arange(1, huge.sum() + 1, dtype=np.float32)[:, None]
+        gain, bias = np.ones(4, np.float32), np.zeros(4, np.float32)
+        out = layer_norm(x, gain, bias)
+        assert out.dtype == np.float32
+        wide = layer_norm(x.astype(np.float64), gain, bias).astype(np.float32)
+        ulps = np.abs(out.view(np.int32).astype(np.int64)
+                      - wide.view(np.int32))
+        assert np.all(ulps[huge] <= 2), ulps
+        assert np.array_equal(out[~huge], layer_norm(x[~huge], gain, bias))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             layer_norm(np.zeros((2, 4)), np.ones(3), np.zeros(3))
