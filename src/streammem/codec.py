@@ -7,8 +7,7 @@ decodes to a read-only view of the bytes it was read from, never a copy.
 
     format  ver  header fields (u32)            payload
     RWFS    1    T P d                          T x P x d float32
-    RWMB    1    count W d                      count x (u32 frame,
-                                                u32 sub-clip, W x d float32)
+    RWMB    2    count W d                      count x W x d float32
     RWPM    2    d heads layers n_read n_write  float32 tensors in the draw
                  hidden temporal_mode           order of params.py
     RWLI    1    total d memory_rows            total x d float32
@@ -16,8 +15,10 @@ decodes to a read-only view of the bytes it was read from, never a copy.
 
 `buffer.bin` is one RWFS record; `buffer.manifest` maps each frame to the
 offset of its tokens in it, and is read back only as the exact bytes
-written for that record's header. An RWMB frame field is the entry's
-position, 0..count-1. RWPM's temporal_mode indexes TEMPORAL_MODES.
+written for that record's header. An RWMB entry's frame is its position,
+0..count-1; version 1 also stored it, with a sub-clip index, before each
+entry's tokens, and is rejected. RWPM's temporal_mode indexes
+TEMPORAL_MODES.
 """
 
 import math
@@ -85,8 +86,7 @@ class Format:
                 f"{self.name} payload: {len(data) - offset} bytes, not {size}")
         values = np.frombuffer(data, dtype, math.prod(shape), offset)
         values = values.reshape(shape)
-        parts = [values[n] for n in dtype.names] if dtype.names else [values]
-        if not all(np.isfinite(p).all() for p in parts if p.dtype.kind == "f"):
+        if not np.isfinite(values).all():
             raise NonFiniteDataError(f"{self.name} payload is not finite")
         return values
 

@@ -28,8 +28,9 @@ class TruncatedPayloadError(FormatError):
 
 
 class MalformedArtifactError(FormatError):
-    """An artifact's content breaks its format: malformed manifest JSON,
-    frame indices out of order, a record of the wrong shape."""
+    """An artifact's content breaks its format: a manifest other than the
+    one written for its spill, an empty record, a record of the wrong
+    shape."""
 
 
 class ConfigError(EngineError):

@@ -3,19 +3,20 @@ accounting.
 
 The bank is the only Stage-1 state that grows with stream length: W compact
 tokens per processed frame, kept in strict temporal order, so a frame's
-index is its position. It is stored as one (capacity, W, d) array plus a
-sub-clip index array, and rows enter it only through `append`, one checked
-(n, W, d) block at a time: a sub-clip's F frames in Stage 1, a whole RWMB
-file in `load_bank`. Appends are amortised O(1) and readers see views,
-never copies; a bank built for a stream of known length is sized for it
-once. The read keeps a streaming state on the bank whose size does not
-depend on the bank's length: per head and read-query row, the online
-softmax (Milakov & Gimelshein, arXiv 1805.02867) of the memory rows read so
-far, rescaled as FlashAttention does (Dao et al., arXiv 2205.14135). So
-each read projects and scores only the rows written since the previous
-one. Raw frame tokens go to a passive feature buffer that is never read
-during Stage 1: the stream's (T, P, d) array plus a count of the frames
-buffered so far, advanced once per sub-clip. The buffer keeps the array
+index is its position. It is stored as one (capacity, W, d) array, and
+Stage 1 adds rows only through `append`, one checked (n, W, d) block of a
+sub-clip's F frames at a time. Appends are amortised O(1) and readers see
+views, never copies; a bank built for a stream of known length is sized
+for it once. `load_bank` keeps the read-only tokens of an RWMB file as
+the bank's array, which an append to it copies first. The read keeps a
+streaming state on the bank whose size does not depend on the bank's
+length: per head and read-query row, the online softmax (Milakov &
+Gimelshein, arXiv 1805.02867) of the memory rows read so far, rescaled as
+FlashAttention does (Dao et al., arXiv 2205.14135). So each read projects
+and scores only the rows written since the previous one. Raw frame tokens
+go to a passive feature buffer that is never read during Stage 1: the
+stream's (T, P, d) array plus a count of the frames buffered so far,
+advanced once per sub-clip. The buffer keeps the array
 itself, not a copy, when nobody can write its memory (a loaded stream's
 payload, as `load_stream` returns); it copies any other array once, in its
 own dtype, so a caller's later writes never reach it. Its spill keeps
@@ -40,20 +41,13 @@ from .tensor import (AttentionParams, attention, head_scale, merge_heads,
 _MIN_CAPACITY = 16
 
 
-def _record_dtype(W: int, d: int) -> np.dtype:
-    """One RWMB entry: frame index, sub-clip index, W x d float32 tokens."""
-    return np.dtype([("frame", "<u4"), ("subclip", "<u4"),
-                     ("tokens", "<f4", (W, d))])
-
-
-RWMB = Format(b"RWMB", 1, ("count", "W", "d"),
-              lambda h: (_record_dtype(h.W, h.d), (h.count,)))
+RWMB = Format(b"RWMB", 2, ("count", "W", "d"), lambda h: ("<f4", tuple(h)))
 
 
 def _reserve(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
-    """`buf` if it holds `needed` rows, else a copy of its first `used` rows
-    in a buffer of at least double the capacity."""
-    if needed <= len(buf):
+    """`buf` if it holds `needed` rows and can be written, else a copy of
+    its first `used` rows in a buffer of at least double the capacity."""
+    if needed <= len(buf) and buf.flags.writeable:
         return buf
     grown = np.empty((max(needed, 2 * len(buf), _MIN_CAPACITY),)
                      + buf.shape[1:], dtype=buf.dtype)
@@ -127,17 +121,18 @@ class _ReadState:
 class MemoryBank:
     """W memory tokens per frame in strict frame order: row t holds frame t.
 
-    `tokens`, `subclips` and `all_tokens()` are read-only views of the live
-    rows, and `frames` is the read-only arange of their positions. The bank
-    also carries the streaming read state of the last read queries
+    `tokens` and `all_tokens()` are read-only views of the live rows, and
+    `frames` is the read-only arange of their positions. The bank also
+    carries the streaming read state of the last read queries
     (`read_state`), whose size depends on the read queries and heads but
     not on the bank's length. Queries and attention weights are fixed at
     inference, so the state assumes they are never changed in place.
 
     `capacity` frames are allocated once up front; a bank that outgrows
-    them doubles its arrays. Untouched capacity is never written, so it is
+    them doubles its array. Untouched capacity is never written, so it is
     not counted. Tokens are stored in `dtype`, and appended blocks are cast
-    to it; Stage 1 and `load_bank` build float32 banks.
+    to it; Stage 1 and `load_bank` build float32 banks, and a loaded bank's
+    array is its file's read-only bytes until an append copies it.
     """
 
     def __init__(self, W: int, d: int, capacity: int = 0,
@@ -146,7 +141,6 @@ class MemoryBank:
         self.d = d
         self._count = 0
         self._tokens = np.empty((capacity, W, d), dtype=dtype)
-        self._subclips = np.empty(capacity, dtype=np.int64)
         self._read = None
 
     def __len__(self):
@@ -162,10 +156,6 @@ class MemoryBank:
         """Each row's frame index, which is its position."""
         return _readonly(np.arange(self._count))
 
-    @property
-    def subclips(self) -> np.ndarray:
-        return _readonly(self._subclips[:self._count])
-
     def token_count(self) -> int:
         return self.W * self._count
 
@@ -177,12 +167,10 @@ class MemoryBank:
         return self.tokens.reshape(self.token_count(), self.d)
 
     def resident_bytes(self) -> int:
-        """Bytes of the live rows (tokens and sub-clip indices) plus the
-        streaming read state. Spare capacity is never written, so it is not
-        counted."""
-        n = self._count
+        """Bytes of the live rows' tokens plus the streaming read state.
+        Spare capacity is never written, so it is not counted."""
         state = self._read.nbytes() if self._read is not None else 0
-        return state + self._tokens[:n].nbytes + self._subclips[:n].nbytes
+        return state + self._tokens[:self._count].nbytes
 
     def read_state(self, queries: "QueryBank") -> _ReadState:
         """The streaming read state of `queries` with every memory row
@@ -197,36 +185,23 @@ class MemoryBank:
         return state
 
 
-def append(bank: MemoryBank, frames, subclips, tokens) -> None:
-    """Append an (n, W, d) block of `tokens` for the n `frames`, with one
-    sub-clip index for the block or one per row. The whole block is checked
-    before any row is stored, so a rejected block leaves the bank as it was:
-    the tokens must be n x W x d and finite in the bank's dtype, and the
-    frames must be the next n positions, len(bank) on, since a frame's index
-    is its position. Any other frame is a bug in the caller and raises
-    ValueError."""
-    frames = np.asarray(frames, dtype=np.int64)
+def append(bank: MemoryBank, tokens) -> None:
+    """Append an (n, W, d) block of `tokens`, the next n frames: their rows
+    take positions len(bank) on. The whole block is checked before any row
+    is stored, so a rejected block leaves the bank as it was: the tokens
+    must be n x W x d and finite in the bank's dtype, or ValueError is
+    raised."""
     with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
         tokens = np.asarray(tokens, dtype=bank._tokens.dtype)
     if tokens.ndim != 3 or tokens.shape[1:] != (bank.W, bank.d):
         raise ValueError(f"tokens must be n x {bank.W} x {bank.d}, "
                          f"not {tokens.shape}")
-    if frames.shape != (len(tokens),):
-        raise ValueError(f"{frames.size} frame indices for "
-                         f"{len(tokens)} rows of tokens")
-    subclips = np.broadcast_to(subclips, frames.shape)
     if not np.all(np.isfinite(tokens)):
         raise ValueError("memory tokens must be finite")
     n = len(bank)
-    end = n + len(frames)
-    wrong = np.flatnonzero(frames != np.arange(n, end))
-    if wrong.size:
-        raise ValueError(f"frame {frames[wrong[0]]} is not at its position "
-                         f"{n + wrong[0]}")
+    end = n + len(tokens)
     bank._tokens = _reserve(bank._tokens, n, end)
-    bank._subclips = _reserve(bank._subclips, n, end)
     bank._tokens[n:end] = tokens
-    bank._subclips[n:end] = subclips
     bank._count = end
 
 
@@ -424,28 +399,20 @@ def save_bank(bank: MemoryBank, path) -> None:
 
 
 def bank_bytes(bank: MemoryBank) -> bytes:
-    records = np.empty(len(bank), dtype=_record_dtype(bank.W, bank.d))
-    records["frame"] = bank.frames
-    records["subclip"] = bank.subclips
-    records["tokens"] = bank.tokens
-    return b"".join(RWMB.encode(records, count=len(bank), W=bank.W,
+    return b"".join(RWMB.encode(bank.tokens, count=len(bank), W=bank.W,
                                 d=bank.d))
 
 
 def load_bank(path) -> MemoryBank:
-    """The bank an RWMB file holds, in a float32 bank of exactly its
-    `count` rows: the tokens Stage 1 wrote, as it wrote them. A non-finite
-    token raises NonFiniteDataError (exit 4) in the codec's decode, before
-    `append` sees the rows."""
-    header, records = RWMB.load(path)
+    """The bank an RWMB file holds: a float32 bank of exactly its `count`
+    rows, whose tokens are the codec's read-only view of the file's bytes,
+    as Stage 1 wrote them. The codec's decode has already raised
+    NonFiniteDataError (exit 4) on a non-finite token."""
+    header, tokens = RWMB.load(path)
     if min(header) < 1:
         raise MalformedArtifactError(f"RWMB bank {tuple(header)} is empty")
-    bank = MemoryBank(W=header.W, d=header.d, capacity=header.count,
-                      dtype=np.float32)
-    try:
-        append(bank, records["frame"], records["subclip"], records["tokens"])
-    except ValueError as exc:
-        raise MalformedArtifactError(f"RWMB bank: {exc}") from exc
+    bank = MemoryBank(W=header.W, d=header.d, dtype=np.float32)
+    bank._tokens, bank._count = tokens, header.count
     return bank
 
 

@@ -126,22 +126,23 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
     `stream.frames[start:end]`; per sub-clip the bank is read once, the
     frames perceived and buffered raw, and the (F, W, d) tokens of all of
     them written by one attention call and appended to the bank as one
-    block. `on_subclip(frames, bank, buffer)` is called after each. The
-    bank is sized for the stream's T frames up front, in the dtype Stage 1
-    computes in (the frames' and weights' common dtype), and the buffer
-    holds the stream's array. Returns the populated (bank, buffer).
+    block, so bank row t holds frame t. `on_subclip(frames, bank, buffer)`
+    is called after each. The bank is sized for the stream's T frames up
+    front, in the dtype Stage 1 computes in (the frames' and weights'
+    common dtype), and the buffer holds the stream's array. Returns the
+    populated (bank, buffer).
     """
     W = queries.n_write
     bank = MemoryBank(W=W, d=params.d, capacity=stream.T,
                       dtype=np.result_type(stream.frames,
                                            queries.write_queries))
     buffer = FeatureBuffer(stream.frames)
-    for index, (start, end) in enumerate(split_into_subclips(stream.T, F)):
+    for start, end in split_into_subclips(stream.T, F):
         frames = stream.frames[start:end]
         context = read_context(bank, queries, residual=residual_read)
         states = perceive_subclip(frames, context, instruction, params)
         buffer_store(buffer, end)
-        append(bank, range(start, end), index, write_frame(states, queries))
+        append(bank, write_frame(states, queries))
         if on_subclip is not None:
             on_subclip(frames, bank, buffer)
     return bank, buffer

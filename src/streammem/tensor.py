@@ -88,7 +88,9 @@ def _centred(x, eps):
     measured again in float64 and rounded once; every other row keeps the
     bits of x's dtype."""
     out = x - x.mean(axis=-1, keepdims=True)
-    std = np.square(out).mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # such a row is redone below
+        std = np.square(out)
+    std = std.mean(axis=-1, keepdims=True)
     std += float(eps)
     np.sqrt(std, out=std)
     finite = np.isfinite(std[..., 0])

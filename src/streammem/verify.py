@@ -222,9 +222,9 @@ def run_linearity_suite(frame_counts=(16, 64, 256), W: int = 2, d: int = 8):
     results = []
     for T in frame_counts:
         bank = MemoryBank(W=W, d=d)
-        for t in range(T):
+        for _ in range(T):
             perceived = rng.standard_normal((1, 4, d))
-            append(bank, [t], t, write_frame(perceived, queries))
+            append(bank, write_frame(perceived, queries))
         results.append((T, bank.token_count(), bank.token_count() == W * T))
     return results
 

@@ -207,16 +207,29 @@ def read_context_uncached(bank, queries, residual=True):
 
 
 def bank_bytes_loop(bank):
-    """RWMB encoding frame by frame: header, then per frame its index, its
-    sub-clip index and its W x d tokens as float32."""
+    """RWMB encoding frame by frame: the version 2 header, then per frame
+    its W x d tokens as float32."""
+    import struct
+
+    import numpy as np
+
+    parts = [struct.pack("<4sIIII", b"RWMB", 2, len(bank), bank.W, bank.d)]
+    for tokens in bank.tokens:
+        parts.append(np.ascontiguousarray(tokens, dtype=np.float32).tobytes())
+    return b"".join(parts)
+
+
+def bank_bytes_v1(bank, F):
+    """The version 1 RWMB encoding of `bank` as Stage 1 with F-frame
+    sub-clips wrote it: the header, then per frame its index, its sub-clip
+    index and its W x d tokens as float32."""
     import struct
 
     import numpy as np
 
     parts = [struct.pack("<4sIIII", b"RWMB", 1, len(bank), bank.W, bank.d)]
-    for frame, subclip, tokens in zip(bank.frames, bank.subclips,
-                                      bank.tokens):
-        parts.append(struct.pack("<II", frame, subclip))
+    for frame, tokens in enumerate(bank.tokens):
+        parts.append(struct.pack("<II", frame, frame // F))
         parts.append(np.ascontiguousarray(tokens, dtype=np.float32).tobytes())
     return b"".join(parts)
 

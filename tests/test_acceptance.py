@@ -177,7 +177,7 @@ def test_criterion_8_accounting_report(tmp_path):
         rng = np.random.default_rng(T)
         from streammem.memory import accounting_report
         for t in range(T):
-            append(bank, [t], t // 8, rng.standard_normal((1, W, 8)))
+            append(bank, rng.standard_normal((1, W, 8)))
         report = accounting_report(bank, None, config)
         ok &= report.llm_input_length == W * T + 1 + Kc * p
         ok &= report.memory_token_count == W * T

@@ -17,7 +17,7 @@ from oracles import llm_input_rows_float64
 def _bank(seed, T=4, W=2, d=3):
     rng = np.random.default_rng(seed)
     bank = MemoryBank(W=W, d=d)
-    append(bank, range(T), 0, rng.standard_normal((T, W, d)))
+    append(bank, rng.standard_normal((T, W, d)))
     return bank
 
 

@@ -15,9 +15,10 @@ import streammem
 from streammem.assembly import load_llm_input
 from streammem.cli import build_parser, main
 from streammem.dfs import parse_selection_centers
+from streammem.memory import load_bank
 from streammem.stream import load_stream
 
-from oracles import spill_manifest_text
+from oracles import bank_bytes_v1, spill_manifest_text
 
 
 CONFIG_TEXT = """\
@@ -161,7 +162,7 @@ class TestProcessChain:
         part_bank = (part / "memory.rwmb").read_bytes()
         # sub-clip-aligned prefix: shared frames have identical bytes
         header = struct.calcsize("<4sIIII")
-        entry = struct.calcsize("<II") + 2 * 8 * 4
+        entry = 2 * 8 * 4  # W x d float32 tokens
         assert part_bank[header:] == full_bank[header:header + 8 * entry]
 
     def test_instruction_file(self, tmp_path, config_path, stream_path):
@@ -501,6 +502,22 @@ class TestMalformedArtifactExitCodes:
                      "--instruction", "x", "--config", config_path,
                      "--out", str(out_dir / "sel.txt")])
 
+    @pytest.mark.parametrize("change", ["v1", "truncated", "oversized",
+                                        "empty"])
+    def test_bank_file_is_2(self, processed, config_path, capsys, change):
+        """A bank in version 1 of the format (a frame and a sub-clip index
+        before each entry's tokens), cut short, one byte long, or of no
+        entries exits 2 from every command that loads it."""
+        path = processed / "memory.rwmb"
+        raw = path.read_bytes()
+        path.write_bytes({
+            "v1": bank_bytes_v1(load_bank(path), F=4),
+            "truncated": raw[:-3],
+            "oversized": raw + b"\0",
+            "empty": struct.pack("<4sIIII", b"RWMB", 2, 0, 2, 8),
+        }[change])
+        self._loaders_exit_2(processed, config_path, capsys)
+
     @pytest.mark.parametrize("frames", [
         pytest.param({1: 0}, id="0"),  # entry 1 gets frame 0: a duplicate
         pytest.param({2: 1}, id="1"),  # entry 2 gets frame 1: a duplicate
@@ -508,24 +525,29 @@ class TestMalformedArtifactExitCodes:
         pytest.param({t: t + 1 for t in range(10)}, id="start_at_1")])
     def test_bank_frame_order_is_2(self, processed, config_path, capsys,
                                    frames):
-        """Bank frames other than positions 0..T-1 exit 2 from every
-        command that loads the bank."""
+        """A version 1 bank whose frames are not its positions 0..T-1
+        exits 2 from every command that loads the bank."""
         path = processed / "memory.rwmb"
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(bank_bytes_v1(load_bank(path), F=4))
         entry = 8 + 2 * 8 * 4
         for i, frame in frames.items():
             raw[20 + i * entry:24 + i * entry] = frame.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
+        self._loaders_exit_2(processed, config_path, capsys)
+
+    def _loaders_exit_2(self, processed, config_path, capsys):
+        """`select`, `assemble` and `report` each exit 2 on the bank."""
         assert self._select(processed, config_path) == 2
-        assert main(["assemble", "--bank", str(path), "--selection",
-                     str(processed / "selection.txt"), "--config",
-                     config_path, "--out", str(processed / "x.rwli")]) == 2
+        assert main(["assemble", "--bank", str(processed / "memory.rwmb"),
+                     "--selection", str(processed / "selection.txt"),
+                     "--config", config_path,
+                     "--out", str(processed / "x.rwli")]) == 2
         assert main(["report", "--out-dir", str(processed)]) == 2
         assert capsys.readouterr().err.count("error:") == 3
 
     def test_empty_bank_is_2(self, processed):
         (processed / "memory.rwmb").write_bytes(
-            struct.pack("<4sIIII", b"RWMB", 1, 0, 2, 8))
+            struct.pack("<4sIIII", b"RWMB", 2, 0, 2, 8))
         (processed / "buffer.manifest").write_text('{"frames": []}')
         assert main(["report", "--out-dir", str(processed)]) == 2
 

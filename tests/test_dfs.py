@@ -27,7 +27,7 @@ from oracles import (distance_index_loop, dpc_rank_loop,
 def _bank_from_tokens(token_list, d):
     """A bank of the (W, d) token rows, frames 0..T-1."""
     bank = MemoryBank(W=token_list[0].shape[0], d=d)
-    append(bank, range(len(token_list)), 0, np.stack(token_list))
+    append(bank, np.stack(token_list))
     return bank
 
 
@@ -168,7 +168,7 @@ class TestRelevanceBytes:
         in float32 with the float64 mean cast to it."""
         rng = np.random.default_rng(W)
         bank = MemoryBank(W=W, d=64, dtype=np.float32)
-        append(bank, range(300), 0, rng.standard_normal((300, W, 64)))
+        append(bank, rng.standard_normal((300, W, 64)))
         mean = rng.standard_normal(64)
         scores = frame_relevance(bank, mean)
         _, relevance = frame_relevance_loop(bank, mean)
@@ -254,7 +254,7 @@ class TestStage2MatchesEntryLoop:
             tokens = rng.standard_normal((1, W, d))
             if t % 5 == 3:  # exact ties with the previous frame
                 tokens = bank.tokens[-1:].copy()
-            append(bank, [t], t // 8, tokens)
+            append(bank, tokens)
         mean = rng.standard_normal(d)
         _, relevance = frame_relevance_loop(bank, mean)
         scores = frame_relevance(bank, mean)
@@ -457,7 +457,7 @@ def _populated(seed, T=32, W=2, d=4, P=6):
     bank = MemoryBank(W=W, d=d)
     frames = np.empty((T, P, d))
     for t in range(T):
-        append(bank, [t], t // 8, rng.standard_normal((1, W, d)))
+        append(bank, rng.standard_normal((1, W, d)))
         frames[t] = rng.standard_normal((P, d))
     buffer = FeatureBuffer(frames)
     buffer_store(buffer, T)

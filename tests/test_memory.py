@@ -20,8 +20,9 @@ from streammem.stream import (RWFS, empty_instruction, encode_instruction,
                               load_stream, synth_stream)
 from streammem.tensor import make_attention_params
 
-from oracles import (attention_oracle, bank_bytes_loop, read_context_loop,
-                     read_context_uncached, spill_manifest_text)
+from oracles import (attention_oracle, bank_bytes_loop, bank_bytes_v1,
+                     read_context_loop, read_context_uncached,
+                     spill_manifest_text)
 
 
 def _query_bank(seed, d=8, heads=2, n_read=4, n_write=2):
@@ -106,14 +107,13 @@ def _full_read_bound(mem, queries, n_reads):
 def _filled_bank(seed, W=2, d=8, frames=3):
     rng = np.random.default_rng(seed)
     bank = MemoryBank(W=W, d=d)
-    append(bank, np.arange(frames), np.arange(frames) // 2,
-           rng.standard_normal((frames, W, d)))
+    append(bank, rng.standard_normal((frames, W, d)))
     return bank
 
 
 def _bank_state(bank):
-    return (len(bank), bank.frames.copy(), bank.subclips.copy(),
-            bank.tokens.copy(), bank.resident_bytes())
+    return (len(bank), bank.frames.copy(), bank.tokens.copy(),
+            bank.resident_bytes())
 
 
 class TestAppend:
@@ -122,7 +122,6 @@ class TestAppend:
         assert len(bank) == 5
         assert bank.token_count() == 10
         assert bank.frame_indices() == [0, 1, 2, 3, 4]
-        assert bank.subclips.tolist() == [0, 0, 1, 1, 2]
         assert bank.all_tokens().shape == (10, 8)
 
     def test_blocks_land_after_the_live_rows(self):
@@ -130,17 +129,16 @@ class TestAppend:
         bank = MemoryBank(W=2, d=8)
         first = rng.standard_normal((3, 2, 8))
         second = rng.standard_normal((2, 2, 8))
-        append(bank, [0, 1, 2], 4, first)  # one sub-clip for the block
-        append(bank, [3, 4], [5, 6], second)  # one per row
+        append(bank, first)
+        append(bank, second)
         expected = np.concatenate([first, second])
         first[0, 0, 0] = 99.0  # the bank holds a copy of each block
         assert bank.frame_indices() == [0, 1, 2, 3, 4]
         assert bank.frames.tolist() == [0, 1, 2, 3, 4]
-        assert bank.subclips.tolist() == [4, 4, 4, 5, 6]
         assert np.array_equal(bank.tokens, expected)
 
     @staticmethod
-    def _rejected(frames, tokens, subclips=0):
+    def _rejected(tokens):
         """Append a block that must be rejected to a bank of frames 0, 1
         and 2 (capacity 16) that has been read, and check that its rows,
         capacity and resident bytes, read state included, are unchanged."""
@@ -148,77 +146,81 @@ class TestAppend:
         read_context(bank, _query_bank(33))
         before, capacity = _bank_state(bank), len(bank._tokens)
         with pytest.raises(ValueError):
-            append(bank, frames, subclips, tokens)
+            append(bank, tokens)
         for got, want in zip(_bank_state(bank), before):
             assert np.array_equal(got, want)
         assert len(bank._tokens) == capacity
 
-    def test_out_of_order_rejected(self):
-        # inside the block, a block that starts before the next position,
-        # or one that skips it
-        for frames in ([6, 5], [1, 4], [0, 9], [4, 5], [3, 5]):
-            self._rejected(frames, np.zeros((2, 2, 8)))
-
-    def test_duplicate_rejected(self):
-        # inside the block, or the bank's last frame again
-        for frames in ([5, 5], [2, 3]):
-            self._rejected(frames, np.zeros((2, 2, 8)))
-
     def test_wrong_shape_rejected(self):
         # wrong W, wrong d, one frame's W x d without the block axis
         for shape in ((2, 3, 8), (2, 2, 7), (2, 8)):
-            self._rejected([3, 4], np.zeros(shape))
+            self._rejected(np.zeros(shape))
 
     def test_row_count_mismatch_rejected(self):
-        # more frames than rows, fewer, and more per-row sub-clips
-        for frames, subclips in (([3, 4, 5], 0), ([3], 0),
-                                 ([3, 4], [1, 2, 3])):
-            self._rejected(frames, np.zeros((2, 2, 8)), subclips)
-        # one row that would broadcast over both frames
-        self._rejected([3, 4], np.zeros((1, 2, 8)))
+        # the block's leading axis is its row count, one W x d row a frame:
+        # two frames' tokens as one (n*W, d) matrix, each frame's flattened
+        # to one W*d row, or a block with one axis too many
+        for shape in ((4, 8), (2, 16), (1, 2, 2, 8)):
+            self._rejected(np.zeros(shape))
 
     def test_non_finite_rejected(self):
         for value in (np.nan, np.inf):
             tokens = np.random.default_rng(34).standard_normal((2, 2, 8))
             tokens[-1, -1, -1] = value  # the last row only
-            self._rejected([3, 4], tokens)
+            self._rejected(tokens)
 
     def test_overflow_of_a_float32_bank_rejected(self):
         """A finite float64 token beyond float32's range would be stored as
         inf in a float32 bank; the block is checked in the bank's dtype."""
         bank = MemoryBank(W=2, d=8, dtype=np.float32)
-        append(bank, [0], 0, np.ones((1, 2, 8)))
+        append(bank, np.ones((1, 2, 8)))
         tokens = np.ones((1, 2, 8))
         tokens[0, 1, 3] = 1e39
         with pytest.raises(ValueError):
-            append(bank, [1], 0, tokens)
+            append(bank, tokens)
         assert len(bank) == 1 and bank.tokens.dtype == np.float32
-        append(bank, [1], 0, tokens / 1e30)
+        append(bank, tokens / 1e30)
         assert np.isfinite(bank.tokens).all()
 
     def test_rejected_block_does_not_grow_the_bank(self):
         # 40 rows would outgrow the capacity of 16
         tokens = np.random.default_rng(35).standard_normal((40, 2, 8))
-        self._rejected(list(range(3, 42)) + [41], tokens)
-        self._rejected(range(3, 43), tokens, subclips=list(range(39)))
+        self._rejected(tokens[..., :7])
         tokens[-1, -1, -1] = np.nan
-        self._rejected(range(3, 43), tokens)
+        self._rejected(tokens)
 
-    def test_growth_keeps_rows_and_views_are_read_only(self):
+    def test_growth_keeps_rows_and_views_are_read_only(self, tmp_path):
         rng = np.random.default_rng(17)
         bank = MemoryBank(W=2, d=8)
         written = [rng.standard_normal((3, 2, 8)) for _ in range(14)]
-        for k, tokens in enumerate(written):
-            append(bank, range(3 * k, 3 * k + 3), k, tokens)
+        for tokens in written:
+            append(bank, tokens)
         assert np.array_equal(bank.tokens, np.concatenate(written))
         assert np.array_equal(bank.all_tokens(),
                               np.concatenate(written).reshape(-1, 8))
         assert bank.frame_indices() == list(range(42))
-        assert bank.subclips.tolist() == [t // 3 for t in range(42)]
-        for view in (bank.all_tokens(), bank.tokens, bank.frames,
-                     bank.subclips):
+        for view in (bank.all_tokens(), bank.tokens, bank.frames):
             with pytest.raises(ValueError):
                 view[0] = 1
+        # a loaded bank's tokens view the file's bytes, which an append
+        # copies before it grows them
+        path = tmp_path / "m.rwmb"
+        save_bank(bank, path)
+        loaded = load_bank(path)
+        saved = loaded.tokens.copy()
+        base = loaded.tokens
+        while isinstance(base, np.ndarray):
+            assert not base.flags.writeable
+            base = base.base
+        assert isinstance(base, bytes)
+        append(loaded, np.zeros((0, 2, 8)))
+        assert len(loaded) == 42
+        more = rng.standard_normal((5, 2, 8)).astype(np.float32)
+        append(loaded, more)
+        assert len(loaded) == 47
+        assert np.array_equal(loaded.tokens, np.concatenate([saved, more]))
+        assert np.array_equal(load_bank(path).tokens, saved)
+        assert path.read_bytes() == bank_bytes(load_bank(path))
 
 
 class TestReadContext:
@@ -250,7 +252,7 @@ class TestReadContext:
         queries = _query_bank(6)
         bank = MemoryBank(W=1, d=8)
         row = np.random.default_rng(6).standard_normal(8)
-        append(bank, [0], 0, row[None, None, :])
+        append(bank, row[None, None, :])
         out = read_context(bank, queries, residual=False)
         expected = np.tile(
             (row @ queries.read_attention.w_v) @ queries.read_attention.w_o,
@@ -271,7 +273,7 @@ class TestReadKVCache:
         bank = MemoryBank(W=W, d=8)
         reader = _CheckedReads(bank)
         for t in range(40):
-            append(bank, [t], t // batch, rng.standard_normal((1, W, 8)))
+            append(bank, rng.standard_normal((1, W, 8)))
             if (t + 1) % batch:
                 continue
             for residual in (True, False):
@@ -284,7 +286,7 @@ class TestReadKVCache:
         reader = _CheckedReads(bank)
         for queries in (first, second, first):
             reader.read(queries)
-            append(bank, [len(bank)], 0, np.full((1, 2, 8), 0.1 * len(bank)))
+            append(bank, np.full((1, 2, 8), 0.1 * len(bank)))
             reader.read(second)
         assert len(reader.reads) == 1  # the last read restarted the state
 
@@ -292,15 +294,15 @@ class TestReadKVCache:
         # the read state: the projected read queries, and per head and
         # read-query row a maximum, a denominator and a dh-wide numerator
         bank = _filled_bank(26, frames=6)
-        rows = bank.tokens.nbytes + bank.subclips.nbytes
+        rows = bank.tokens.nbytes
         assert bank.resident_bytes() == rows
         read_context(bank, _query_bank(27, d=8, heads=2, n_read=4))
         state = (4 * 8 + 2 * 4 * (2 + 4)) * 8
         assert bank.resident_bytes() == rows + state
-        append(bank, [6], 3, np.ones((1, 2, 8)))
+        append(bank, np.ones((1, 2, 8)))
         read_context(bank, _query_bank(27, d=8, heads=2, n_read=4))
         assert bank.resident_bytes() == rows + bank.tokens.nbytes // 7 \
-            + 8 + state
+            + state
 
 
 class TestWriteFrame:
@@ -557,7 +559,7 @@ class TestReadScoreCache:
             tokens = rng.standard_normal((bank.W, bank.d))
             if scale_of is not None:
                 tokens *= scale_of(t)
-            append(bank, [t], t // batch, tokens[None])
+            append(bank, tokens[None])
             if (t + 1) % batch == 0:
                 for residual in (True, False):
                     reader.read(queries, residual)
@@ -632,7 +634,7 @@ class TestReadScoreCache:
                 * np.linalg.norm(r) * rng.standard_normal((F, W, d)) / d
             chunk.reshape(-1, d)[:2] = r, -r
             chunk *= 1.0 + growth * read
-            append(bank, range(read * F, read * F + F), read, chunk)
+            append(bank, chunk)
             for residual in (True, False):
                 reader.read(queries, residual)
             top = bank.read_state(queries).top.copy()
@@ -641,9 +643,8 @@ class TestReadScoreCache:
             last = top
 
     def test_read_state_size_is_independent_of_T(self):
-        """The O(1)-in-T claim: after Stage 1 the bank holds its token and
-        sub-clip index rows plus a read state of the same size at T=512 and
-        T=2048."""
+        """The O(1)-in-T claim: after Stage 1 the bank holds its token rows
+        plus a read state of the same size at T=512 and T=2048."""
         config = RunConfig(d=16, heads=2, layers=1, n_read=4,
                            subclip_frames=16).validate()
         params = init_model_params(config)
@@ -652,9 +653,9 @@ class TestReadScoreCache:
             bank, _ = process_stream(synth_stream(46, T, 3, 16),
                                      empty_instruction(16), params.query_bank,
                                      params.perceiver, config.subclip_frames)
-            rows = bank.tokens.nbytes + bank.subclips.nbytes
+            rows = bank.tokens.nbytes
             beyond[T] = bank.resident_bytes() - rows
-            assert rows == T * (2 * 16 * 4 + 8)
+            assert rows == T * 2 * 16 * 4
         # float32 projected queries and maxima, float64 running sums
         assert beyond[512] == beyond[2048] == \
             (4 * 16 + 2 * 4) * 4 + 2 * 4 * (1 + 8) * 8
@@ -677,8 +678,7 @@ class TestReadScoreCache:
         peak = 0
         for start in range(0, T, F):
             n, f = min(start + F, T), min(F, T - start)
-            resident = (weights + n * (W * d * 4 + 8) + state
-                        + n * P * d * 4)
+            resident = weights + n * W * d * 4 + state + n * P * d * 4
             read_scores = 2 * 4 * W * F * 4  # heads x N_R x W*F
             hidden = f * 4 * 4 * d  # f x N_Q x 4d
             perceive = 4 * (f * (3 * n_keys * d + 2 * 4 * n_keys)
@@ -832,7 +832,6 @@ class TestBankFile:
         save_bank(bank, path)
         loaded = load_bank(path)
         assert loaded.frame_indices() == bank.frame_indices()
-        assert loaded.subclips.tolist() == bank.subclips.tolist()
         assert bank_bytes(loaded) == path.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -847,6 +846,10 @@ class TestBankFile:
         raw = bytearray(bank_bytes(bank))
         raw[4] = 9
         path.write_bytes(bytes(raw))
+        with pytest.raises(BadVersionError):
+            load_bank(path)
+        # a well-formed version 1 file, with its frame and sub-clip fields
+        path.write_bytes(bank_bytes_v1(_filled_bank(13, frames=3), F=2))
         with pytest.raises(BadVersionError):
             load_bank(path)
 
@@ -865,16 +868,15 @@ class TestBankFile:
 
     def test_unrepresentable_entry_shape_rejected(self, tmp_path):
         path = tmp_path / "m.rwmb"
-        path.write_bytes(struct.pack("<4sIIII", b"RWMB", 1, 0, 2**20, 2**20))
+        path.write_bytes(struct.pack("<4sIIII", b"RWMB", 2, 0, 2**20, 2**20))
         with pytest.raises(MalformedArtifactError):
             load_bank(path)
 
     @pytest.mark.parametrize("count,W,d", [(0, 2, 8), (3, 0, 8), (3, 2, 0)])
     def test_empty_bank_rejected(self, tmp_path, count, W, d):
         path = tmp_path / "m.rwmb"
-        path.write_bytes(struct.pack("<4sIIII", b"RWMB", 1, count, W, d)
-                         + b"".join(struct.pack("<II", t, 0)
-                                    for t in range(count)))
+        # no entries, or entries of no tokens: an empty payload either way
+        path.write_bytes(struct.pack("<4sIIII", b"RWMB", 2, count, W, d))
         with pytest.raises(MalformedArtifactError):
             load_bank(path)
 
@@ -886,7 +888,7 @@ class TestBankFile:
 
     def test_non_finite_rejected(self, tmp_path):
         raw = bytearray(bank_bytes(_filled_bank(28, frames=3)))
-        # last float32 of the last entry
+        # last float32 of the last entry's tokens
         raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
         path = tmp_path / "m.rwmb"
         path.write_bytes(bytes(raw))
@@ -900,15 +902,23 @@ class TestBankFile:
         pytest.param((0, 1, 3), id="gap"),
         pytest.param((1, 2, 3), id="start_at_1")])
     def test_frame_order_rejected(self, tmp_path, frames):
-        """A bank's frames are its positions 0..count-1, and nothing else."""
-        raw = bytearray(bank_bytes(_filled_bank(29, frames=3)))
+        """A bank's frames are its positions 0..count-1, and nothing else:
+        an entry stores no frame. A version 1 file, whose entries did, is
+        rejected whatever their order, and so are its bytes relabelled
+        version 2, whose frame fields leave the payload the wrong size."""
+        raw = bytearray(bank_bytes_v1(_filled_bank(29, frames=3), F=2))
         entry = 8 + 2 * 8 * 4
         for i, frame in enumerate(frames):
             raw[20 + i * entry:24 + i * entry] = frame.to_bytes(4, "little")
         path = tmp_path / "m.rwmb"
         path.write_bytes(bytes(raw))
-        with pytest.raises(MalformedArtifactError):
+        with pytest.raises(BadVersionError):
             load_bank(path)
+        raw[4] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TruncatedPayloadError):
+            load_bank(path)
+
 
 
 class TestAccounting:
@@ -916,8 +926,7 @@ class TestAccounting:
         config = RunConfig()
         bank = MemoryBank(W=2, d=64)
         rng = np.random.default_rng(0)
-        append(bank, np.arange(548), np.arange(548) // 16,
-               rng.standard_normal((548, 2, 64)))
+        append(bank, rng.standard_normal((548, 2, 64)))
         report = accounting_report(bank, None, config)
         assert report.memory_token_count == 1096
         assert report.llm_input_length == 1353

@@ -207,10 +207,7 @@ class TestBatchedForwardBitExact:
         expected = process_stream_loop(stream.frames, instr.tokens,
                                        params.query_bank, params.perceiver, F)
         assert len(bank) == len(expected) == 21
-        rows = zip(bank.frames, bank.subclips, bank.tokens)
-        for t, ((frame, subclip, tokens), want) in enumerate(zip(rows,
-                                                                 expected)):
-            assert (frame, subclip) == (t, t // F)
+        for tokens, want in zip(bank.tokens, expected):
             assert np.array_equal(tokens, want)
 
 
@@ -267,7 +264,6 @@ class TestProcessStream:
                                       F=4)
         assert bank.frame_indices() == list(range(10))
         assert buffer.frame_indices() == list(range(10))
-        assert bank.subclips.tolist() == [t // 4 for t in range(10)]
         for t in range(10):
             assert np.array_equal(buffer.get(t), stream.frames[t])
 
@@ -282,11 +278,7 @@ class TestProcessStream:
         pre, _ = process_stream(stream.prefix(8), instr, params.query_bank,
                                 params.perceiver, F=4)
         assert len(pre) == 8
-        for (f, s, tokens), (pf, ps, ptokens) in zip(
-                zip(full.frames, full.subclips, full.tokens),
-                zip(pre.frames, pre.subclips, pre.tokens)):
-            assert (f, s) == (pf, ps)
-            assert tokens.tobytes() == ptokens.tobytes()
+        assert pre.tokens.tobytes() == full.tokens[:8].tobytes()
         assert bank_bytes(pre) != bank_bytes(full)
 
     def test_on_subclip_callback_order(self):
@@ -301,11 +293,11 @@ class TestProcessStream:
             start = len(bank) - len(frames)
             assert np.shares_memory(frames, stream.frames)
             assert frames.tobytes() == stream.frames[start:len(bank)].tobytes()
-            seen.append((int(bank.subclips[-1]), start, len(bank), len(buf)))
+            seen.append((start, len(bank), len(buf)))
 
         process_stream(stream, empty_instruction(8), params.query_bank,
                        params.perceiver, F=4, on_subclip=on_subclip)
-        assert seen == [(0, 0, 4, 4), (1, 4, 8, 8), (2, 8, 9, 9)]
+        assert seen == [(0, 4, 4), (4, 8, 8), (8, 9, 9)]
 
     def test_residual_flag_changes_result(self):
         config = _config()

@@ -74,7 +74,6 @@ class TestLayerNorm:
         assert np.allclose(layer_norm(x, gain, bias, 1e-5)[0], expected,
                            atol=1e-12, rtol=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in square")
     @pytest.mark.parametrize("shape", [(4,), (1, 4), (2, 3, 4)])
     def test_float32_row_past_the_square_range(self, shape):
         """A float32 row whose squares overflow is normalised within 2 ulp
