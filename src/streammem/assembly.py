@@ -6,11 +6,10 @@ import numpy as np
 
 from .codec import Format
 from .dfs import SelectionResult
-from .errors import MalformedArtifactError
 from .memory import MemoryBank
 
-RWLI = Format(b"RWLI", 1, ("total", "d", "memory_rows", "selected_rows"),
-              lambda h: ("<f4", (h.total, h.d)))
+RWLI = Format(b"RWLI", 2, ("d", "memory_rows", "selected_rows"),
+              lambda h: ("<f4", (h.memory_rows + 1 + h.selected_rows, h.d)))
 
 
 @dataclass
@@ -18,8 +17,14 @@ class LLMInputSequence:
     memory_tokens: np.ndarray  # (W*T, d), frame then write-query order
     separator: np.ndarray  # (d,) the tau row
     selected_tokens: np.ndarray  # (sum of pooled rows, d)
-    memory_rows: int
-    selected_rows: int
+
+    @property
+    def memory_rows(self) -> int:
+        return len(self.memory_tokens)
+
+    @property
+    def selected_rows(self) -> int:
+        return len(self.selected_tokens)
 
     @property
     def total_rows(self) -> int:
@@ -44,24 +49,17 @@ def assemble(bank: MemoryBank, selection: SelectionResult,
     pooled, centers = selection.pooled, selection.centers
     order = sorted(range(len(centers)), key=centers.__getitem__)
     selected = pooled[order].reshape(-1, pooled.shape[-1])
-    memory_tokens = bank.all_tokens()
-    return LLMInputSequence(memory_tokens=memory_tokens, separator=tau,
-                            selected_tokens=selected,
-                            memory_rows=memory_tokens.shape[0],
-                            selected_rows=selected.shape[0])
+    return LLMInputSequence(memory_tokens=bank.all_tokens(), separator=tau,
+                            selected_tokens=selected)
 
 
 def save_llm_input(seq: LLMInputSequence, path) -> None:
-    RWLI.save(path, seq.rows(), total=seq.total_rows,
-              d=seq.separator.shape[0], memory_rows=seq.memory_rows,
-              selected_rows=seq.selected_rows)
+    RWLI.save(path, seq.rows(), d=seq.separator.shape[0],
+              memory_rows=seq.memory_rows, selected_rows=seq.selected_rows)
 
 
 def load_llm_input(path) -> LLMInputSequence:
-    h, values = RWLI.load(path)
-    if h.total != h.memory_rows + 1 + h.selected_rows:
-        raise MalformedArtifactError("RWLI section sizes do not add up")
-    m = h.memory_rows
+    header, values = RWLI.load(path)
+    m = header.memory_rows
     return LLMInputSequence(memory_tokens=values[:m], separator=values[m],
-                            selected_tokens=values[m + 1:], memory_rows=m,
-                            selected_rows=h.selected_rows)
+                            selected_tokens=values[m + 1:])

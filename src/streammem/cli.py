@@ -70,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="run Stage-2 selection on artifacts")
     p.add_argument("--bank", required=True)
-    p.add_argument("--buffer-manifest", required=True)
-    p.add_argument("--buffer-data", default=None,
-                   help="spill data file (default: manifest dir /buffer.bin)")
+    p.add_argument("--buffer-manifest", required=True,
+                   help="spill manifest; the spill's frames are read from "
+                        "buffer.bin in the same directory")
     _add_instruction_args(p)
     p.add_argument("--config")
     p.add_argument("--strategy", choices=("dfs", "uniform"), default="dfs")
@@ -142,8 +142,7 @@ def _open_disk_buffer(data_path, manifest_path, bank) -> DiskFeatureBuffer:
 def _cmd_select(args) -> int:
     config = _load_config_arg(args.config)
     bank = _load_bank_for(config, args.bank)
-    data = args.buffer_data or os.path.join(
-        os.path.dirname(args.buffer_manifest), "buffer.bin")
+    data = os.path.join(os.path.dirname(args.buffer_manifest), "buffer.bin")
     buffer = _open_disk_buffer(data, args.buffer_manifest, bank)
     p = min(config.pool_tokens, buffer.P)
     if args.strategy == "uniform":

@@ -10,15 +10,16 @@ decodes to a read-only view of the bytes it was read from, never a copy.
     RWMB    2    count W d                      count x W x d float32
     RWPM    2    d heads layers n_read n_write  float32 tensors in the draw
                  hidden temporal_mode           order of params.py
-    RWLI    1    total d memory_rows            total x d float32
-                 selected_rows
+    RWLI    2    d memory_rows selected_rows    (memory_rows + 1 +
+                                                selected_rows) x d float32
 
-`buffer.bin` is one RWFS record; `buffer.manifest` maps each frame to the
-offset of its tokens in it, and is read back only as the exact bytes
-written for that record's header. An RWMB entry's frame is its position,
-0..count-1; version 1 also stored it, with a sub-clip index, before each
-entry's tokens, and is rejected. RWPM's temporal_mode indexes
-TEMPORAL_MODES.
+`buffer.bin` is one RWFS record, so its header fixes where each frame's
+tokens start; `buffer.manifest` is one constant line of JSON, version 3,
+read back only as those exact bytes. An RWMB entry's frame is its
+position, 0..count-1; version 1 also stored it, with a sub-clip index,
+before each entry's tokens, and is rejected. RWLI version 1 also stored
+the total row count, which the section sizes fix, and is rejected.
+RWPM's temporal_mode indexes TEMPORAL_MODES.
 """
 
 import math

@@ -29,8 +29,7 @@ class TruncatedPayloadError(FormatError):
 
 class MalformedArtifactError(FormatError):
     """An artifact's content breaks its format: a manifest other than the
-    one written for its spill, an empty record, a record of the wrong
-    shape."""
+    one `process` writes, an empty record, a record of the wrong shape."""
 
 
 class ConfigError(EngineError):

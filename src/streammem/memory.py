@@ -20,7 +20,8 @@ advanced once per sub-clip. The buffer keeps the array
 itself, not a copy, when nobody can write its memory (a loaded stream's
 payload, as `load_stream` returns); it copies any other array once, in its
 own dtype, so a caller's later writes never reach it. Its spill keeps
-frames in the same order, so a frame's index is its position there too.
+frames in the same order, so a frame's index is its position there too,
+and the spill's header alone locates every frame.
 
 Everything here holds the dtype Stage 1 computes in, float32 for a run of
 the pipeline: the bank's tokens, the buffered frames, and the read state
@@ -245,9 +246,6 @@ class FeatureBuffer:
             raise KeyError(frame_index)
         return _readonly(self._frames[frame_index])
 
-    def frame_indices(self):
-        return list(range(self._count))
-
     def __len__(self):
         return self._count
 
@@ -268,34 +266,29 @@ def buffer_store(buffer: FeatureBuffer, end: int) -> None:
     buffer._count = end
 
 
-def _spill_manifest(T: int, P: int, d: int) -> bytes:
-    """The manifest of a spill of T frames of P x d tokens: one line of
-    JSON, with sorted keys and no spaces, mapping each frame t to the byte
-    offset of its tokens, RWFS.header_size + t*P*d*4."""
-    frame = P * d * 4
-    offsets = ",".join([f"[{t},{RWFS.header_size + t * frame}]"
-                        for t in range(T)])
-    return ('{"format":"RWFS-spill","frames":[%s],"version":2}\n'
-            % offsets).encode()
+# every spill's manifest: the record's header locates each frame
+SPILL_MANIFEST = b'{"format":"RWFS-spill","version":3}\n'
 
 
 def save_buffer_spill(buffer: FeatureBuffer, data_path, manifest_path) -> None:
     """Spill the buffer's frames to disk as one float32 RWFS record, the
-    bytes `save_stream` writes for them, plus their manifest."""
+    bytes `save_stream` writes for them, plus the manifest, which is
+    SPILL_MANIFEST for every spill: the record's header fixes where each
+    frame's tokens start."""
     frames = buffer.frames
     T, P, d = frames.shape
     RWFS.save(data_path, frames, T=T, P=P, d=d)
     with open(manifest_path, "wb") as fh:
-        fh.write(_spill_manifest(T, P, d))
+        fh.write(SPILL_MANIFEST)
 
 
 class DiskFeatureBuffer:
     """Read-only view over a spilled feature buffer, frames 0 to T-1.
     Opening it checks the spill once: a header of at least one P x d frame,
     a file of exactly the payload it declares, and a manifest of exactly
-    the bytes `save_buffer_spill` writes for that header. `get(t)` reads
-    frame t's tokens at RWFS.header_size + t*P*d*4, and decodes, and checks
-    for finiteness, only the frame it reads."""
+    SPILL_MANIFEST. `get(t)` reads frame t's tokens at
+    RWFS.header_size + t*P*d*4, and decodes, and checks for finiteness,
+    only the frame it reads."""
 
     def __init__(self, data_path, manifest_path):
         with open(data_path, "rb") as fh:
@@ -306,12 +299,10 @@ class DiskFeatureBuffer:
         if size != RWFS.layout(header)[2]:
             raise TruncatedPayloadError(
                 f"buffer payload of {size} bytes is not {tuple(header)}")
-        expected = _spill_manifest(*header)
         with open(manifest_path, "rb") as fh:
-            if fh.read(len(expected) + 1) != expected:
+            if fh.read(len(SPILL_MANIFEST) + 1) != SPILL_MANIFEST:
                 raise MalformedArtifactError(
-                    f"buffer manifest is not the one written for a spill of "
-                    f"{tuple(header)}")
+                    "buffer manifest is not the one `process` writes")
         self.T, self.P, self.d = header
         self._frame = RWFS.Header(1, header.P, header.d)
         self._frame_bytes = size // header.T

@@ -7,7 +7,7 @@ Artifacts written to the output directory:
     params.rwpm           model parameter checkpoint
     memory.rwmb           memory bank
     buffer.bin            spilled feature buffer (one RWFS record)
-    buffer.manifest       frame_index -> offset of its tokens in buffer.bin
+    buffer.manifest       constant version line (memory.SPILL_MANIFEST)
     selection.txt         per-candidate selection report
     selection_pooled.rwfs pooled tokens of the selected frames
     llm_input.rwli        assembled LLM-input sequence

@@ -496,9 +496,21 @@ def cast_model(obj, dtype):
     return obj
 
 
-def spill_manifest_text(frames, frame_bytes):
-    """The manifest text `process` writes for a spill, listing `frames` at
-    the offsets of their tokens: after the 20-byte RWFS header, frame t
-    starts t * frame_bytes bytes in."""
+def spill_manifest_v2(frames, frame_bytes):
+    """The version 2 manifest text of a spill, as `process` wrote it before
+    the manifest became one constant line. It lists `frames` at the
+    offsets of their tokens: after the 20-byte RWFS header, frame t starts
+    t * frame_bytes bytes in."""
     entries = ",".join(f"[{t},{20 + t * frame_bytes}]" for t in frames)
     return '{"format":"RWFS-spill","frames":[%s],"version":2}\n' % entries
+
+
+def llm_input_bytes_v1(seq):
+    """The version 1 RWLI encoding of `seq`: the header's total row count,
+    d, memory_rows and selected_rows, then the rows as float32."""
+    import struct
+
+    header = struct.pack("<4sIIIII", b"RWLI", 1, seq.total_rows,
+                         seq.separator.shape[0], seq.memory_rows,
+                         seq.selected_rows)
+    return header + seq.rows().tobytes()

@@ -7,11 +7,10 @@ from streammem.config import (RunConfig, format_config, load_config,
                               parse_config)
 from streammem.dfs import CandidateSet, ClusterDiagnostics, SelectionResult
 from streammem.errors import (BadMagicError, BadVersionError, ConfigError,
-                              MalformedArtifactError, NonFiniteDataError,
-                              TruncatedPayloadError)
+                              NonFiniteDataError, TruncatedPayloadError)
 from streammem.memory import MemoryBank, append
 
-from oracles import llm_input_rows_float64
+from oracles import llm_input_bytes_v1, llm_input_rows_float64
 
 
 def _bank(seed, T=4, W=2, d=3):
@@ -115,8 +114,7 @@ class TestLLMInputFile:
         save_llm_input(seq, tmp_path / "one_pass.rwli")
         RWLI.save(tmp_path / "two_pass.rwli",
                   llm_input_rows_float64(seq).astype("<f4"),
-                  total=seq.total_rows, d=seq.separator.shape[0],
-                  memory_rows=seq.memory_rows,
+                  d=seq.separator.shape[0], memory_rows=seq.memory_rows,
                   selected_rows=seq.selected_rows)
         assert (tmp_path / "one_pass.rwli").read_bytes() == \
             (tmp_path / "two_pass.rwli").read_bytes()
@@ -132,8 +130,11 @@ class TestLLMInputFile:
         raw = bytearray((tmp_path / "x.rwli").read_bytes())
         raw[4] = 9
         (tmp_path / "y.rwli").write_bytes(bytes(raw))
-        with pytest.raises(BadVersionError):
-            load_llm_input(tmp_path / "y.rwli")
+        # version 1 also stored the total row count
+        (tmp_path / "v1.rwli").write_bytes(llm_input_bytes_v1(seq))
+        for name in ("y.rwli", "v1.rwli"):
+            with pytest.raises(BadVersionError):
+                load_llm_input(tmp_path / name)
 
     def test_truncated(self, tmp_path):
         seq = self._seq(6)
@@ -147,7 +148,7 @@ class TestLLMInputFile:
         seq = self._seq(7)
         save_llm_input(seq, tmp_path / "x.rwli")
         raw = bytearray((tmp_path / "x.rwli").read_bytes())
-        raw[8] += 1  # bump total_rows without touching the sections
+        raw[16] += 1  # selected_rows, without touching the payload
         (tmp_path / "y.rwli").write_bytes(bytes(raw))
         with pytest.raises(TruncatedPayloadError):
             load_llm_input(tmp_path / "y.rwli")
@@ -160,12 +161,14 @@ class TestLLMInputFile:
             load_llm_input(tmp_path / "x.rwli")
 
     def test_sections_not_adding_up_rejected(self, tmp_path):
+        """The section sizes fix the payload, so a memory_rows one too large
+        leaves the payload a row short."""
         seq = self._seq(9)
         save_llm_input(seq, tmp_path / "x.rwli")
         raw = bytearray((tmp_path / "x.rwli").read_bytes())
-        raw[16] += 1  # memory_rows, with total and the payload size intact
+        raw[12] += 1  # memory_rows
         (tmp_path / "y.rwli").write_bytes(bytes(raw))
-        with pytest.raises(MalformedArtifactError):
+        with pytest.raises(TruncatedPayloadError):
             load_llm_input(tmp_path / "y.rwli")
 
 

@@ -9,9 +9,10 @@ from streammem.config import RunConfig
 from streammem.errors import (BadMagicError, BadVersionError,
                               MalformedArtifactError, NonFiniteDataError,
                               TruncatedPayloadError)
-from streammem.memory import (DiskFeatureBuffer, FeatureBuffer, MemoryBank,
-                              QueryBank, accounting_report, append,
-                              bank_bytes, buffer_store, load_bank, read_context,
+from streammem.memory import (SPILL_MANIFEST, DiskFeatureBuffer,
+                              FeatureBuffer, MemoryBank, QueryBank,
+                              accounting_report, append, bank_bytes,
+                              buffer_store, load_bank, read_context,
                               save_bank, save_buffer_spill, write_frame)
 from streammem.params import init_model_params
 from streammem.perceiver import process_stream
@@ -22,7 +23,7 @@ from streammem.tensor import make_attention_params
 
 from oracles import (attention_oracle, bank_bytes_loop, bank_bytes_v1,
                      read_context_loop, read_context_uncached,
-                     spill_manifest_text)
+                     spill_manifest_v2)
 
 
 def _query_bank(seed, d=8, heads=2, n_read=4, n_write=2):
@@ -345,10 +346,10 @@ class TestWriteFrame:
             write_frame(np.zeros((4, 8)), queries)
 
 
-def _manifest_text(frames):
-    """The manifest of a spill of 2 x 4 float32 frames, as `_spilled` and
-    `test_spill_round_trip` write them."""
-    return spill_manifest_text(frames, 2 * 4 * 4)
+def _manifest_v2(frames):
+    """The version 2 manifest of a spill of 2 x 4 float32 frames, as
+    `_spilled` writes them."""
+    return spill_manifest_v2(frames, 2 * 4 * 4)
 
 
 class TestFeatureBuffer:
@@ -378,16 +379,15 @@ class TestFeatureBuffer:
         with pytest.raises(KeyError):
             buffer.get(4)
         buffer_store(buffer, 6)
-        assert buffer.frame_indices() == list(range(6))
+        assert len(buffer) == 6
 
     def test_counts(self):
         buffer = FeatureBuffer(np.zeros((3, 3, 4)))
-        assert (len(buffer), buffer.token_count(), buffer.frame_indices(),
-                buffer.resident_bytes()) == (0, 0, [], 0)
+        assert (len(buffer), buffer.token_count(),
+                buffer.resident_bytes()) == (0, 0, 0)
         buffer_store(buffer, 2)
         assert len(buffer) == 2
         assert buffer.token_count() == 6
-        assert buffer.frame_indices() == [0, 1]
         assert buffer.resident_bytes() == 2 * 3 * 4 * 8
 
     def test_spill_round_trip(self, tmp_path):
@@ -400,7 +400,7 @@ class TestFeatureBuffer:
         save_buffer_spill(buffer, data, manifest)
         # one RWFS record of every frame, as `save_stream` writes them
         assert data.read_bytes() == _rwfs_bytes(frames)
-        assert manifest.read_text() == _manifest_text(range(4))
+        assert manifest.read_bytes() == SPILL_MANIFEST
         disk = DiskFeatureBuffer(data, manifest)
         assert disk.frame_indices() == [0, 1, 2, 3]
         assert (disk.token_count(), disk.P, disk.d) == (8, 2, 4)
@@ -425,6 +425,20 @@ class TestFeatureBuffer:
         save_buffer_spill(buffer, data, manifest)
         return data, manifest
 
+    def test_manifest_is_the_same_for_every_spill(self, tmp_path):
+        for frames in (1, 1000):
+            manifest = tmp_path / f"{frames}.manifest"
+            buffer = FeatureBuffer(np.zeros((frames, 1, 2), np.float32))
+            buffer_store(buffer, frames)
+            save_buffer_spill(buffer, tmp_path / f"{frames}.bin", manifest)
+            assert manifest.read_bytes() == SPILL_MANIFEST
+
+    def _manifest_rejected(self, tmp_path, text):
+        data, manifest = self._spilled(tmp_path)
+        manifest.write_text(text)
+        with pytest.raises(MalformedArtifactError):
+            DiskFeatureBuffer(data, manifest)
+
     @pytest.mark.parametrize("text", ["{not json", "[]", "{}",
                                       '{"frames": [[0]]}',
                                       '{"frames": [["a", 0]]}',
@@ -435,48 +449,53 @@ class TestFeatureBuffer:
                                       '{"frames": [[0, null]]}',
                                       '{"frames": {"0": 0}}',
                                       '{"frames": 7}',
-                                      pytest.param(_manifest_text([1, 0, 2]),
+                                      pytest.param("", id="empty"),
+                                      pytest.param(_manifest_v2(range(3)),
+                                                   id="v2"),
+                                      pytest.param(_manifest_v2([1, 0, 2]),
                                                    id="reordered"),
-                                      pytest.param(_manifest_text(range(3))
-                                                   .replace(",", ", ", 1),
+                                      pytest.param(_manifest_v2(range(2)),
+                                                   id="other_T"),
+                                      pytest.param(SPILL_MANIFEST.decode()
+                                                   .replace(",", ", "),
                                                    id="added_space"),
-                                      pytest.param(_manifest_text(range(2)),
-                                                   id="other_T")])
+                                      pytest.param(SPILL_MANIFEST.decode()
+                                                   + " ",
+                                                   id="trailing_byte")])
     def test_malformed_manifest_rejected(self, tmp_path, text):
-        data, manifest = self._spilled(tmp_path)
-        manifest.write_text(text)
-        with pytest.raises(MalformedArtifactError):
-            DiskFeatureBuffer(data, manifest)
+        """Any manifest but SPILL_MANIFEST, including the version 2 offset
+        list that earlier versions wrote for this very spill."""
+        self._manifest_rejected(tmp_path, text)
 
     def test_offset_past_end_is_truncated(self, tmp_path):
-        """An offset past the last frame's tokens, at the end of the file
-        or beyond it, fails when the buffer is opened."""
-        data, manifest = self._spilled(tmp_path)
+        """A version 2 offset past the last frame's tokens, at the end of
+        the file or beyond it, fails when the buffer is opened: no offset
+        is read, since the header locates every frame."""
         for offset in (self.HEADER + 3 * self.FRAME, 100000):
-            manifest.write_text('{"frames": [[0, %d]]}' % offset)
-            with pytest.raises(MalformedArtifactError):
-                DiskFeatureBuffer(data, manifest)
+            self._manifest_rejected(tmp_path,
+                                    '{"frames": [[0, %d]]}' % offset)
 
     @pytest.mark.parametrize("offset", [0, HEADER - 1, HEADER + 4,
                                         HEADER + FRAME + FRAME // 2,
                                         2**63, -2**63, -2**63 - 1])
     def test_offset_off_a_frame_start_rejected(self, tmp_path, offset):
         """Inside the header, inside a frame, past int64 either way, or at
-        its minimum: no frame's tokens start there, so no spill's manifest
-        lists it."""
-        data, manifest = self._spilled(tmp_path)
-        manifest.write_text('{"frames": [[0, %d]]}' % offset)
-        with pytest.raises(MalformedArtifactError):
-            DiskFeatureBuffer(data, manifest)
+        its minimum: a manifest naming an offset is not SPILL_MANIFEST."""
+        self._manifest_rejected(tmp_path, '{"frames": [[0, %d]]}' % offset)
 
     @pytest.mark.parametrize("frames", [0, 2])
     def test_record_of_wrong_frame_count_rejected(self, tmp_path, frames):
-        """An empty record, or one of fewer frames than the manifest
-        lists, fails when the buffer is opened."""
+        """An empty record fails when the buffer is opened. A shorter
+        record is a spill of its own, as the manifest is the same for every
+        spill: it opens at its length, which the CLI checks against the
+        bank's."""
         data, manifest = self._spilled(tmp_path)
         data.write_bytes(_rwfs_bytes(np.zeros((frames, 2, 4))))
-        with pytest.raises(MalformedArtifactError):
-            DiskFeatureBuffer(data, manifest).get(0)
+        if frames == 0:
+            with pytest.raises(MalformedArtifactError):
+                DiskFeatureBuffer(data, manifest)
+        else:
+            assert len(DiskFeatureBuffer(data, manifest)) == frames
 
     def test_frame_missing_from_manifest_rejected(self, tmp_path):
         data, manifest = self._spilled(tmp_path)
@@ -496,21 +515,16 @@ class TestFeatureBuffer:
 
     @pytest.mark.parametrize("offset", ["Infinity", "NaN", "1e400"])
     def test_non_integer_offset_rejected(self, tmp_path, offset):
-        data, manifest = self._spilled(tmp_path)
-        manifest.write_text('{"frames": [[0, %s]]}' % offset)
-        with pytest.raises(MalformedArtifactError):
-            DiskFeatureBuffer(data, manifest)
+        self._manifest_rejected(tmp_path, '{"frames": [[0, %s]]}' % offset)
 
     def test_manifest_order_and_empty_manifest(self, tmp_path):
-        """The manifest is the bytes `save_buffer_spill` writes: the same
-        frames in another order, or no frames, are rejected."""
-        data, manifest = self._spilled(tmp_path)
-        for text in (_manifest_text([2, 0, 1]), _manifest_text([]),
+        """The manifest is SPILL_MANIFEST: a version 2 list of the same
+        frames in another order, or of no frames, is rejected, and the
+        constant opens the spill at the length its header gives."""
+        for text in (_manifest_v2([2, 0, 1]), _manifest_v2([]),
                      '{"frames": []}'):
-            manifest.write_text(text)
-            with pytest.raises(MalformedArtifactError):
-                DiskFeatureBuffer(data, manifest)
-        manifest.write_text(_manifest_text(range(3)))
+            self._manifest_rejected(tmp_path, text)
+        data, manifest = self._spilled(tmp_path)
         disk = DiskFeatureBuffer(data, manifest)
         assert (disk.frame_indices(), len(disk), disk.token_count()) == \
             ([0, 1, 2], 3, 6)

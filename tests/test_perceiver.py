@@ -263,7 +263,7 @@ class TestProcessStream:
                                       params.query_bank, params.perceiver,
                                       F=4)
         assert bank.frame_indices() == list(range(10))
-        assert buffer.frame_indices() == list(range(10))
+        assert len(buffer) == 10
         for t in range(10):
             assert np.array_equal(buffer.get(t), stream.frames[t])
 
