@@ -1,11 +1,11 @@
 """The error function in its input's dtype: float32 stays float32, and
 float64 is bit for bit what `scipy.special.erf` computes.
 
-`erf` evaluates the Cephes algorithm (Moshier, Cephes Math Library,
-`ndtr.c`), which is the one scipy compiles for real float64 input, with
-numpy elementwise operations in the same order and with the same
-coefficients, so on float64 every result, signed zeros included, has the
-same bits as scipy's:
+On float64, `erf` evaluates the Cephes algorithm (Moshier, Cephes Math
+Library, `ndtr.c`), which is the one scipy compiles for real float64
+input, with numpy elementwise operations in the same order and with the
+same coefficients, so every result, signed zeros included, has the same
+bits as scipy's:
 
 - |x| <= 1: x * polevl(x^2, T) / p1evl(x^2, U), both in Horner form.
 - |x| > 1: 1 - erfc(|x|), with the sign of x. erfc is
@@ -17,22 +17,38 @@ Cephes writes erf(-x) as -erf(x); IEEE multiplication and division are
 symmetric in sign, so the |x| <= 1 branch runs on the signed input
 directly. The tail's exp goes through `math.exp`, the C library's exp
 that the compiled Cephes calls: numpy's vectorised exp may differ in the
-last bit. The tail holds the |x| > 1 elements only, which the perceiver's
-pre-activations (all well inside +-1) never reach.
+last bit.
 
-On float32 the same rational runs in float32: the coefficients round to
-float32 as numpy casts the Python floats, and the tail's exp(-x^2) is
-taken from the exact double square and rounded once. The |x| <= 1
-branch's last two steps, x * T and the division by U, run in float64 on
-either dtype and round once: in float32 they alone would reach 3 ulp. It
-is within 2 ulp of float32(scipy erf(float64 x)) on [-1, 1] (checked on
-every float32 there) and within 1 ulp beyond (checked on every 7th
-float32 of (1, 10] and a sample past it).
+On float32 each range has its own form, with the bound it meets against
+float32(scipy erf(float64 x)):
+
+- |x| < 0.84375: fdlibm's `s_erf.c` (Sun Microsystems, 1993),
+  x + x * pp(z) / qq(z) with z = x^2, every step in float32. The leading
+  x is exact, so the rational's rounding errors shrink by
+  |x * pp/qq| / |erf x|, at most 0.13: within 1 ulp, checked on every
+  float32 of the range. The coefficients round to float32 as numpy casts
+  the Python floats.
+- 0.84375 <= |x| <= 1: the Cephes rational in float32, with its last
+  two steps, x * T and the division by U, in float64 and rounded once; in
+  float32 they alone would reach 3 ulp. Within 2 ulp, checked on every
+  float32 of [-1, 1].
+- |x| > 1: the Cephes tail, with exp(-x^2) taken from the exact double
+  square and rounded once. Within 1 ulp, checked on every 7th float32 of
+  (1, 10] and a sample past it.
+
+The cut is fdlibm's own: past 0.84375 its erf changes form (erx plus a
+rational in |x| - 1, then erfc through exp), and porting those ranges
+would buy little. GELU's erf inputs sit well inside it (below 0.48 in a
+seeded default-config run), so the few elements at or past it are
+gathered and take the Cephes forms, which keep their checked bounds and
+the tail that float64 shares.
 
 The work runs in blocks of 256 kB of the input's dtype (_BLOCK float64s
 or twice as many float32s) over scratch buffers that are reused from block
 to block, so the twenty-odd elementwise passes of each block stay in
-cache.
+cache. A float32 block's gathered elements reuse the same scratch once
+fdlibm's form is done with it, so `erf_scratch_bytes`, a block in which
+every element needs the float64 steps, bounds both dtypes.
 """
 
 import math
@@ -40,9 +56,10 @@ import math
 import numpy as np
 
 _BLOCK = 1 << 15  # float64s per block
-_NO_TAIL = np.empty(0, dtype=np.intp)
+_NO_INDEX = np.empty(0, dtype=np.intp)
 
 _MAXLOG = 7.09782712893383996843e2
+_SMALL2 = 0.84375 ** 2  # fdlibm's cut-off, squared: 729/1024
 
 _T = (9.60497373987051638749e0, 9.00260197203842689217e1,
       2.23200534594684319226e3, 7.00332514112805075473e3,
@@ -65,6 +82,14 @@ _R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
 _S = (2.26052863220117276590e0, 9.39603524938001434673e0,  # leading 1
       1.20489539808096656605e1, 1.70814450747565897222e1,
       9.60896809063285878198e0, 3.36907645100081516050e0)
+# fdlibm s_erf.c for |x| < 0.84375, highest degree first as `_polevl`
+# takes them: pp4..pp0, and qq5..qq1 then qq0 = 1
+_PP = (-2.37630166566501626084e-05, -5.77027029648944159157e-03,
+       -2.84817495755985104766e-02, -3.25042107247001499370e-01,
+       1.28379167095512558561e-01)
+_QQ = (-3.96022827877536812320e-06, 1.32494738004321644526e-04,
+       5.08130628187576562776e-03, 6.50222499887672944485e-02,
+       3.97917223959155352819e-01, 1.0)
 
 
 def _polevl(x, coefs, out):
@@ -101,7 +126,10 @@ def _block(dtype) -> int:
 
 def erf_scratch_bytes(size: int, dtype) -> int:
     """The bytes of scratch `erf` holds for `size` elements of `dtype`:
-    three blocks of that dtype and one float64 block."""
+    three blocks of that dtype and one float64 block. The elements a block
+    gathers for another form (float32 from 0.84375 up, the tail of
+    either dtype) are copies on top of it; GELU's inputs give almost
+    none."""
     return min(size, _block(dtype)) * (3 * np.dtype(dtype).itemsize + 8)
 
 
@@ -121,13 +149,13 @@ def _erfc_tail(u):
     return y
 
 
-def _erf_block(x, out, z, num, den, wide):
-    """erf of the 1-D block x into out (which may be x); z, num and den
-    are scratch of x's length and dtype, wide a float64 one."""
+def _cephes(x, out, z, num, den, wide):
+    """Cephes erf of the 1-D block x into out (which may be x); z, num and
+    den are scratch of x's length and dtype, wide a float64 one."""
     np.multiply(x, x, out=z)
     # x^2 > 1 exactly when |x| > 1. A NaN makes the max NaN, which sends
     # the block to the elementwise test; that leaves the NaN out.
-    tail = _NO_TAIL if z.max() <= 1.0 else np.flatnonzero(z > 1.0)
+    tail = _NO_INDEX if z.max() <= 1.0 else np.flatnonzero(z > 1.0)
     signed = x[tail]  # gathered before out, which may be x, is written
     _polevl(z, _T, num)
     _p1evl(z, _U, den)
@@ -138,6 +166,31 @@ def _erf_block(x, out, z, num, den, wide):
     np.divide(wide, den, out=out)
     if tail.size:
         out[tail] = np.copysign(1.0 - _erfc_tail(np.abs(signed)), signed)
+
+
+def _erf_block(x, out, z, num, den, wide):
+    """erf of the 1-D block x into out (which may be x), with the scratch
+    of `_cephes`. Float64 is `_cephes`; float32 takes fdlibm's
+    x + x * pp(z) / qq(z) in float32 steps, and `_cephes` for the elements
+    with |x| >= 0.84375 or NaN, which reuse the scratch once it is free."""
+    if x.dtype != np.float32:
+        _cephes(x, out, z, num, den, wide)
+        return
+    np.multiply(x, x, out=z)
+    # z < 0.84375^2 = 729/1024 exactly when |x| < 0.84375: the square
+    # rounds monotonically, and the float32 just below 0.84375 squares to
+    # below it. A NaN fails the test both ways.
+    far = _NO_INDEX if z.max() < _SMALL2 else np.flatnonzero(~(z < _SMALL2))
+    rest = x[far]  # gathered before out, which may be x, is written
+    _polevl(z, _PP, num)
+    _polevl(z, _QQ, den)
+    num /= den
+    num *= x
+    np.add(x, num, out=out)
+    if far.size:
+        k = far.size
+        _cephes(rest, rest, z[:k], num[:k], den[:k], wide[:k])
+        out[far] = rest
 
 
 def erf(x, out=None):

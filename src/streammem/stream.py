@@ -9,6 +9,7 @@ depends on its total length. Instruction rows are hash-seeded unit-norm
 vectors, one per whitespace-delimited word.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .codec import Format
 from .errors import MalformedArtifactError, NonFiniteDataError
 
 RWFS = Format(b"RWFS", 1, ("T", "P", "d"), lambda h: ("<f4", tuple(h)))
+_WORD_CACHE = 1024  # (word, d) vectors kept by `_word_vector`
 
 
 class FrameTokenStream:
@@ -72,11 +74,16 @@ def synth_stream(seed: int, T: int, P: int, d: int) -> FrameTokenStream:
     return FrameTokenStream(frames)
 
 
+@functools.lru_cache(maxsize=_WORD_CACHE)
 def _word_vector(word: str, d: int) -> np.ndarray:
+    """The unit-norm row of one word, read-only: the cache hands every
+    caller the same array, so a write must not reach the next one."""
     digest = hashlib.sha256(word.encode("utf-8")).digest()
     key = np.frombuffer(digest[:16], dtype=np.uint64)
     v = np.random.Generator(np.random.Philox(key=key)).standard_normal(d)
-    return v / np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def encode_instruction(text: str, d: int) -> InstructionEncoding:

@@ -6,6 +6,7 @@ import pytest
 
 from streammem.autodiff import Var
 from streammem.config import RunConfig
+from streammem.dfs import dfs_select
 from streammem.errors import (BadMagicError, BadVersionError,
                               MalformedArtifactError, NonFiniteDataError,
                               TruncatedPayloadError)
@@ -377,6 +378,30 @@ class TestFloat32StageOne:
         assert states64.dtype == tokens64.dtype == np.float64
         assert np.abs(states - states64).max() <= 5e-6
         assert np.abs(tokens - tokens64).max() <= 5e-8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float64_run_selects_the_same_centers(self, seed):
+        """The selection does not move with Stage 1's precision: at the
+        default config, a float32 and a float64 Stage 1 of the same
+        float32-rounded weights lead Stage 2 to the same centers."""
+        config = RunConfig(seed=seed).validate()
+        params = init_model_params(config)
+        stream = synth_stream(seed, 128, 32, config.d)
+        instruction = encode_instruction("who picks up the red cup",
+                                         config.d)
+        centers = []
+        for model, frames in (
+                (params, stream.frames),
+                (cast_model(params, np.float64),
+                 stream.frames.astype(np.float64))):
+            bank, buffer = process_stream(
+                FrameTokenStream(frames), instruction, model.query_bank,
+                model.perceiver, config.subclip_frames)
+            centers.append(dfs_select(
+                bank, buffer, instruction, config.L, config.knn_k,
+                config.Kc, config.pool_tokens, config.z_repr).centers)
+        assert len(centers[0]) == config.Kc
+        assert centers[0] == centers[1]
 
 
 class TestCheckpointReproducesRun:

@@ -1,19 +1,25 @@
-"""`special.erf` on float32 input: the same Cephes rational run in float32,
-checked in ulps against float32(scipy.special.erf(float64 x))."""
+"""`special.erf` on float32 input: fdlibm's form in float32 steps below
+0.84375 and the Cephes rational from there, checked in ulps against
+float32(scipy.special.erf(float64 x))."""
 
 import numpy as np
 import pytest
 import scipy.special
 
-from streammem.special import erf
+from streammem.special import _BLOCK, erf
 
+from oracles import erf_rational_float32
+
+CUT = int(np.float32(0.84375).view(np.int32))
 ONE = int(np.float32(1.0).view(np.int32))
 TEN = int(np.float32(10.0).view(np.int32))
 INF = int(np.float32(np.inf).view(np.int32))
 
-# Every float32 of [0, 1] at which the rational's last two steps in
-# float32 (x * T rounded, then / U rounded) are 3 ulp off, found by a run
-# over all 1,065,353,217 of them; `erf` takes those steps in float64.
+# Every float32 of [0, 1] at which the Cephes rational's last two steps in
+# float32 (x * T rounded, then / U rounded) would be 3 ulp off, found by a
+# run over all 1,065,353,217 of them. `erf` never takes those steps in
+# float32: the 32 values below 0.84375 go through fdlibm's form, and the 9
+# from 0.84375 up through the rational with those steps in float64.
 HARD = np.array([
     0x3acf62c2, 0x3bd8c790, 0x3bde40d0, 0x3bde4328, 0x3bde43a5, 0x3bde44a6,
     0x3bde45a7, 0x3bdf8158, 0x3c5b0bab, 0x3c5e1838, 0x3c5f71a5, 0x3c5fc1c5,
@@ -60,6 +66,45 @@ def test_within_2_ulp_on_minus_1_to_1():
                         np.linspace(0, 1, 2**20, dtype=np.float32), HARD])
     ulps = _check(x, 2)
     assert ulps.mean() < 0.5
+
+
+def test_within_1_ulp_below_the_cut():
+    # every 211th float32 of [0, 0.84375) (subnormals included), both
+    # signs, and the hard cases there; a run over every float32 of the
+    # range meets the bound too
+    x = np.concatenate([_floats(0, CUT, 211), HARD[HARD < 0.84375]])
+    _check(x, 1)
+
+
+def test_either_side_of_the_cut():
+    # the 4096 float32 below 0.84375 take fdlibm's form, within 1 ulp;
+    # 0.84375 and the 4096 above it the Cephes rational, bit for bit
+    below, above = _floats(CUT - 4096, CUT, 1), _floats(CUT, CUT + 4097, 1)
+    assert below.max() < 0.84375 == above.min()
+    _check(below, 1)
+    above = np.concatenate([above, -above])
+    assert np.array_equal(erf(above).view(np.int32),
+                          erf_rational_float32(above).view(np.int32))
+    # no step back onto the rational; above the cut it is 2 ulp off in
+    # places and not monotone, so only the step is checked
+    assert (np.diff(erf(np.append(below, above[0]))) >= 0).all()
+
+
+def test_mixed_block_matches_each_element_alone():
+    # both forms, the tail, NaN, infinities and signed zeros, each value
+    # many times over in a shuffled input of more than one block, computed
+    # out of place and in place
+    rng = np.random.default_rng(7)
+    values = np.concatenate([
+        rng.standard_normal(500) * 0.6,
+        [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 0.84375, -0.84375,
+         np.nextafter(0.84375, 0, dtype=np.float32)]]).astype(np.float32)
+    alone = np.concatenate([erf(values[i:i + 1])
+                            for i in range(values.size)]).view(np.int32)
+    pick = rng.integers(0, values.size, 2 * _BLOCK + 600)
+    x = values[pick]
+    assert np.array_equal(erf(x).view(np.int32), alone[pick])
+    assert np.array_equal(erf(x, out=x).view(np.int32), alone[pick])
 
 
 def test_within_1_ulp_on_the_tails():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from streammem.errors import (BadMagicError, BadVersionError,
                               MalformedArtifactError, NonFiniteDataError,
                               TruncatedPayloadError)
-from streammem.stream import (FrameTokenStream, encode_instruction,
-                              load_stream, save_stream, split_into_subclips,
-                              synth_stream)
+from streammem.stream import (FrameTokenStream, _word_vector,
+                              encode_instruction, load_stream, save_stream,
+                              split_into_subclips, synth_stream)
 
 
 class TestSplitIntoSubclips:
@@ -96,6 +96,19 @@ class TestEncodeInstruction:
         a = encode_instruction("what happens", 8)
         b = encode_instruction("what happens", 8)
         assert a.tokens.tobytes() == b.tokens.tobytes()
+
+    def test_cached_vectors_give_the_same_bytes_and_are_read_only(self):
+        text = "pick up the cup"
+        uncached = np.stack([_word_vector.__wrapped__(w, 8)
+                             for w in text.split()])
+        _word_vector.cache_clear()
+        first = encode_instruction(text, 8)  # fills the cache
+        first.tokens[:] = 0.0  # a caller's own rows are its to write
+        again = encode_instruction(text, 8)
+        assert _word_vector.cache_info().hits == 4
+        assert again.tokens.tobytes() == uncached.tobytes()
+        with pytest.raises(ValueError):
+            _word_vector("cup", 8)[0] = 1.0
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):

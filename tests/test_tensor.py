@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streammem.errors import NumericError
-from streammem.tensor import (AttentionParams, attend, attention, gelu,
-                              grad_check, layer_norm, make_attention_params,
-                              softmax_rows)
+from streammem.tensor import (AttentionParams, _softmax_inplace, attend,
+                              attention, gelu, grad_check, layer_norm,
+                              make_attention_params, shift_exp, softmax_rows)
 
 from oracles import (attend_out_of_place, attention_oracle,
                      gelu_out_of_place, layer_norm_two_pass, layer_norm_var,
@@ -44,6 +44,54 @@ class TestSoftmaxRows:
         out = softmax_rows(m)
         assert np.all(out >= 0) and np.all(out <= 1)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12, rtol=0)
+
+
+def _softmax_by_reduce(m):
+    """The in-place softmax with numpy's per-row max reduce."""
+    shift_exp(m, m.max(axis=-1, keepdims=True))
+    m /= m.sum(axis=-1, keepdims=True)
+    return m
+
+
+class TestSoftmaxRowMax:
+    """Short rows take their maximum as a tree of elementwise maxima; the
+    softmax keeps the bits of the per-row reduce at every width."""
+
+    @staticmethod
+    def _rows(rng, n, dtype):
+        signed_zeros = rng.choice([0.0, -0.0, -1.0], (4, n))
+        signed_zeros[:, 0] = (0.0, -0.0, 0.0, -0.0)  # the max is a zero
+        minus_inf = rng.standard_normal((3, n))
+        minus_inf[0, rng.integers(0, n)] = -np.inf
+        minus_inf[1, ::2] = -np.inf
+        minus_inf[2] = -np.inf  # no finite entry: NaN either way
+        return np.concatenate([
+            rng.standard_normal((8, n)) * 3,
+            rng.integers(-2, 3, (4, n)),  # ties
+            np.full((1, n), 1.5),
+            signed_zeros, minus_inf]).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_same_bits_as_the_reduce(self, n, dtype):
+        rng = np.random.default_rng(n)
+        rows = self._rows(rng, n, dtype)
+        bits = np.int32 if dtype == np.float32 else np.int64
+        with np.errstate(invalid="ignore"):
+            want = _softmax_by_reduce(rows.copy())
+            assert np.array_equal(_softmax_inplace(rows.copy()).view(bits),
+                                  want.view(bits))
+            # non-contiguous: every other column of a wider array, in place
+            wide = np.repeat(rows, 2, axis=-1)
+            strided = wide[:, ::2]
+            assert _softmax_inplace(strided) is strided
+            assert np.array_equal(strided.view(bits), want.view(bits))
+            # rows along a swapped axis, as the temporal sublayer lays them
+            def stack():
+                return np.stack([rows, rows[::-1]]).swapaxes(0, 1)
+
+            assert np.array_equal(_softmax_inplace(stack()).view(bits),
+                                  _softmax_by_reduce(stack()).view(bits))
 
 
 class TestLayerNorm:
