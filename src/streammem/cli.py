@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("check", help="run a self-verification suite")
-    p.add_argument("--suite", choices=("grads", "oracle", "linearity"),
+    p.add_argument("--suite",
+                   choices=("grads", "oracle", "linearity", "erf32"),
                    required=True)
 
     return parser

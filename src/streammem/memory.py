@@ -36,8 +36,8 @@ import numpy as np
 from .codec import Format
 from .errors import MalformedArtifactError, TruncatedPayloadError
 from .stream import RWFS
-from .tensor import (AttentionParams, attention, head_scale, merge_heads,
-                     shift_exp, split_heads)
+from .tensor import (AttentionParams, _row_max, attention, head_scale,
+                     merge_heads, shift_exp, split_heads)
 
 _MIN_CAPACITY = 16
 
@@ -101,7 +101,7 @@ class _ReadState:
         vp = split_heads(new_rows @ params.w_v, params.heads)
         scores = self.qp @ kp.swapaxes(-1, -2)
         scores *= head_scale(params)
-        top = np.maximum(self.top, scores.max(axis=-1, keepdims=True))
+        top = np.maximum(self.top, _row_max(scores))
         shift_exp(scores, top)
         # exp(old max - new max), in the old maxima's storage
         rescale = shift_exp(self.top, top)

@@ -53,7 +53,10 @@ def cross_sublayer(state, kv, layer: PerceiverLayerParams):
     """Cross-attention of the (F, N_Q, d) states onto the (F, P+I, d) keys,
     frame by frame. A shared (N_Q, d) state broadcasts over the F frames."""
     normed = layer_norm(state, layer.cross.ln_gain, layer.cross.ln_bias)
-    return state + attention(normed, kv, kv, layer.cross)
+    # the residual goes into attention's fresh output, as in `ffn_sublayer`
+    out = attention(normed, kv, kv, layer.cross)
+    out += state
+    return out
 
 
 def ffn_sublayer(state, layer: PerceiverLayerParams):
@@ -75,7 +78,9 @@ def temporal_sublayer(states, params: AttentionParams):
     (F, N_Q, d) states."""
     seq = states.swapaxes(0, 1)
     normed = layer_norm(seq, params.ln_gain, params.ln_bias)
-    return (seq + attention(normed, normed, normed, params)).swapaxes(0, 1)
+    out = attention(normed, normed, normed, params)
+    out += seq
+    return out.swapaxes(0, 1)
 
 
 def _frame_keys(frames: np.ndarray,

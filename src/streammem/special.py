@@ -22,12 +22,19 @@ last bit.
 On float32 each range has its own form, with the bound it meets against
 float32(scipy erf(float64 x)):
 
-- |x| < 0.84375: fdlibm's `s_erf.c` (Sun Microsystems, 1993),
-  x + x * pp(z) / qq(z) with z = x^2, every step in float32. The leading
-  x is exact, so the rational's rounding errors shrink by
-  |x * pp/qq| / |erf x|, at most 0.13: within 1 ulp, checked on every
-  float32 of the range. The coefficients round to float32 as numpy casts
-  the Python floats.
+- |x| < 0.84375: x + x * S(z) with z = x^2, every step in float32. S is
+  one degree-5 polynomial with float32 coefficients, with no second
+  polynomial and no divide: Lawson's iteratively reweighted least squares
+  (a minimax fit) of (erf(x) - x) / x in z, on 2000 Chebyshev nodes of
+  [0, 0.84375^2] in float64, each coefficient then rounded to float32. The
+  fit is off by at most 5.7e-9; its constant term is 2/sqrt(pi) - 1, as in
+  erf's series. The leading x is exact, so S's rounding errors shrink by
+  |x * S| / |erf x|, at most 0.12: within 1 ulp. `verify.erf32_scan`
+  (`streammem check --suite erf32`) checks every one of the 1,062,731,776
+  non-negative float32 below the cut: 62,949,978 are 1 ulp off, none
+  further, and no step between neighbours goes down. IEEE arithmetic is
+  symmetric in sign, so erf(-x) is -erf(x) bit for bit. A degree-4 fit
+  reaches 4 ulp.
 - 0.84375 <= |x| <= 1: the Cephes rational in float32, with its last
   two steps, x * T and the division by U, in float64 and rounded once; in
   float32 they alone would reach 3 ulp. Within 2 ulp, checked on every
@@ -36,19 +43,21 @@ float32(scipy erf(float64 x)):
   square and rounded once. Within 1 ulp, checked on every 7th float32 of
   (1, 10] and a sample past it.
 
-The cut is fdlibm's own: past 0.84375 its erf changes form (erx plus a
-rational in |x| - 1, then erfc through exp), and porting those ranges
-would buy little. GELU's erf inputs sit well inside it (below 0.48 in a
-seeded default-config run), so the few elements at or past it are
-gathered and take the Cephes forms, which keep their checked bounds and
-the tail that float64 shares.
+The cut is fdlibm's (`s_erf.c`, Sun Microsystems, 1993): past 0.84375
+its erf changes form (erx plus a rational in |x| - 1, then erfc through
+exp), and porting those ranges would buy little. GELU's erf inputs sit
+well inside it (below 0.48 in a seeded default-config run), so the few
+elements at or past it are gathered and take the Cephes forms, which
+keep their checked bounds and the tail that float64 shares.
 
 The work runs in blocks of 256 kB of the input's dtype (_BLOCK float64s
 or twice as many float32s) over scratch buffers that are reused from block
-to block, so the twenty-odd elementwise passes of each block stay in
-cache. A float32 block's gathered elements reuse the same scratch once
-fdlibm's form is done with it, so `erf_scratch_bytes`, a block in which
-every element needs the float64 steps, bounds both dtypes.
+to block, so the elementwise passes of each block stay in cache: 14 for
+float32 below the cut (the square, its maximum, 10 for S, x * S and the
+sum) and 21 for the Cephes rational. A float32 block's gathered elements
+reuse the same scratch once S is done with it, so `erf_scratch_bytes`, a
+block in which every element needs the float64 steps, bounds both
+dtypes.
 """
 
 import math
@@ -82,14 +91,11 @@ _R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
 _S = (2.26052863220117276590e0, 9.39603524938001434673e0,  # leading 1
       1.20489539808096656605e1, 1.70814450747565897222e1,
       9.60896809063285878198e0, 3.36907645100081516050e0)
-# fdlibm s_erf.c for |x| < 0.84375, highest degree first as `_polevl`
-# takes them: pp4..pp0, and qq5..qq1 then qq0 = 1
-_PP = (-2.37630166566501626084e-05, -5.77027029648944159157e-03,
-       -2.84817495755985104766e-02, -3.25042107247001499370e-01,
-       1.28379167095512558561e-01)
-_QQ = (-3.96022827877536812320e-06, 1.32494738004321644526e-04,
-       5.08130628187576562776e-03, 6.50222499887672944485e-02,
-       3.97917223959155352819e-01, 1.0)
+# float32 erf(x) = x + x * S(x^2) for |x| < 0.84375, highest degree
+# first as `_polevl` takes them: a degree-5 fit in float32 (see above)
+_S32 = (-0.0006359994877129793, 0.005058678798377514,
+        -0.026807021349668503, 0.11282824724912643,
+        -0.3761258125305176, 0.12837916612625122)
 
 
 def _polevl(x, coefs, out):
@@ -126,10 +132,12 @@ def _block(dtype) -> int:
 
 def erf_scratch_bytes(size: int, dtype) -> int:
     """The bytes of scratch `erf` holds for `size` elements of `dtype`:
-    three blocks of that dtype and one float64 block. The elements a block
-    gathers for another form (float32 from 0.84375 up, the tail of
-    either dtype) are copies on top of it; GELU's inputs give almost
-    none."""
+    three blocks of that dtype (z, num and den) and one float64 block
+    (wide). Float32 below 0.84375 uses only z and num; den and wide serve
+    `_cephes`, which every float64 element takes, and the float32 elements
+    a block gathers for it. Those gathered elements (float32 from 0.84375
+    up, the tail of either dtype) are copies on top of it; GELU's inputs
+    give almost none."""
     return min(size, _block(dtype)) * (3 * np.dtype(dtype).itemsize + 8)
 
 
@@ -170,9 +178,9 @@ def _cephes(x, out, z, num, den, wide):
 
 def _erf_block(x, out, z, num, den, wide):
     """erf of the 1-D block x into out (which may be x), with the scratch
-    of `_cephes`. Float64 is `_cephes`; float32 takes fdlibm's
-    x + x * pp(z) / qq(z) in float32 steps, and `_cephes` for the elements
-    with |x| >= 0.84375 or NaN, which reuse the scratch once it is free."""
+    of `_cephes`. Float64 is `_cephes`; float32 takes x + x * S(x^2) in
+    float32 steps, and `_cephes` for the elements with |x| >= 0.84375 or
+    NaN, which reuse the scratch once it is free."""
     if x.dtype != np.float32:
         _cephes(x, out, z, num, den, wide)
         return
@@ -182,9 +190,7 @@ def _erf_block(x, out, z, num, den, wide):
     # below it. A NaN fails the test both ways.
     far = _NO_INDEX if z.max() < _SMALL2 else np.flatnonzero(~(z < _SMALL2))
     rest = x[far]  # gathered before out, which may be x, is written
-    _polevl(z, _PP, num)
-    _polevl(z, _QQ, den)
-    num /= den
+    _polevl(z, _S32, num)
     num *= x
     np.add(x, num, out=out)
     if far.size:

@@ -61,25 +61,32 @@ def shift_exp(m: np.ndarray, top: np.ndarray) -> np.ndarray:
     return np.exp(m, out=m)
 
 
+# The widest rows and the largest blocks `_row_max` copies (see there)
+_NARROW = 63
+_COPY_BYTES = 1 << 21
+
+
 def _row_max(m: np.ndarray) -> np.ndarray:
     """Each row's maximum over the last axis, kept as an axis of length 1.
 
-    numpy runs `m.max(axis=-1)` as one short reduce per row, which on rows
-    of 2 to 16 is slower than a tree of `np.maximum` over row halves (an
-    odd row's halves share its middle element). Both give the same maxima,
-    up to the sign of a zero, which `shift_exp` does not see: exp(m - 0)
-    and exp(m - (-0)) are equal for every m. From 17 columns up, the
-    reduce is kept; on the 37-column rows of cross-attention the tree was
-    slower.
+    numpy runs `m.max(axis=-1)` as one short reduce per row. Rows of up to
+    _NARROW columns, in a block of up to _COPY_BYTES, are instead copied
+    once, contiguously and transposed to (n, rows), and reduced with
+    `np.maximum` down the n columns in long vector passes. Measured on a
+    2-core Xeon (2 MB of L2 a core) in float32: 2.3x faster on the
+    (16, 4, 32, 39) cross-attention scores, 9x on the (32, 4, 16, 16)
+    temporal ones and 3x on the read's (4, 32, 32). The reduce wins from
+    64 columns (the copy's power-of-two stride also collides in cache
+    there): 55x on (4, 5000), 3x on (128, 256). Past 2 MB the copy leaves
+    the cache, and the reduce wins from 24 columns. Both give the same
+    maxima, NaN included, up to the sign of a zero, which `shift_exp`
+    does not see: exp(m - 0) and exp(m - (-0)) are equal for every m.
     """
     n = m.shape[-1]
-    if not 2 <= n <= 16:
+    if n > _NARROW or m.nbytes > _COPY_BYTES:
         return m.max(axis=-1, keepdims=True)
-    while n > 1:
-        half = (n + 1) // 2
-        m = np.maximum(m[..., :half], m[..., n - half:n])
-        n = half
-    return m
+    top = np.maximum.reduce(m.reshape(-1, n).T.copy(), axis=0)
+    return top.reshape(m.shape[:-1] + (1,))
 
 
 def _softmax_vjp(g, out, args, i):

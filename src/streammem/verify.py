@@ -1,5 +1,6 @@
 """Self-verification suites: gradient checks of every differentiable kernel,
-a brute-force clustering oracle, and memory-growth linearity.
+a brute-force clustering oracle, memory-growth linearity, and a scan of
+float32 `erf` against its float64 form.
 
 The brute-force routines here are intentionally independent of the
 production implementations (plain Python loops, no shared helpers) so the
@@ -15,6 +16,7 @@ from .dfs import CandidateSet, dpc_knn_select
 from .memory import MemoryBank, QueryBank, append, write_frame
 from .perceiver import (PerceiverLayerParams, cross_sublayer, ffn_sublayer,
                         temporal_sublayer)
+from .special import erf
 from .tensor import (AttentionParams, attention, gelu, grad_check, layer_norm,
                      make_attention_params)
 
@@ -229,6 +231,35 @@ def run_linearity_suite(frame_counts=(16, 64, 256), W: int = 2, d: int = 8):
     return results
 
 
+# -- float32 erf scan --------------------------------------------------------
+
+ERF32_CUT = int(np.float32(0.84375).view(np.int32))  # the cut's bit pattern
+
+
+def erf32_scan(start: int = 0):
+    """Float32 `erf` on every float32 whose bit pattern lies in
+    [start, ERF32_CUT), non-negative values below 0.84375 in increasing
+    order, against the package's float64 `erf` (scipy's bits) rounded to
+    float32, in chunks of 2^20. Returns (values scanned, worst ulp, values
+    1 ulp off, decreasing steps between neighbours). Both results are
+    non-negative, so their bit patterns differ by the ulps between them,
+    and the first value's step is from 0."""
+    worst = off_by_one = decreasing = 0
+    last = np.float32(0.0)
+    for lo in range(start, ERF32_CUT, 1 << 20):
+        x = np.arange(lo, min(lo + (1 << 20), ERF32_CUT),
+                      dtype=np.int32).view(np.float32)
+        got = erf(x)
+        want = erf(x.astype(np.float64)).astype(np.float32)
+        ulps = np.abs(got.view(np.int32).astype(np.int64)
+                      - want.view(np.int32))
+        worst = max(worst, int(ulps.max()))
+        off_by_one += int(np.count_nonzero(ulps == 1))
+        decreasing += int(np.count_nonzero(np.diff(got, prepend=last) < 0))
+        last = got[-1]
+    return ERF32_CUT - start, worst, off_by_one, decreasing
+
+
 def self_check(suite: str):
     """Run one verification suite; returns (all_passed, report lines)."""
     lines = []
@@ -248,6 +279,12 @@ def self_check(suite: str):
             ok &= passed
             lines.append(f"linearity T={T}: tokens={count} "
                          f"{'PASS' if passed else 'FAIL'}")
+    elif suite == "erf32":
+        count, worst, off_by_one, decreasing = erf32_scan()
+        ok = worst <= 1 and decreasing == 0
+        lines.append(f"erf32 [0, 0.84375): {count} values, worst "
+                     f"{worst} ulp, {off_by_one} at 1 ulp, {decreasing} "
+                     f"decreasing steps {'PASS' if ok else 'FAIL'}")
     else:
         raise ValueError(f"unknown suite {suite!r}")
     return ok, lines

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import streammem
+from streammem import verify
 from streammem.assembly import load_llm_input
 from streammem.cli import build_parser, main
 from streammem.dfs import parse_selection_centers
@@ -797,3 +798,14 @@ def test_check_linearity_suite(capsys):
     out = capsys.readouterr().out
     assert "linearity T=16" in out
     assert "FAIL" not in out
+
+
+def test_check_erf32_suite(capsys, monkeypatch):
+    # the whole scan takes seconds: the suite's report on its last 4096
+    scan = verify.erf32_scan
+    monkeypatch.setattr(verify, "erf32_scan",
+                        lambda: scan(verify.ERF32_CUT - 4096))
+    assert main(["check", "--suite", "erf32"]) == 0
+    out = capsys.readouterr().out
+    assert "erf32 [0, 0.84375): 4096 values, worst 1 ulp" in out
+    assert out.rstrip().endswith("decreasing steps PASS")

@@ -1,4 +1,4 @@
-"""`special.erf` on float32 input: fdlibm's form in float32 steps below
+"""`special.erf` on float32 input: x + x * S(x^2) in float32 steps below
 0.84375 and the Cephes rational from there, checked in ulps against
 float32(scipy.special.erf(float64 x))."""
 
@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 
 from streammem.special import _BLOCK, erf
+from streammem.verify import ERF32_CUT, erf32_scan
 
 from oracles import erf_rational_float32
 
@@ -18,7 +19,7 @@ INF = int(np.float32(np.inf).view(np.int32))
 # Every float32 of [0, 1] at which the Cephes rational's last two steps in
 # float32 (x * T rounded, then / U rounded) would be 3 ulp off, found by a
 # run over all 1,065,353,217 of them. `erf` never takes those steps in
-# float32: the 32 values below 0.84375 go through fdlibm's form, and the 9
+# float32: the 32 values below 0.84375 go through x + x * S(x^2), and the 9
 # from 0.84375 up through the rational with those steps in float64.
 HARD = np.array([
     0x3acf62c2, 0x3bd8c790, 0x3bde40d0, 0x3bde4328, 0x3bde43a5, 0x3bde44a6,
@@ -77,7 +78,7 @@ def test_within_1_ulp_below_the_cut():
 
 
 def test_either_side_of_the_cut():
-    # the 4096 float32 below 0.84375 take fdlibm's form, within 1 ulp;
+    # the 4096 float32 below 0.84375 take x + x * S(x^2), within 1 ulp;
     # 0.84375 and the 4096 above it the Cephes rational, bit for bit
     below, above = _floats(CUT - 4096, CUT, 1), _floats(CUT, CUT + 4097, 1)
     assert below.max() < 0.84375 == above.min()
@@ -140,3 +141,23 @@ def test_out_in_place_and_dtype():
     with pytest.raises(ValueError):
         erf(x, out=np.empty(x.shape))
     assert erf(x.astype(np.float64)).dtype == np.float64
+
+
+def test_scan_just_below_the_cut():
+    # the `check --suite erf32` scan, on the 2**20 float32 below 0.84375
+    count, worst, off_by_one, decreasing = erf32_scan(ERF32_CUT - 2**20)
+    assert (count, worst, decreasing) == (2**20, 1, 0)
+    assert 0 < off_by_one < count
+
+
+def test_non_decreasing_below_the_cut():
+    # runs of 4096 neighbouring float32 from 257 starts spread over
+    # [0, 0.84375), subnormals included
+    starts = np.linspace(0, CUT - 4096, 257).astype(np.int64)
+    x = (starts[:, None] + np.arange(4096)).astype(np.int32).view(np.float32)
+    assert (np.diff(erf(x), axis=1) >= 0).all()
+
+
+def test_odd_bit_for_bit_below_the_cut():
+    x = _floats(0, CUT, 97)
+    assert np.array_equal(erf(-x).view(np.int32), (-erf(x)).view(np.int32))

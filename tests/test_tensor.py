@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streammem.errors import NumericError
-from streammem.tensor import (AttentionParams, _softmax_inplace, attend,
-                              attention, gelu, grad_check, layer_norm,
+from streammem.tensor import (AttentionParams, _row_max, _softmax_inplace,
+                              attend, attention, gelu, grad_check, layer_norm,
                               make_attention_params, shift_exp, softmax_rows)
 
 from oracles import (attend_out_of_place, attention_oracle,
@@ -54,8 +54,8 @@ def _softmax_by_reduce(m):
 
 
 class TestSoftmaxRowMax:
-    """Short rows take their maximum as a tree of elementwise maxima; the
-    softmax keeps the bits of the per-row reduce at every width."""
+    """Narrow rows take their maximum from a transposed copy; the softmax
+    keeps the bits of the per-row reduce at every width."""
 
     @staticmethod
     def _rows(rng, n, dtype):
@@ -92,6 +92,43 @@ class TestSoftmaxRowMax:
 
             assert np.array_equal(_softmax_inplace(stack()).view(bits),
                                   _softmax_by_reduce(stack()).view(bits))
+
+
+class TestRowMax:
+    """`_row_max` equals the per-row reduce on both sides of its width and
+    block-size limits."""
+
+    @staticmethod
+    def _check(m):
+        want = m.max(axis=-1, keepdims=True)
+        got = _row_max(m)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (6, 1), (6, 2), (7, 16), (32, 4, 16, 16), (4, 32, 32),
+        (16, 4, 32, 39), (6, 63), (6, 64), (128, 256), (4, 5000),
+        (16384, 39),  # narrow rows in a block past the copy's size limit
+    ])
+    def test_equals_the_reduce(self, shape, dtype):
+        rng = np.random.default_rng(len(shape) * shape[-1])
+        m = (rng.standard_normal(shape) * 3).astype(dtype)
+        n = shape[-1]
+        nan, inf = rng.standard_normal((2, n))
+        nan[-1] = np.nan
+        inf[0] = -np.inf
+        special = [nan, np.full(n, -np.inf), inf,
+                   rng.choice([0.0, -0.0, -1.0], n), np.full(n, -0.0),
+                   np.zeros(n)]
+        # the first rows, as many as there are: a view, so the edits reach m
+        for row, values in zip(m.reshape(-1, n), special):
+            row[...] = values
+        self._check(m)
+        # every other column of a wider array, and rows along a swapped
+        # axis, as the temporal sublayer lays them
+        self._check(np.repeat(m, 2, axis=-1)[..., ::2])
+        self._check(np.stack([m, m[::-1]]).swapaxes(0, 1))
 
 
 class TestLayerNorm:
