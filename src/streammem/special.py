@@ -19,7 +19,7 @@ directly. The tail's exp goes through `math.exp`, the C library's exp
 that the compiled Cephes calls: numpy's vectorised exp may differ in the
 last bit.
 
-On float32 each range has its own form, with the bound it meets against
+On float32 `erf` has two forms, each with the bound it meets against
 float32(scipy erf(float64 x)):
 
 - |x| < 0.84375: x + x * S(z) with z = x^2, every step in float32. S is
@@ -35,29 +35,22 @@ float32(scipy erf(float64 x)):
   further, and no step between neighbours goes down. IEEE arithmetic is
   symmetric in sign, so erf(-x) is -erf(x) bit for bit. A degree-4 fit
   reaches 4 ulp.
-- 0.84375 <= |x| <= 1: the Cephes rational in float32, with its last
-  two steps, x * T and the division by U, in float64 and rounded once; in
-  float32 they alone would reach 3 ulp. Within 2 ulp, checked on every
-  float32 of [-1, 1].
-- |x| > 1: the Cephes tail, with exp(-x^2) taken from the exact double
-  square and rounded once. Within 1 ulp, checked on every 7th float32 of
-  (1, 10] and a sample past it.
+- |x| >= 0.84375, and NaN: the float64 erf above, rounded once, so
+  float32(scipy erf) exactly. The same scan runs on through 1 and finds
+  no step down across the cut or above it.
 
 The cut is fdlibm's (`s_erf.c`, Sun Microsystems, 1993): past 0.84375
 its erf changes form (erx plus a rational in |x| - 1, then erfc through
-exp), and porting those ranges would buy little. GELU's erf inputs sit
-well inside it (below 0.48 in a seeded default-config run), so the few
-elements at or past it are gathered and take the Cephes forms, which
-keep their checked bounds and the tail that float64 shares.
+exp). GELU's erf inputs sit well inside it (below 0.48 in a seeded
+default-config run), so the few elements at or past it are gathered and
+widened, and a float32 form of their own would buy little.
 
 The work runs in blocks of 256 kB of the input's dtype (_BLOCK float64s
 or twice as many float32s) over scratch buffers that are reused from block
 to block, so the elementwise passes of each block stay in cache: 14 for
 float32 below the cut (the square, its maximum, 10 for S, x * S and the
-sum) and 21 for the Cephes rational. A float32 block's gathered elements
-reuse the same scratch once S is done with it, so `erf_scratch_bytes`, a
-block in which every element needs the float64 steps, bounds both
-dtypes.
+sum) over two blocks of scratch, and 21 for the Cephes rational over
+three. `erf_scratch_bytes` counts them.
 """
 
 import math
@@ -130,24 +123,27 @@ def _block(dtype) -> int:
     return _BLOCK * 8 // np.dtype(dtype).itemsize
 
 
+def _scratch_blocks(dtype) -> int:
+    """Scratch blocks `erf` holds: z and num, and den for float64."""
+    return 2 if np.dtype(dtype) == np.float32 else 3
+
+
 def erf_scratch_bytes(size: int, dtype) -> int:
     """The bytes of scratch `erf` holds for `size` elements of `dtype`:
-    three blocks of that dtype (z, num and den) and one float64 block
-    (wide). Float32 below 0.84375 uses only z and num; den and wide serve
-    `_cephes`, which every float64 element takes, and the float32 elements
-    a block gathers for it. Those gathered elements (float32 from 0.84375
-    up, the tail of either dtype) are copies on top of it; GELU's inputs
-    give almost none."""
-    return min(size, _block(dtype)) * (3 * np.dtype(dtype).itemsize + 8)
+    two blocks of float32 (z and num) or three of float64 (z, num and
+    den). The elements a float32 block gathers (from 0.84375 up, and NaN)
+    and the float64 tail take copies on top of it; GELU's inputs give
+    almost none."""
+    return (min(size, _block(dtype)) * _scratch_blocks(dtype)
+            * np.dtype(dtype).itemsize)
 
 
 def _erfc_tail(u):
-    """Cephes erfc(u) for a 1-D array of u > 1."""
+    """Cephes erfc(u) for a 1-D float64 array of u > 1."""
     y = np.zeros_like(u)
     live = np.flatnonzero(u * u <= _MAXLOG)
     u = u[live]
-    # exp(-u^2) through the C library, as the compiled Cephes calls it; a
-    # double holds the square of a float32 exactly
+    # exp(-u^2) through the C library, as the compiled Cephes calls it
     ez = np.fromiter((math.exp(-v * v) for v in u.tolist()), u.dtype, u.size)
     for part, num, den in ((u < 8.0, _P, _Q), (u >= 8.0, _R, _S)):
         if part.any():
@@ -157,9 +153,9 @@ def _erfc_tail(u):
     return y
 
 
-def _cephes(x, out, z, num, den, wide):
-    """Cephes erf of the 1-D block x into out (which may be x); z, num and
-    den are scratch of x's length and dtype, wide a float64 one."""
+def _cephes(x, out, z, num, den):
+    """Cephes erf of the 1-D float64 block x into out (which may be x); z,
+    num and den are scratch of x's length."""
     np.multiply(x, x, out=z)
     # x^2 > 1 exactly when |x| > 1. A NaN makes the max NaN, which sends
     # the block to the elementwise test; that leaves the NaN out.
@@ -167,23 +163,22 @@ def _cephes(x, out, z, num, den, wide):
     signed = x[tail]  # gathered before out, which may be x, is written
     _polevl(z, _T, num)
     _p1evl(z, _U, den)
-    # x * T / U with the product and the quotient in float64, rounded once
-    # into out: Cephes' own steps on float64 input, and on float32 one
-    # rounding where float32 steps take two
-    np.multiply(num, x, out=wide, dtype=np.float64)
-    np.divide(wide, den, out=out)
+    num *= x
+    np.divide(num, den, out=out)
     if tail.size:
         out[tail] = np.copysign(1.0 - _erfc_tail(np.abs(signed)), signed)
 
 
-def _erf_block(x, out, z, num, den, wide):
-    """erf of the 1-D block x into out (which may be x), with the scratch
-    of `_cephes`. Float64 is `_cephes`; float32 takes x + x * S(x^2) in
-    float32 steps, and `_cephes` for the elements with |x| >= 0.84375 or
-    NaN, which reuse the scratch once it is free."""
+def _erf_block(x, out, *scratch):
+    """erf of the 1-D block x into out (which may be x), over the scratch
+    blocks `erf_scratch_bytes` counts, each of x's length and dtype.
+    Float64 is `_cephes`. Float32 takes x + x * S(x^2) in float32 steps;
+    the elements with |x| >= 0.84375 or NaN are gathered first and take
+    the float64 erf, rounded once."""
     if x.dtype != np.float32:
-        _cephes(x, out, z, num, den, wide)
+        _cephes(x, out, *scratch)
         return
+    z, num = scratch
     np.multiply(x, x, out=z)
     # z < 0.84375^2 = 729/1024 exactly when |x| < 0.84375: the square
     # rounds monotonically, and the float32 just below 0.84375 squares to
@@ -194,9 +189,7 @@ def _erf_block(x, out, z, num, den, wide):
     num *= x
     np.add(x, num, out=out)
     if far.size:
-        k = far.size
-        _cephes(rest, rest, z[:k], num[:k], den[:k], wide[:k])
-        out[far] = rest
+        out[far] = erf(rest.astype(np.float64))
 
 
 def erf(x, out=None):
@@ -217,14 +210,12 @@ def erf(x, out=None):
     src, flat = src.reshape(-1), dst.reshape(-1)
     block = _block(x.dtype)
     n = min(src.size, block)
-    z, num, den = (np.empty(n, x.dtype) for _ in range(3))
-    wide = np.empty(n)
+    scratch = [np.empty(n, x.dtype) for _ in range(_scratch_blocks(x.dtype))]
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, src.size, block):
             stop = min(start + block, src.size)
-            size = stop - start
             _erf_block(src[start:stop], flat[start:stop],
-                       z[:size], num[:size], den[:size], wide[:size])
+                       *(s[:stop - start] for s in scratch))
     if dst is not out:
         out[...] = dst
     return out

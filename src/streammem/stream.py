@@ -115,4 +115,6 @@ def load_stream(path) -> FrameTokenStream:
         raise MalformedArtifactError("RWFS stream holds no frames")
     if header.P < 1:
         raise MalformedArtifactError("RWFS frames hold no tokens")
+    if header.d < 1:
+        raise MalformedArtifactError("RWFS tokens have no dimensions")
     return FrameTokenStream(values)

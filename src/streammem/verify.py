@@ -233,21 +233,22 @@ def run_linearity_suite(frame_counts=(16, 64, 256), W: int = 2, d: int = 8):
 
 # -- float32 erf scan --------------------------------------------------------
 
-ERF32_CUT = int(np.float32(0.84375).view(np.int32))  # the cut's bit pattern
+ERF32_STOP = int(np.float32(1.0).view(np.int32)) + 1  # one past 1.0
 
 
 def erf32_scan(start: int = 0):
     """Float32 `erf` on every float32 whose bit pattern lies in
-    [start, ERF32_CUT), non-negative values below 0.84375 in increasing
-    order, against the package's float64 `erf` (scipy's bits) rounded to
-    float32, in chunks of 2^20. Returns (values scanned, worst ulp, values
-    1 ulp off, decreasing steps between neighbours). Both results are
-    non-negative, so their bit patterns differ by the ulps between them,
-    and the first value's step is from 0."""
+    [start, ERF32_STOP), non-negative values through 1 in increasing
+    order, across the cut at 0.84375, against the package's float64 `erf`
+    (scipy's bits) rounded to float32, in chunks of 2^20. Returns (values
+    scanned, worst ulp, values 1 ulp off, decreasing steps between
+    neighbours). Both results are non-negative, so their bit patterns
+    differ by the ulps between them, and the first value's step is from
+    0."""
     worst = off_by_one = decreasing = 0
     last = np.float32(0.0)
-    for lo in range(start, ERF32_CUT, 1 << 20):
-        x = np.arange(lo, min(lo + (1 << 20), ERF32_CUT),
+    for lo in range(start, ERF32_STOP, 1 << 20):
+        x = np.arange(lo, min(lo + (1 << 20), ERF32_STOP),
                       dtype=np.int32).view(np.float32)
         got = erf(x)
         want = erf(x.astype(np.float64)).astype(np.float32)
@@ -257,7 +258,7 @@ def erf32_scan(start: int = 0):
         off_by_one += int(np.count_nonzero(ulps == 1))
         decreasing += int(np.count_nonzero(np.diff(got, prepend=last) < 0))
         last = got[-1]
-    return ERF32_CUT - start, worst, off_by_one, decreasing
+    return ERF32_STOP - start, worst, off_by_one, decreasing
 
 
 def self_check(suite: str):
@@ -282,7 +283,7 @@ def self_check(suite: str):
     elif suite == "erf32":
         count, worst, off_by_one, decreasing = erf32_scan()
         ok = worst <= 1 and decreasing == 0
-        lines.append(f"erf32 [0, 0.84375): {count} values, worst "
+        lines.append(f"erf32 [0, 1]: {count} values, worst "
                      f"{worst} ulp, {off_by_one} at 1 ulp, {decreasing} "
                      f"decreasing steps {'PASS' if ok else 'FAIL'}")
     else:

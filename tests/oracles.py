@@ -461,17 +461,6 @@ def erf_cephes(x):
     return x * _polevl(z, _CEPHES_T) / _p1evl(z, _CEPHES_U)
 
 
-def erf_rational_float32(x):
-    """The Cephes rational on a float32 array with |x| <= 1, as float32
-    `special.erf` takes it from 0.84375 up: T(x^2) and U(x^2) in float32
-    steps, then x * T and the division by U in float64, rounded once."""
-    import numpy as np
-
-    z = x * x
-    t, u = _polevl(z, _CEPHES_T), _p1evl(z, _CEPHES_U)
-    return (t.astype(np.float64) * x / u).astype(np.float32)
-
-
 def attend_out_of_place(qp, kp, vp, params):
     """The attention core with a fresh array per step: scale, max shift,
     exp and normalisation each allocate their result."""

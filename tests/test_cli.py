@@ -312,6 +312,18 @@ class TestExitCodes:
         assert "no tokens" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_stream_of_zero_dim_tokens_is_2(self, tmp_path, config_path,
+                                            capsys):
+        # T=4 frames of P=3 tokens with d=0: rejected on load, not as a
+        # model.d mismatch (3)
+        bad = tmp_path / "flat.rwfs"
+        bad.write_bytes(struct.pack("<4sIIII", b"RWFS", 1, 4, 3, 0))
+        assert main(["process", "--stream", str(bad), "--instruction", "x",
+                     "--config", config_path,
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "no dimensions" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_pooled_without_tokens_is_2(self, processed, config_path, capsys):
         centers = parse_selection_centers(
             (processed / "selection.txt").read_text())
@@ -801,11 +813,13 @@ def test_check_linearity_suite(capsys):
 
 
 def test_check_erf32_suite(capsys, monkeypatch):
-    # the whole scan takes seconds: the suite's report on its last 4096
+    # the whole scan takes seconds: the suite's report from the 4096
+    # float32 below the cut through 1
+    cut = int(np.float32(0.84375).view(np.int32))
     scan = verify.erf32_scan
-    monkeypatch.setattr(verify, "erf32_scan",
-                        lambda: scan(verify.ERF32_CUT - 4096))
+    monkeypatch.setattr(verify, "erf32_scan", lambda: scan(cut - 4096))
     assert main(["check", "--suite", "erf32"]) == 0
     out = capsys.readouterr().out
-    assert "erf32 [0, 0.84375): 4096 values, worst 1 ulp" in out
+    count = verify.ERF32_STOP - cut + 4096
+    assert f"erf32 [0, 1]: {count} values, worst 1 ulp" in out
     assert out.rstrip().endswith("decreasing steps PASS")

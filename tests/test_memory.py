@@ -696,7 +696,7 @@ class TestReadScoreCache:
             read_scores = 2 * 4 * W * F * 4  # heads x N_R x W*F
             hidden = f * 4 * 4 * d  # f x N_Q x 4d
             perceive = 4 * (f * (3 * n_keys * d + 2 * 4 * n_keys)
-                            + 3 * hidden) + hidden * (3 * 4 + 8)
+                            + 3 * hidden) + hidden * 2 * 4
             peak = max(peak, resident + read_scores + perceive)
         assert stage1_peak_resident_bytes(config, stream, "probe") == peak
 

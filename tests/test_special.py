@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 
 import streammem
-from streammem.special import _BLOCK, erf
+from streammem.special import _BLOCK, erf, erf_scratch_bytes
 
 from oracles import erf_cephes
 
@@ -103,6 +103,28 @@ class TestArrays:
     def test_out_of_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             erf(np.zeros(3), out=np.zeros(4))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_traced_scratch_is_the_modelled_scratch(self, dtype):
+        # in place on a (16, 32, 256) input below 0.84375, two float32
+        # blocks or four float64 ones: the measured peak is the modelled
+        # scratch, which the float32 (z, num) pair puts at 512 kB
+        import tracemalloc
+
+        x = np.random.default_rng(9).uniform(-0.8, 0.8, (16, 32, 256))
+        x = x.astype(dtype)
+        assert x.nbytes >= 2 * _BLOCK * 8  # a block is 256 kB of either
+        want = erf(x)
+        tracemalloc.start()
+        try:
+            erf(x, out=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x, want)
+        modelled = erf_scratch_bytes(x.size, dtype)
+        assert modelled == {np.float32: 524_288, np.float64: 786_432}[dtype]
+        assert modelled <= peak <= modelled + 4096
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,15 +1,13 @@
 """`special.erf` on float32 input: x + x * S(x^2) in float32 steps below
-0.84375 and the Cephes rational from there, checked in ulps against
-float32(scipy.special.erf(float64 x))."""
+0.84375 and the float64 erf rounded once from there, checked in ulps
+against float32(scipy.special.erf(float64 x))."""
 
 import numpy as np
 import pytest
 import scipy.special
 
 from streammem.special import _BLOCK, erf
-from streammem.verify import ERF32_CUT, erf32_scan
-
-from oracles import erf_rational_float32
+from streammem.verify import ERF32_STOP, erf32_scan
 
 CUT = int(np.float32(0.84375).view(np.int32))
 ONE = int(np.float32(1.0).view(np.int32))
@@ -18,9 +16,9 @@ INF = int(np.float32(np.inf).view(np.int32))
 
 # Every float32 of [0, 1] at which the Cephes rational's last two steps in
 # float32 (x * T rounded, then / U rounded) would be 3 ulp off, found by a
-# run over all 1,065,353,217 of them. `erf` never takes those steps in
-# float32: the 32 values below 0.84375 go through x + x * S(x^2), and the 9
-# from 0.84375 up through the rational with those steps in float64.
+# run over all 1,065,353,217 of them. `erf` takes no step of that rational
+# in float32: the 32 values below 0.84375 go through x + x * S(x^2), and
+# the 9 from 0.84375 up are the float64 erf rounded once.
 HARD = np.array([
     0x3acf62c2, 0x3bd8c790, 0x3bde40d0, 0x3bde4328, 0x3bde43a5, 0x3bde44a6,
     0x3bde45a7, 0x3bdf8158, 0x3c5b0bab, 0x3c5e1838, 0x3c5f71a5, 0x3c5fc1c5,
@@ -60,13 +58,13 @@ def _check(x, bound):
     return ulps
 
 
-def test_within_2_ulp_on_minus_1_to_1():
+def test_within_1_ulp_on_minus_1_to_1():
     # every 251st float32 of [0, 1] (subnormals to 1), both signs, 2**20
     # evenly spaced values and the hard cases
     x = np.concatenate([_floats(0, ONE + 1, 251),
                         np.linspace(0, 1, 2**20, dtype=np.float32), HARD])
-    ulps = _check(x, 2)
-    assert ulps.mean() < 0.5
+    ulps = _check(x, 1)
+    assert ulps.mean() < 0.1
 
 
 def test_within_1_ulp_below_the_cut():
@@ -79,16 +77,21 @@ def test_within_1_ulp_below_the_cut():
 
 def test_either_side_of_the_cut():
     # the 4096 float32 below 0.84375 take x + x * S(x^2), within 1 ulp;
-    # 0.84375 and the 4096 above it the Cephes rational, bit for bit
+    # 0.84375 and the 4096 above it the float64 erf, bit for bit
     below, above = _floats(CUT - 4096, CUT, 1), _floats(CUT, CUT + 4097, 1)
     assert below.max() < 0.84375 == above.min()
     _check(below, 1)
-    above = np.concatenate([above, -above])
-    assert np.array_equal(erf(above).view(np.int32),
-                          erf_rational_float32(above).view(np.int32))
-    # no step back onto the rational; above the cut it is 2 ulp off in
-    # places and not monotone, so only the step is checked
-    assert (np.diff(erf(np.append(below, above[0]))) >= 0).all()
+    _check(above, 0)
+    assert (np.diff(erf(np.append(below, above))) >= 0).all()
+
+
+def test_exact_and_non_decreasing_from_the_cut_through_1():
+    # every float32 of [0.84375, 1], both signs, bit for bit, and no step
+    # down from the 4096 float32 below the cut through 1
+    x = _floats(CUT - 4096, ERF32_STOP, 1)
+    assert x[4096] == 0.84375 and x[-1] == 1.0
+    _check(x[4096:], 0)
+    assert (np.diff(erf(x)) >= 0).all()
 
 
 def test_mixed_block_matches_each_element_alone():
@@ -108,11 +111,11 @@ def test_mixed_block_matches_each_element_alone():
     assert np.array_equal(erf(x, out=x).view(np.int32), alone[pick])
 
 
-def test_within_1_ulp_on_the_tails():
+def test_exact_on_the_tails():
     # every 7th float32 of (1, 10] and every 4099th beyond, to the largest
     x = np.concatenate([_floats(ONE + 1, TEN + 1, 7),
                         _floats(TEN + 1, INF, 4099)])
-    _check(x, 1)
+    _check(x, 0)
 
 
 def test_odd_bit_for_bit():
@@ -144,10 +147,11 @@ def test_out_in_place_and_dtype():
 
 
 def test_scan_just_below_the_cut():
-    # the `check --suite erf32` scan, on the 2**20 float32 below 0.84375
-    count, worst, off_by_one, decreasing = erf32_scan(ERF32_CUT - 2**20)
-    assert (count, worst, decreasing) == (2**20, 1, 0)
-    assert 0 < off_by_one < count
+    # the `check --suite erf32` scan, from the 2**20 float32 below 0.84375
+    # through 1
+    count, worst, off_by_one, decreasing = erf32_scan(CUT - 2**20)
+    assert (count, worst, decreasing) == (ERF32_STOP - CUT + 2**20, 1, 0)
+    assert 0 < off_by_one < 2**20
 
 
 def test_non_decreasing_below_the_cut():
