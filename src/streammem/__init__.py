@@ -14,7 +14,7 @@ from .dfs import (CandidateSet, ClusterDiagnostics, SelectionResult,
 from .errors import (BadMagicError, BadVersionError, ConfigError, EngineError,
                      FormatError, MalformedArtifactError,
                      NonFiniteDataError, NumericError, TruncatedPayloadError)
-from .memory import (AccountingReport, DiskFeatureBuffer, FeatureBuffer,
+from .memory import (AccountingReport, DiskFeatureBuffer, FrameStore,
                      MemoryBank, QueryBank, accounting_report, append,
                      buffer_store, load_bank, read_context, save_bank,
                      write_frame)

@@ -110,6 +110,7 @@ def _cmd_process(args) -> int:
     result = run_pipeline(config, args.stream, _read_instruction(args),
                           args.out_dir, select_strategy=args.select,
                           breakpoint_frame=args.breakpoint)
+    result.buffer.close()
     print(result.report.render_text(), end="")
     print(f"artifacts in {result.out_dir}")
     return 0
@@ -128,13 +129,15 @@ def _load_bank_for(config: RunConfig, path):
 def _open_disk_buffer(data_path, manifest_path, bank) -> DiskFeatureBuffer:
     """The spilled buffer, once it is known to hold as many frames as the
     bank, each the bank's d wide, so a mismatch fails before any selection
-    work."""
+    work. The caller closes it."""
     buffer = DiskFeatureBuffer(data_path, manifest_path)
     if len(buffer) != len(bank):
+        buffer.close()
         raise MalformedArtifactError(
             f"buffer of {len(buffer)} frames differs from the {len(bank)} "
             f"frames of the memory bank")
     if buffer.d != bank.d:
+        buffer.close()
         raise MalformedArtifactError(
             f"buffer dim {buffer.d} differs from the bank's {bank.d}")
     return buffer
@@ -144,15 +147,16 @@ def _cmd_select(args) -> int:
     config = _load_config_arg(args.config)
     bank = _load_bank_for(config, args.bank)
     data = os.path.join(os.path.dirname(args.buffer_manifest), "buffer.bin")
-    buffer = _open_disk_buffer(data, args.buffer_manifest, bank)
-    p = min(config.pool_tokens, buffer.P)
-    if args.strategy == "uniform":
-        selection = uniform_select(bank, buffer, config.Kc, p)
-    else:
-        instruction = encode_instruction(_read_instruction(args), config.d)
-        selection = dfs_select(bank, buffer, instruction, config.L,
-                               config.knn_k, config.Kc, p,
-                               z_repr=config.z_repr)
+    with _open_disk_buffer(data, args.buffer_manifest, bank) as buffer:
+        p = min(config.pool_tokens, buffer.P)
+        if args.strategy == "uniform":
+            selection = uniform_select(bank, buffer, config.Kc, p)
+        else:
+            instruction = encode_instruction(_read_instruction(args),
+                                             config.d)
+            selection = dfs_select(bank, buffer, instruction, config.L,
+                                   config.knn_k, config.Kc, p,
+                                   z_repr=config.z_repr)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_selection_report(selection))
     save_stream(FrameTokenStream(selection.pooled), args.out + ".pooled.rwfs")
@@ -169,12 +173,13 @@ def _read_selection(path, bank):
     except ValueError as exc:
         raise MalformedArtifactError(f"selection report: {exc}") from exc
     pooled = load_stream(path + ".pooled.rwfs")
-    n, frames = len(centers), {c for c in centers if 0 <= c < len(bank)}
-    if (len(frames), pooled.T, pooled.d) != (n, n, bank.d):
-        raise MalformedArtifactError(
-            f"selected frames {centers} with {pooled.T} pooled frames of "
-            f"dim {pooled.d} do not fit the memory bank")
-    return centers, pooled.frames
+    with pooled.frames as tokens:
+        n, frames = len(centers), {c for c in centers if 0 <= c < len(bank)}
+        if (len(frames), pooled.T, pooled.d) != (n, n, bank.d):
+            raise MalformedArtifactError(
+                f"selected frames {centers} with {pooled.T} pooled frames of "
+                f"dim {pooled.d} do not fit the memory bank")
+        return centers, tokens.block(0, n)
 
 
 def _cmd_assemble(args) -> int:
@@ -195,10 +200,11 @@ def _cmd_assemble(args) -> int:
 def _cmd_report(args) -> int:
     config = load_config(os.path.join(args.out_dir, "config.txt"))
     bank = _load_bank_for(config, os.path.join(args.out_dir, "memory.rwmb"))
-    buffer = _open_disk_buffer(os.path.join(args.out_dir, "buffer.bin"),
-                               os.path.join(args.out_dir, "buffer.manifest"),
-                               bank)
-    print(accounting_report(bank, buffer, config).render_text(), end="")
+    with _open_disk_buffer(os.path.join(args.out_dir, "buffer.bin"),
+                           os.path.join(args.out_dir, "buffer.manifest"),
+                           bank) as buffer:
+        report = accounting_report(bank, buffer, config)
+    print(report.render_text(), end="")
     return 0
 
 

@@ -19,7 +19,9 @@ read back only as those exact bytes. An RWMB entry's frame is its
 position, 0..count-1; version 1 also stored it, with a sub-clip index,
 before each entry's tokens, and is rejected. RWLI version 1 also stored
 the total row count, which the section sizes fix, and is rejected.
-RWPM's temporal_mode indexes TEMPORAL_MODES.
+RWPM's temporal_mode indexes TEMPORAL_MODES. RWFS is defined here, as
+both `stream` and `memory` read it; `memory.FrameStore` reads a stream's
+payload a block of frames at a time rather than whole.
 """
 
 import math
@@ -62,7 +64,10 @@ class Format:
         if payload.shape != shape:
             raise ValueError(f"{self.name} payload shape {payload.shape} "
                              f"is not the declared {shape}")
-        return self._struct.pack(self.magic, self.version, *header), payload
+        return self.header_bytes(header), payload
+
+    def header_bytes(self, header) -> bytes:
+        return self._struct.pack(self.magic, self.version, *header)
 
     def save(self, path, payload, **fields) -> None:
         with open(path, "wb") as fh:
@@ -97,3 +102,6 @@ class Format:
             data = fh.read()
         header = self.read_header(data)
         return header, self.read_payload(header, data, self.header_size)
+
+
+RWFS = Format(b"RWFS", 1, ("T", "P", "d"), lambda h: ("<f4", tuple(h)))

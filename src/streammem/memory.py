@@ -1,4 +1,4 @@
-"""Memory bank, feature buffer, learnable read/write interfaces, and token
+"""Memory bank, frame store, learnable read/write interfaces, and token
 accounting.
 
 The bank is the only Stage-1 state that grows with stream length: W compact
@@ -13,15 +13,19 @@ streaming state on the bank whose size does not depend on the bank's
 length: per head and read-query row, the online softmax (Milakov &
 Gimelshein, arXiv 1805.02867) of the memory rows read so far, rescaled as
 FlashAttention does (Dao et al., arXiv 2205.14135). So each read projects
-and scores only the rows written since the previous one. Raw frame tokens
-go to a passive feature buffer that is never read during Stage 1: the
-stream's (T, P, d) array plus a count of the frames buffered so far,
-advanced once per sub-clip. The buffer keeps the array
-itself, not a copy, when nobody can write its memory (a loaded stream's
-payload, as `load_stream` returns); it copies any other array once, in its
-own dtype, so a caller's later writes never reach it. Its spill keeps
-frames in the same order, so a frame's index is its position there too,
-and the spill's header alone locates every frame.
+and scores only the rows written since the previous one.
+
+Raw frame tokens live in one kind of store, `FrameStore`, which serves
+`block(start, end)` and `get(t)` from either an array (a synthetic
+stream's, copied once) or an RWFS file read through one descriptor (a
+loaded stream, as `load_stream` opens it, or a spill, as
+`DiskFeatureBuffer` opens it). A file-backed store holds no frame between
+reads. Stage 1's feature buffer is a store of the stream's frames and a
+count of those buffered so far, advanced once per sub-clip and never read
+during Stage 1; Stage 2 pools the selected frames through it. Its spill
+keeps frames in the same order, so a frame's index is its position there
+too, and the spill's header alone locates every frame; for a file-backed
+buffer the spill is a kernel-side copy of the file's first frames.
 
 Everything here holds the dtype Stage 1 computes in, float32 for a run of
 the pipeline: the bank's tokens, the buffered frames, and the read state
@@ -29,13 +33,14 @@ apart from its two running sums, which are a few kilobytes of float64.
 """
 
 import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Format
-from .errors import MalformedArtifactError, TruncatedPayloadError
-from .stream import RWFS
+from .codec import RWFS, Format
+from .errors import (MalformedArtifactError, NonFiniteDataError,
+                     TruncatedPayloadError)
 from .tensor import (AttentionParams, _row_max, attention, head_scale,
                      merge_heads, shift_exp, split_heads)
 
@@ -206,63 +211,227 @@ def append(bank: MemoryBank, tokens) -> None:
     bank._count = end
 
 
-def _immutable(raw: np.ndarray) -> bool:
-    """Whether `raw` views memory that nothing can write: its chain of
-    bases ends in a bytes object. A read-only view of a writable array
-    does not count, since the array it views can still change."""
-    base = raw
-    while isinstance(base, np.ndarray):
-        base = base.base
-    return isinstance(base, bytes)
+# A loaded stream is checked for non-finite values whole, at open, so a
+# bad frame fails before any Stage-1 work, and in chunks of at most this
+# many bytes, so the check never holds the payload. The freed chunk also
+# matters to Stage 1: glibc raises its dynamic mmap threshold to the size
+# of a freed mmapped block, so the perceiver's temporaries that follow
+# are reused from the heap instead of mmapped and faulted in afresh on
+# every call. Stage 1 of a 548-frame, 8-layer stream in a fresh process
+# (Linux, glibc 2.36) took about 63,000 minor faults with no scan, 5,300
+# with 1 MiB chunks and 700-800 with 2 or 4 MiB ones; of a 2192-frame,
+# 1-layer stream 17,000, 1,500 and 770-900.
+_SCAN_BYTES = 4 << 20
 
 
-class FeatureBuffer:
-    """The raw tokens of a stream's first `len(buffer)` frames, bit-exact.
+class _RWFSFile:
+    """An RWFS record read through one descriptor, opened read-only.
 
-    It holds the stream's (T, P, d) array and a count of the frames
-    buffered so far, which `buffer_store` advances one sub-clip at a time.
-    An array that views immutable bytes (a loaded stream's read-only
-    float32 payload) is kept as it is; any other array, including a
-    read-only view of a writable one, is copied once in its own dtype, so
-    a caller's later writes never reach the buffer. `get` returns a
-    read-only view of a frame in that dtype, float32 for a pipeline run.
-    `resident_bytes` counts every buffered frame at that dtype, P*d*4
-    bytes for float32, what the buffer holds if it copied each one.
+    Opening checks the header, that the file holds exactly the payload it
+    declares and that the payload holds at least one frame of one token;
+    with `scan`, it also checks every value for finiteness, a chunk at a
+    time. `read` reads whole frames with os.pread and checks, unless the
+    open scanned them, that they are finite. The descriptor closes on
+    `close` or when the file object is collected.
     """
 
-    def __init__(self, frames: np.ndarray):
-        if not _immutable(frames):
-            frames = np.array(frames)
-        self._frames = frames
-        self._count = 0
+    def __init__(self, path, scan: bool):
+        self._fd = os.open(path, os.O_RDONLY)
+        self._closer = weakref.finalize(self, os.close, self._fd)
+        try:
+            header = RWFS.read_header(os.pread(self._fd, RWFS.header_size, 0))
+            size = os.fstat(self._fd).st_size - RWFS.header_size
+            if size != RWFS.layout(header)[2]:
+                raise TruncatedPayloadError(
+                    f"RWFS payload of {size} bytes is not {tuple(header)}")
+            if header.T < 1:
+                raise MalformedArtifactError("RWFS stream holds no frames")
+            if header.P < 1:
+                raise MalformedArtifactError("RWFS frames hold no tokens")
+            if header.d < 1:
+                raise MalformedArtifactError("RWFS tokens have no dimensions")
+            self.shape = tuple(header)
+            self.frame_bytes = header.P * header.d * 4
+            self.largest_read = 0
+            self.checked = False
+            if scan:
+                self._scan(size)
+        except BaseException:
+            self.close()
+            raise
+
+    dtype = np.dtype("<f4")
 
     @property
-    def frames(self) -> np.ndarray:
-        """(len, P, d) raw tokens of the buffered frames, a read-only view."""
-        return _readonly(self._frames[:self._count])
+    def fd(self) -> int:
+        # a closed descriptor's number may already name another file
+        if not self._closer.alive:
+            raise ValueError("read from a closed frame store")
+        return self._fd
 
-    def get(self, frame_index: int) -> np.ndarray:
-        if not 0 <= frame_index < self._count:
-            raise KeyError(frame_index)
-        return _readonly(self._frames[frame_index])
+    def close(self) -> None:
+        self._closer()
+
+    def _scan(self, size: int) -> None:
+        """Check every payload value for finiteness, reading each chunk
+        into one reused buffer."""
+        chunk = np.empty(min(size, _SCAN_BYTES) // 4, dtype=self.dtype)
+        for start in range(0, size, chunk.nbytes):
+            part = chunk[:min(size - start, chunk.nbytes) // 4]
+            view, offset = memoryview(part).cast("B"), RWFS.header_size + start
+            while view:
+                got = os.preadv(self.fd, [view], offset)
+                if got == 0:
+                    raise TruncatedPayloadError("RWFS file shrank while open")
+                view, offset = view[got:], offset + got
+            if not np.isfinite(part).all():
+                raise NonFiniteDataError("RWFS payload is not finite")
+        self.checked = True
+
+    def read(self, start: int, end: int) -> np.ndarray:
+        """Frames start..end-1, a fresh read-only (end-start, P, d) array
+        viewing the bytes read for them."""
+        size = (end - start) * self.frame_bytes
+        data = os.pread(self.fd, size,
+                        RWFS.header_size + start * self.frame_bytes)
+        if len(data) != size:
+            raise TruncatedPayloadError("RWFS file shrank while open")
+        out = np.frombuffer(data, self.dtype).reshape(
+            (end - start,) + self.shape[1:])
+        if not self.checked and not np.isfinite(out).all():
+            raise NonFiniteDataError("RWFS payload is not finite")
+        self.largest_read = max(self.largest_read, size)
+        return out
+
+    def copy_to(self, frames: int, path) -> None:
+        """Write the first `frames` frames to `path` as an RWFS record of
+        their own: a fresh header, then their bytes copied by the kernel."""
+        with open(path, "wb") as out:
+            out.write(RWFS.header_bytes(
+                RWFS.Header(frames, *self.shape[1:])))
+            out.flush()
+            offset, left = RWFS.header_size, frames * self.frame_bytes
+            while left:
+                sent = os.sendfile(out.fileno(), self.fd, offset, left)
+                if sent == 0:
+                    raise TruncatedPayloadError("RWFS file shrank while open")
+                offset, left = offset + sent, left - sent
+
+
+class FrameStore:
+    """The raw (P, d) tokens of a stream's first `len(store)` frames,
+    bit-exact, read a block at a time.
+
+    A store is backed by an array or by an RWFS file. An array, a synthetic
+    stream's or a caller's, is copied once in its own dtype, so a caller's
+    later writes never reach the store; `block` and `get` return read-only
+    views of the copy. A file (`FrameStore.open`, as `load_stream` returns,
+    or a spill, `DiskFeatureBuffer`) is read through one descriptor:
+    `block` and `get` read only the frames asked for into a fresh
+    read-only float32 array. `FrameStore(store, count)` holds the other
+    store's first `count` frames, sharing its array or descriptor.
+
+    Stage 1 keeps its buffer as such a store of the stream's frames,
+    holding none of them at first; `buffer_store` advances the count one
+    sub-clip at a time. `resident_bytes` counts what the store holds: the
+    buffered frames of an array, or the largest block read from a file.
+    `close` closes a file's descriptor; a store is also its own context
+    manager.
+    """
+
+    ndim = 3
+
+    def __init__(self, frames, count=None):
+        if isinstance(frames, FrameStore):
+            self._frames, self._file = frames._frames, frames._file
+        elif isinstance(frames, _RWFSFile):
+            self._frames, self._file = None, frames
+        else:
+            self._frames, self._file = np.array(frames), None
+        self._limit, self.P, self.d = frames.shape
+        self.dtype = frames.dtype
+        self._count = self._limit if count is None else count
+        if not 0 <= self._count <= self._limit:
+            raise ValueError(f"a store of {self._limit} frames cannot hold "
+                             f"{self._count}")
+
+    @classmethod
+    def open(cls, path) -> "FrameStore":
+        """Every frame of the RWFS file at `path`, each value checked for
+        finiteness now, so a non-finite stream raises NonFiniteDataError
+        before anything reads it."""
+        return cls(_RWFSFile(path, scan=True))
+
+    @property
+    def shape(self):
+        return (self._count, self.P, self.d)
 
     def __len__(self):
         return self._count
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+
+    def block(self, start: int, end: int) -> np.ndarray:
+        """Frames start..end-1 as one read-only (end-start, P, d) array."""
+        if not 0 <= start <= end <= self._count:
+            raise MalformedArtifactError(
+                f"frames {start} to {end} are not in the {self._count}-frame "
+                f"store")
+        if self._file is None:
+            return _readonly(self._frames[start:end])
+        return self._file.read(start, end)
+
+    def get(self, frame_index: int) -> np.ndarray:
+        """Frame `frame_index`'s (P, d) tokens, read-only; a frame read
+        from an unscanned file raises NonFiniteDataError if it is not
+        finite."""
+        # a frame outside the store is unreachable from the CLI, which
+        # rejects a spill of other than the bank's length, while Stage 2,
+        # `select` and `report` ask only for bank frames
+        return self.block(frame_index, frame_index + 1)[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(self._count)
+            if step != 1:
+                raise ValueError("a frame store reads contiguous frames")
+            return self.block(start, max(start, stop))
+        return self.get(key)
+
+    def __iter__(self):
+        return (self.get(t) for t in range(self._count))
+
+    def __array__(self, dtype=None, copy=None):
+        frames = self.block(0, self._count)
+        return frames if dtype is None else frames.astype(dtype)
+
+    def frame_indices(self):
+        return list(range(self._count))
+
     def token_count(self) -> int:
-        return self._count * self._frames.shape[1]
+        return self._count * self.P
 
     def resident_bytes(self) -> int:
-        return self._frames[:self._count].nbytes
+        if self._file is None:
+            return self._frames[:self._count].nbytes
+        return self._file.largest_read
 
 
-def buffer_store(buffer: FeatureBuffer, end: int) -> None:
+def buffer_store(buffer: FrameStore, end: int) -> None:
     """Buffer the frames from the last one buffered up to `end`
     (exclusive): the next sub-clip's. Storing backwards or past the end of
     the stream is a bug in the caller and raises ValueError."""
-    if not buffer._count < end <= len(buffer._frames):
+    if not buffer._count < end <= buffer._limit:
         raise ValueError(f"cannot buffer frames {buffer._count} to {end} "
-                         f"of a {len(buffer._frames)}-frame stream")
+                         f"of a {buffer._limit}-frame stream")
     buffer._count = end
 
 
@@ -270,66 +439,37 @@ def buffer_store(buffer: FeatureBuffer, end: int) -> None:
 SPILL_MANIFEST = b'{"format":"RWFS-spill","version":3}\n'
 
 
-def save_buffer_spill(buffer: FeatureBuffer, data_path, manifest_path) -> None:
+def save_buffer_spill(buffer: FrameStore, data_path, manifest_path) -> None:
     """Spill the buffer's frames to disk as one float32 RWFS record, the
     bytes `save_stream` writes for them, plus the manifest, which is
     SPILL_MANIFEST for every spill: the record's header fixes where each
-    frame's tokens start."""
-    frames = buffer.frames
-    T, P, d = frames.shape
-    RWFS.save(data_path, frames, T=T, P=P, d=d)
+    frame's tokens start. A file-backed buffer's frames are the first ones
+    of its file, so the spill is a fresh header and a kernel-side copy of
+    their byte range: the input file itself when every frame was
+    buffered."""
+    T, P, d = buffer.shape
+    if buffer._file is None:
+        RWFS.save(data_path, buffer.block(0, T), T=T, P=P, d=d)
+    else:
+        buffer._file.copy_to(T, data_path)
     with open(manifest_path, "wb") as fh:
         fh.write(SPILL_MANIFEST)
 
 
-class DiskFeatureBuffer:
-    """Read-only view over a spilled feature buffer, frames 0 to T-1.
-    Opening it checks the spill once: a header of at least one P x d frame,
-    a file of exactly the payload it declares, and a manifest of exactly
-    SPILL_MANIFEST. `get(t)` reads frame t's tokens at
-    RWFS.header_size + t*P*d*4, and decodes, and checks for finiteness,
-    only the frame it reads."""
+class DiskFeatureBuffer(FrameStore):
+    """A spilled feature buffer, frames 0 to T-1, opened for Stage 2.
+    Opening it checks the spill once: a manifest of exactly SPILL_MANIFEST,
+    then a header of at least one P x d frame and a file of exactly the
+    payload it declares. Nothing is scanned at open: `get(t)` reads frame
+    t's tokens at RWFS.header_size + t*P*d*4 through the store's one
+    descriptor and checks for finiteness only the frame it reads."""
 
     def __init__(self, data_path, manifest_path):
-        with open(data_path, "rb") as fh:
-            header = RWFS.read_header(fh.read(RWFS.header_size))
-            size = fh.seek(0, os.SEEK_END) - RWFS.header_size
-        if min(header) < 1:
-            raise MalformedArtifactError(f"buffer {tuple(header)} is empty")
-        if size != RWFS.layout(header)[2]:
-            raise TruncatedPayloadError(
-                f"buffer payload of {size} bytes is not {tuple(header)}")
         with open(manifest_path, "rb") as fh:
             if fh.read(len(SPILL_MANIFEST) + 1) != SPILL_MANIFEST:
                 raise MalformedArtifactError(
                     "buffer manifest is not the one `process` writes")
-        self.T, self.P, self.d = header
-        self._frame = RWFS.Header(1, header.P, header.d)
-        self._frame_bytes = size // header.T
-        self._data_path = data_path
-
-    def frame_indices(self):
-        return list(range(self.T))
-
-    def __len__(self):
-        return self.T
-
-    def token_count(self) -> int:
-        return self.T * self.P
-
-    def get(self, frame_index: int) -> np.ndarray:
-        """The frame's (P, d) float32 tokens, a read-only view of the bytes
-        read for it; a non-finite value raises NonFiniteDataError."""
-        if not 0 <= frame_index < self.T:
-            # unreachable from the CLI: _open_disk_buffer rejects a spill of
-            # other than the bank's length, and Stage 2, `select` and
-            # `report` ask only for bank frames; it guards library callers
-            raise MalformedArtifactError(
-                f"frame {frame_index} is not in the {self.T}-frame buffer")
-        with open(self._data_path, "rb") as fh:
-            fh.seek(RWFS.header_size + frame_index * self._frame_bytes)
-            data = fh.read(self._frame_bytes)
-        return RWFS.read_payload(self._frame, data)[0]
+        super().__init__(_RWFSFile(data_path, scan=False))
 
 
 @dataclass

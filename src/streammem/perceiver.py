@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import (FeatureBuffer, MemoryBank, QueryBank, append,
-                     buffer_store, read_context, write_frame)
+from .memory import (FrameStore, MemoryBank, QueryBank, append, buffer_store,
+                     read_context, write_frame)
 from .stream import FrameTokenStream, InstructionEncoding, split_into_subclips
 from .tensor import AttentionParams, attention, gelu, layer_norm
 
@@ -127,21 +127,24 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
                    residual_read: bool = True, on_subclip=None):
     """Run the full read-perceive-write cycle over a stream.
 
-    Sub-clips are processed strictly in order, each as the view
-    `stream.frames[start:end]`; per sub-clip the bank is read once, the
-    frames perceived and buffered raw, and the (F, W, d) tokens of all of
-    them written by one attention call and appended to the bank as one
-    block, so bank row t holds frame t. `on_subclip(frames, bank, buffer)`
-    is called after each. The bank is sized for the stream's T frames up
+    Sub-clips are processed strictly in order, each as
+    `stream.frames[start:end]`: a view of a synthetic stream's array, or a
+    block read from a loaded stream's file, so a loaded stream is held one
+    sub-clip at a time. Per sub-clip the bank is read once, the frames
+    perceived and buffered raw, and the (F, W, d) tokens of all of them
+    written by one attention call and appended to the bank as one block,
+    so bank row t holds frame t. `on_subclip(frames, bank, buffer)` is
+    called after each. The bank is sized for the stream's T frames up
     front, in the dtype Stage 1 computes in (the frames' and weights'
-    common dtype), and the buffer holds the stream's array. Returns the
-    populated (bank, buffer).
+    common dtype). The buffer is a FrameStore of the stream's frames: a
+    copy of an array, or the loaded stream's file. Returns the populated
+    (bank, buffer).
     """
     W = queries.n_write
     bank = MemoryBank(W=W, d=params.d, capacity=stream.T,
-                      dtype=np.result_type(stream.frames,
+                      dtype=np.result_type(stream.frames.dtype,
                                            queries.write_queries))
-    buffer = FeatureBuffer(stream.frames)
+    buffer = FrameStore(stream.frames, count=0)
     for start, end in split_into_subclips(stream.T, F):
         frames = stream.frames[start:end]
         context = read_context(bank, queries, residual=residual_read)

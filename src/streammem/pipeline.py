@@ -6,7 +6,8 @@ Artifacts written to the output directory:
     config.txt            canonical key=value dump of the run configuration
     params.rwpm           model parameter checkpoint
     memory.rwmb           memory bank
-    buffer.bin            spilled feature buffer (one RWFS record)
+    buffer.bin            spilled feature buffer (one RWFS record: for a
+                          loaded stream, a kernel copy of its first frames)
     buffer.manifest       constant version line (memory.SPILL_MANIFEST)
     selection.txt         per-candidate selection report
     selection_pooled.rwfs pooled tokens of the selected frames
@@ -15,6 +16,12 @@ Artifacts written to the output directory:
 
 They are written into a temporary directory inside the output directory
 and moved out once all nine are written, so a failed run leaves none.
+
+A stream given as a path is opened with `load_stream`, which checks it
+whole but holds none of it: Stage 1 reads it a sub-clip block at a time
+and Stage 2 pools the selected frames from it, both through one
+descriptor. `PipelineResult.buffer` keeps that descriptor open for further
+queries; `buffer.close()` closes it, as does collecting the result.
 """
 
 import os
@@ -43,12 +50,8 @@ class PipelineResult:
     out_dir: str
 
 
-def _resolve_stream(stream_source, config: RunConfig,
+def _resolve_stream(stream: FrameTokenStream, config: RunConfig,
                     breakpoint_frame=None) -> FrameTokenStream:
-    if isinstance(stream_source, FrameTokenStream):
-        stream = stream_source
-    else:
-        stream = load_stream(stream_source)
     if stream.d != config.d:
         raise ConfigError(
             f"stream dim {stream.d} does not match model.d {config.d}")
@@ -65,12 +68,28 @@ def run_pipeline(config: RunConfig, stream_source, instruction_text: str,
     """Run both stages plus assembly and write all artifacts.
 
     Fully deterministic: identical (config, stream bytes, instruction text)
-    produce byte-identical output directories.
+    produce byte-identical output directories. A stream given as a path is
+    opened here: a failed run closes it, and a finished one leaves it open
+    as the result's buffer.
     """
     if select_strategy not in ("dfs", "uniform"):
         raise ConfigError(f"unknown selection strategy {select_strategy!r}")
     config.validate()
-    stream = _resolve_stream(stream_source, config, breakpoint_frame)
+    stream = stream_source
+    if not isinstance(stream, FrameTokenStream):
+        stream = load_stream(stream_source)
+    try:
+        return _run(config, stream, instruction_text, out_dir,
+                    select_strategy, breakpoint_frame)
+    except BaseException:
+        if stream is not stream_source:
+            stream.frames.close()
+        raise
+
+
+def _run(config: RunConfig, stream: FrameTokenStream, instruction_text: str,
+         out_dir, select_strategy: str, breakpoint_frame) -> PipelineResult:
+    stream = _resolve_stream(stream, config, breakpoint_frame)
     params = init_model_params(config)
     instruction = encode_instruction(instruction_text, config.d)
 
@@ -130,10 +149,12 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
       narrower temporaries around them), and the scratch of the GELU's
       erf.
     Every term counts the itemsize Stage 1 runs at, the bank's: 4 bytes
-    for a float32 run. The buffer counts P*d of it per buffered frame, also
-    where it holds a loaded stream's (T, P, d) array by reference, so the
-    model never falls below a buffer of copies. The peak demonstrates the
-    absence of any state that grows faster than linearly in T.
+    for a float32 run. The buffer counts what it holds
+    (`FrameStore.resident_bytes`): P*d of it per buffered frame of a
+    synthetic stream's copied array, and one sub-clip's block read from a
+    loaded stream's file. The peak demonstrates the absence of any state
+    that grows faster than linearly in T; for a loaded stream only the
+    bank grows with T.
     """
     config.validate()
     params = init_model_params(config)

@@ -1,12 +1,14 @@
 """Frame token streams, instruction encodings, sub-clip partitioning, and
 the RWFS on-disk stream format.
 
-A stream is one (T, P, d) array, and a sub-clip is a slice of it between
-two bounds of `split_into_subclips`, a view and not a copy. Synthetic
-streams stand in for a real visual encoder: frame t is drawn from a
-counter-based generator keyed by (seed, t), so a stream's prefix never
-depends on its total length. Instruction rows are hash-seeded unit-norm
-vectors, one per whitespace-delimited word.
+A stream's frames are (T, P, d): an array for a synthetic stream, or, for
+a stream loaded from an RWFS file, a file-backed `memory.FrameStore` that
+holds none of the payload. A sub-clip is the frames between two bounds of
+`split_into_subclips`: a view of an array, or one block read from the
+file. Synthetic streams stand in for a real visual encoder: frame t is
+drawn from a counter-based generator keyed by (seed, t), so a stream's
+prefix never depends on its total length. Instruction rows are
+hash-seeded unit-norm vectors, one per whitespace-delimited word.
 """
 
 import functools
@@ -15,18 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Format
-from .errors import MalformedArtifactError, NonFiniteDataError
+from .codec import RWFS
+from .errors import NonFiniteDataError
+from .memory import FrameStore
 
-RWFS = Format(b"RWFS", 1, ("T", "P", "d"), lambda h: ("<f4", tuple(h)))
 _WORD_CACHE = 1024  # (word, d) vectors kept by `_word_vector`
 
 
 class FrameTokenStream:
-    """T frames of P d-wide tokens, one (T, P, d) array, float32 for a
-    synthetic stream and for a loaded one, which holds the file's
-    read-only payload rather than a copy. Stage 1 computes in the frames'
-    dtype.
+    """T frames of P d-wide tokens: a (T, P, d) float32 array for a
+    synthetic stream, or the file-backed FrameStore of a loaded one, which
+    reads float32 frames from the file as they are asked for. Stage 1
+    computes in the frames' dtype.
     """
 
     def __init__(self, frames: np.ndarray):
@@ -36,10 +38,14 @@ class FrameTokenStream:
         self.T, self.P, self.d = frames.shape
 
     def prefix(self, t: int) -> "FrameTokenStream":
-        """The first t frames as a stream of their own, viewing this one's."""
+        """The first t frames as a stream of their own, viewing this one's
+        array or sharing its file."""
         if not (1 <= t <= self.T):
             raise ValueError("prefix length out of range")
-        return FrameTokenStream(self.frames[:t])
+        frames = self.frames
+        if isinstance(frames, FrameStore):
+            return FrameTokenStream(FrameStore(frames, count=t))
+        return FrameTokenStream(frames[:t])
 
 
 @dataclass
@@ -108,13 +114,8 @@ def save_stream(stream: FrameTokenStream, path) -> None:
 
 
 def load_stream(path) -> FrameTokenStream:
-    """Read an RWFS file; its frames are the decoded payload, a read-only
-    float32 (T, P, d) view of the file's bytes."""
-    header, values = RWFS.load(path)
-    if header.T < 1:
-        raise MalformedArtifactError("RWFS stream holds no frames")
-    if header.P < 1:
-        raise MalformedArtifactError("RWFS frames hold no tokens")
-    if header.d < 1:
-        raise MalformedArtifactError("RWFS tokens have no dimensions")
-    return FrameTokenStream(values)
+    """Open an RWFS file as a stream whose frames are a file-backed
+    FrameStore: the header and the file's exact size are checked and every
+    value is checked for finiteness now, a bounded chunk at a time, and
+    frames are read from the file again only when asked for."""
+    return FrameTokenStream(FrameStore.open(path))

@@ -707,6 +707,47 @@ class TestSpillFrames:
             assert (out / "buffer.bin").read_bytes() == \
                 expected.read_bytes()
 
+    def test_select_on_breakpoint_spill_matches_process(
+            self, tmp_path, config_path, stream_path):
+        """`select` on the spill of a `--breakpoint 7` run, the first 7
+        frames' byte range under a fresh header, reproduces the selection
+        and pooled bytes that `process` wrote."""
+        out = tmp_path / "run"
+        assert main(["process", "--stream", stream_path, "--instruction",
+                     "find the door", "--config", config_path,
+                     "--out-dir", str(out), "--breakpoint", "7"]) == 0
+        sel = tmp_path / "sel.txt"
+        assert main(["select", "--bank", str(out / "memory.rwmb"),
+                     "--buffer-manifest", str(out / "buffer.manifest"),
+                     "--instruction", "find the door",
+                     "--config", config_path, "--out", str(sel)]) == 0
+        assert sel.read_text() == (out / "selection.txt").read_text()
+        assert (tmp_path / "sel.txt.pooled.rwfs").read_bytes() == \
+            (out / "selection_pooled.rwfs").read_bytes()
+
+    def test_non_finite_last_subclip_is_4(self, tmp_path, config_path,
+                                          stream_path, capsys, monkeypatch):
+        """A NaN in frame 9, in the last of the sub-clips [0, 4), [4, 8)
+        and [8, 10), fails the check of the whole stream when it is
+        opened: exit 4 before any Stage-1 work, with no artifact and no
+        output directory."""
+        import streammem.pipeline as pipeline
+
+        def stage1(*args, **kwargs):
+            raise AssertionError("Stage 1 ran on a non-finite stream")
+
+        monkeypatch.setattr(pipeline, "process_stream", stage1)
+        path = Path(stream_path)
+        raw = bytearray(path.read_bytes())
+        at = SPILL_HEADER + 9 * SPILL_FRAME + 4
+        raw[at:at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "o"
+        assert main(["process", "--stream", stream_path, "--instruction",
+                     "x", "--config", config_path, "--out-dir", str(out)]) == 4
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def _poison(self, processed, frame):
         at = SPILL_HEADER + frame * SPILL_FRAME + 4
         path = processed / "buffer.bin"

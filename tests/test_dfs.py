@@ -13,7 +13,7 @@ from streammem.dfs import (_DIST_SCRATCH, CandidateSet, ClusterDiagnostics,
                            frame_relevance, local_density,
                            parse_selection_centers, pool_tokens,
                            select_top_L, sq_dist_matrix, uniform_select)
-from streammem.memory import FeatureBuffer, MemoryBank, append, buffer_store
+from streammem.memory import FrameStore, MemoryBank, append
 from streammem.stream import InstructionEncoding
 from streammem.verify import dpc_bruteforce, random_cluster_instance
 
@@ -459,9 +459,7 @@ def _populated(seed, T=32, W=2, d=4, P=6):
     for t in range(T):
         append(bank, rng.standard_normal((1, W, d)))
         frames[t] = rng.standard_normal((P, d))
-    buffer = FeatureBuffer(frames)
-    buffer_store(buffer, T)
-    return bank, buffer
+    return bank, FrameStore(frames)
 
 
 def _instruction(d, rng):

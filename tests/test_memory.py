@@ -1,23 +1,29 @@
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streammem.codec import RWFS
 from streammem.config import RunConfig
-from streammem.errors import (BadMagicError, BadVersionError,
+from streammem.errors import (BadMagicError, BadVersionError, ConfigError,
                               MalformedArtifactError, NonFiniteDataError,
                               TruncatedPayloadError)
-from streammem.memory import (SPILL_MANIFEST, DiskFeatureBuffer,
-                              FeatureBuffer, MemoryBank, QueryBank,
-                              accounting_report, append, bank_bytes,
-                              buffer_store, load_bank, read_context,
-                              save_bank, save_buffer_spill, write_frame)
+from streammem.memory import (SPILL_MANIFEST, DiskFeatureBuffer, FrameStore,
+                              MemoryBank, QueryBank, accounting_report,
+                              append, bank_bytes, buffer_store, load_bank,
+                              read_context, save_bank, save_buffer_spill,
+                              write_frame)
 from streammem.params import init_model_params
 from streammem.perceiver import process_stream
 from streammem.pipeline import stage1_peak_resident_bytes
-from streammem.stream import (RWFS, empty_instruction, encode_instruction,
+from streammem.stream import (empty_instruction, encode_instruction,
                               load_stream, synth_stream)
 from streammem.tensor import make_attention_params
 
@@ -358,7 +364,7 @@ class TestFeatureBuffer:
 
     def test_bitwise_fidelity(self):
         raw = np.random.default_rng(10).standard_normal((6, 3, 8))
-        buffer = FeatureBuffer(raw)
+        buffer = FrameStore(raw, count=0)
         buffer_store(buffer, 6)
         raw[5, 0, 0] = 99.0  # a write to the source must not reach the buffer
         got = buffer.get(5)
@@ -368,7 +374,7 @@ class TestFeatureBuffer:
         assert got.tobytes() == raw[5].tobytes()
 
     def test_store_backwards_or_past_the_end_rejected(self):
-        buffer = FeatureBuffer(np.zeros((6, 1, 2)))
+        buffer = FrameStore(np.zeros((6, 1, 2)), count=0)
         with pytest.raises(ValueError):
             buffer_store(buffer, 7)  # past the end
         buffer_store(buffer, 4)
@@ -376,13 +382,13 @@ class TestFeatureBuffer:
             with pytest.raises(ValueError):
                 buffer_store(buffer, end)
         assert len(buffer) == 4
-        with pytest.raises(KeyError):
+        with pytest.raises(MalformedArtifactError):
             buffer.get(4)
         buffer_store(buffer, 6)
         assert len(buffer) == 6
 
     def test_counts(self):
-        buffer = FeatureBuffer(np.zeros((3, 3, 4)))
+        buffer = FrameStore(np.zeros((3, 3, 4)), count=0)
         assert (len(buffer), buffer.token_count(),
                 buffer.resident_bytes()) == (0, 0, 0)
         buffer_store(buffer, 2)
@@ -393,8 +399,7 @@ class TestFeatureBuffer:
     def test_spill_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         frames = rng.standard_normal((4, 2, 4))
-        buffer = FeatureBuffer(frames)
-        buffer_store(buffer, 4)
+        buffer = FrameStore(frames)
         data = tmp_path / "buffer.bin"
         manifest = tmp_path / "buffer.manifest"
         save_buffer_spill(buffer, data, manifest)
@@ -408,18 +413,18 @@ class TestFeatureBuffer:
             # spill quantizes to float32; retrieval matches that rounding
             assert np.array_equal(disk.get(t),
                                   raw.astype(np.float32).astype(np.float64))
-        # a buffer that keeps float32 bytes as they are spills the same bytes
-        payload = np.frombuffer(frames.astype("<f4").tobytes(), "<f4")
-        buffer = FeatureBuffer(payload.reshape(frames.shape))
-        buffer_store(buffer, 4)
-        assert np.shares_memory(buffer.frames, payload)
-        save_buffer_spill(buffer, tmp_path / "f32.bin", manifest)
-        assert (tmp_path / "f32.bin").read_bytes() == data.read_bytes()
+        # a file-backed store spills its file's bytes, or their first frames
+        with FrameStore.open(data) as loaded:
+            save_buffer_spill(loaded, tmp_path / "f32.bin", manifest)
+            assert (tmp_path / "f32.bin").read_bytes() == data.read_bytes()
+            save_buffer_spill(FrameStore(loaded, count=3), tmp_path / "f3.bin",
+                              manifest)
+            assert (tmp_path / "f3.bin").read_bytes() == \
+                _rwfs_bytes(frames[:3])
 
     def _spilled(self, tmp_path, frames=3):
-        buffer = FeatureBuffer(np.repeat(np.arange(float(frames)), 2 * 4)
-                               .reshape(frames, 2, 4))
-        buffer_store(buffer, frames)
+        buffer = FrameStore(np.repeat(np.arange(float(frames)), 2 * 4)
+                            .reshape(frames, 2, 4))
         data = tmp_path / "buffer.bin"
         manifest = tmp_path / "buffer.manifest"
         save_buffer_spill(buffer, data, manifest)
@@ -428,8 +433,7 @@ class TestFeatureBuffer:
     def test_manifest_is_the_same_for_every_spill(self, tmp_path):
         for frames in (1, 1000):
             manifest = tmp_path / f"{frames}.manifest"
-            buffer = FeatureBuffer(np.zeros((frames, 1, 2), np.float32))
-            buffer_store(buffer, frames)
+            buffer = FrameStore(np.zeros((frames, 1, 2), np.float32))
             save_buffer_spill(buffer, tmp_path / f"{frames}.bin", manifest)
             assert manifest.read_bytes() == SPILL_MANIFEST
 
@@ -723,41 +727,80 @@ def _load_and_process(path, d=64):
 
 
 class TestZeroCopyStream:
-    """A loaded stream is one read-only float32 payload, and the feature
-    buffer views it rather than copying it; any frame that can still
-    change is copied."""
+    """A loaded stream is never held whole: its frames are read from the
+    file a block at a time, bit-exact, into read-only arrays, and the
+    feature buffer shares the file rather than copying it. An array input
+    is copied once, so a caller's later writes never reach the store."""
 
-    def test_loaded_frames_are_read_only_views_of_one_payload(self, tmp_path):
+    def test_loaded_frames_are_bit_equal_to_the_file(self, tmp_path):
         path = tmp_path / "s.rwfs"
         _write_stream_file(path, 5, 3, 4)
+        payload = path.read_bytes()[RWFS.header_size:]
         frames = load_stream(path).frames
         assert frames.shape == (5, 3, 4) and frames.dtype == np.float32
-        assert not frames.flags.writeable and not frames.flags.owndata
-        base = frames
-        while isinstance(base, np.ndarray):
-            base = base.base
-        assert isinstance(base, bytes)  # the file's bytes, not a copy
-        assert all(np.shares_memory(f, frames) for f in frames)
+        assert np.asarray(frames).tobytes() == payload
+        assert b"".join(f.tobytes() for f in frames) == payload
+        assert frames[1:4].tobytes() == payload[1 * 48:4 * 48]
+        assert frames.resident_bytes() == 5 * 48  # the largest read
+        frames.close()
+        with pytest.raises(ValueError):
+            frames.get(0)
 
-    def test_buffer_shares_memory_with_loaded_frames(self, tmp_path):
+    def test_get_is_read_only(self, tmp_path):
         path = tmp_path / "s.rwfs"
         _write_stream_file(path, 9, 4, 8)
         stream, _, buffer = _load_and_process(path, d=8)
-        assert np.shares_memory(buffer.frames, stream.frames)
-        for t, frame in enumerate(stream.frames):
-            assert np.shares_memory(buffer.frames[t], frame)
-            got = buffer.get(t)
-            assert got.dtype == np.float32
-            assert np.array_equal(got, frame)
-        # modelled as float32 copies, as if every frame were copied
+        synthetic = FrameStore(synth_stream(3, 9, 4, 8).frames)
+        for store in (stream.frames, buffer, synthetic):
+            for t in range(9):
+                got = store.get(t)
+                assert got.dtype == np.float32
+                with pytest.raises(ValueError):
+                    got[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                store.block(2, 5)[0, 0, 0] = 1.0
+        for t in range(9):
+            assert np.array_equal(buffer.get(t), stream.frames.get(t))
+        # the buffer holds one block read from the file, 9 frames in one
+        # 16-frame sub-clip, not a copy of every frame
         assert buffer.resident_bytes() == 9 * 4 * 8 * 4
+
+    def test_run_keeps_open_only_the_stream_it_returns(self, tmp_path,
+                                                        monkeypatch):
+        """`run_pipeline` from a path leaves the stream open as the
+        result's buffer, which `close` closes, and closes it when the run
+        fails."""
+        import streammem.pipeline as pipeline
+
+        opened = []
+
+        def load(path):
+            opened.append(load_stream(path))
+            return opened[-1]
+
+        monkeypatch.setattr(pipeline, "load_stream", load)
+        path = tmp_path / "s.rwfs"
+        _write_stream_file(path, 6, 4, 8)
+        config = RunConfig(d=8, heads=2, layers=1, n_read=3, n_write=2,
+                           subclip_frames=4, L=4, knn_k=3, Kc=2,
+                           pool_tokens=2).validate()
+        result = pipeline.run_pipeline(config, path, "x", tmp_path / "o")
+        assert result.buffer.get(5).tobytes() == \
+            path.read_bytes()[-4 * 8 * 4:]
+        result.buffer.close()
+        with pytest.raises(ValueError):
+            result.buffer.get(5)
+        with pytest.raises(ConfigError):  # a stream of d=8 for model.d=16
+            pipeline.run_pipeline(RunConfig(d=16).validate(), path, "x",
+                                  tmp_path / "p")
+        with pytest.raises(ValueError):
+            opened[-1].frames.get(0)
 
     def test_writable_frame_is_copied(self):
         raw = np.ones((1, 3, 4), dtype=np.float32)
-        buffer = FeatureBuffer(raw)
-        buffer_store(buffer, 1)
+        buffer = FrameStore(raw)
         raw[0, 0, 0] = 5.0
-        assert not np.shares_memory(buffer.frames, raw)
+        assert not np.shares_memory(buffer.block(0, 1), raw)
         assert buffer.get(0).dtype == np.float32
         assert buffer.get(0)[0, 0] == 1.0
 
@@ -765,27 +808,23 @@ class TestZeroCopyStream:
         source = np.zeros((2, 3, 4))
         view = source[1:]
         view.flags.writeable = False
-        buffer = FeatureBuffer(view)
-        buffer_store(buffer, 1)
+        buffer = FrameStore(view)
         source[1, 0, 0] = 7.0
-        assert not np.shares_memory(buffer.frames, source)
+        assert not np.shares_memory(buffer.block(0, 1), source)
         assert buffer.get(0)[0, 0] == 0.0
 
     def test_writable_bytes_backed_frame_is_copied(self):
         data = bytearray(np.ones((2, 2), dtype="<f4").tobytes())
         raw = np.frombuffer(data, dtype="<f4").reshape(1, 2, 2)
-        buffer = FeatureBuffer(raw)
-        buffer_store(buffer, 1)
+        buffer = FrameStore(raw)
         data[:4] = np.float32(9.0).tobytes()
         assert buffer.get(0)[0, 0] == 1.0
 
-    def test_stage1_peak_grows_at_most_20kb_per_frame(self, tmp_path):
-        """Traced peak of load_stream plus process_stream at P=32, d=64,
-        one layer. A whole-stream float64 decode plus a float64 copy per
-        buffered frame grows by about 36 kB per frame; the float32 payload
-        viewed by the buffer is 8 kB of it."""
-        import tracemalloc
-
+    @staticmethod
+    def _peak_growth_per_frame(tmp_path):
+        """Bytes per frame by which the traced peak of load_stream plus
+        process_stream grows from T=512 to T=2048, at P=32, d=64, one
+        layer."""
         peaks = {}
         for T in (512, 2048):
             path = tmp_path / f"s{T}.rwfs"
@@ -796,16 +835,69 @@ class TestZeroCopyStream:
                 peaks[T] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        per_frame = (peaks[2048] - peaks[512]) / (2048 - 512)
+        return (peaks[2048] - peaks[512]) / (2048 - 512)
+
+    def test_stage1_peak_grows_at_most_20kb_per_frame(self, tmp_path):
+        """A whole-stream float64 decode plus a float64 copy per buffered
+        frame grows by about 36 kB per frame."""
+        per_frame = self._peak_growth_per_frame(tmp_path)
         assert per_frame <= 20_000, per_frame
+
+    def test_stage1_peak_grows_at_most_1kb_per_frame(self, tmp_path):
+        """Only the bank grows with T, by W*d*4 = 512 bytes a frame, and it
+        is sized up front. A loaded stream's payload held whole would add
+        its 8 kB a frame (9.4 kB a frame, measured, when `load_stream` read
+        the file whole)."""
+        per_frame = self._peak_growth_per_frame(tmp_path)
+        assert per_frame <= 1_000, per_frame
+
+
+# Stage 1 of a loaded stream in a fresh process, printing the minor page
+# faults it takes: load_stream, then process_stream at 4 layers
+_FAULTS = """
+import resource, sys
+import streammem
+from streammem.perceiver import process_stream
+config = streammem.RunConfig(layers=4).validate()
+params = streammem.init_model_params(config)
+instruction = streammem.encode_instruction("find the red cup", config.d)
+stream = streammem.load_stream(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+process_stream(stream, instruction, params.query_bank, params.perceiver,
+               config.subclip_frames)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_stage1_minor_faults_stay_bounded(tmp_path):
+    """A fresh process's Stage 1 at the reference stream shape (T=548,
+    P=32, d=64, 35 sub-clips) takes few minor page faults. The check of a
+    loaded stream's finiteness, a multi-MB chunk at a time, runs before
+    Stage 1 and its freed chunk raises glibc's mmap threshold, so the
+    perceiver's temporaries are reused from the heap. Measured on one
+    Linux host: about 7,800 faults when `load_stream` read the payload
+    whole, about 33,000 without the chunked check, and about 800 with it.
+    The bound is the whole-payload read's count with 50% margin."""
+    path = tmp_path / "s.rwfs"
+    _write_stream_file(path, 548, 32, 64, seed=548)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _FAULTS, str(path)],
+                          env=env, capture_output=True, text=True,
+                          check=True)
+    faults = int(done.stdout)
+    assert faults <= 12_000, faults
 
 
 class TestMemoryModel:
     """`stage1_peak_resident_bytes` bounds the traced peak of
     `process_stream` (with the weights it runs on) from above, and by at
-    most 1.35x. A loaded stream's buffer references the float32 payload,
-    allocated before tracing starts, while the model counts it as float32
-    copies; the factor then holds without that term."""
+    most 1.35x, for a loaded stream as for a synthetic one: the model
+    counts a synthetic stream's buffer as the copied frames and a loaded
+    stream's as the one sub-clip block it reads from the file."""
 
     @pytest.mark.parametrize("T,layers", [(64, 2), (256, 1)])
     @pytest.mark.parametrize("loaded", [False, True])
@@ -813,8 +905,6 @@ class TestMemoryModel:
                                                   loaded):
         # (64, 2) is reference-like and (256, 1) long-stream-like, both at
         # the default P=32, d=64, N_R=32, W=2 and F=16
-        import tracemalloc
-
         config = RunConfig(layers=layers).validate()
         P, d = 32, config.d
         if loaded:
@@ -834,9 +924,7 @@ class TestMemoryModel:
             tracemalloc.stop()
         modelled = stage1_peak_resident_bytes(config, stream,
                                               "find the red cup")
-        assert traced <= modelled
-        uncopied = T * P * d * 4 if loaded else 0
-        assert modelled - uncopied <= 1.35 * traced, (modelled, traced)
+        assert traced <= modelled <= 1.35 * traced, (modelled, traced)
 
 
 class TestBankFile:
@@ -963,8 +1051,7 @@ class TestAccounting:
     def test_buffer_tokens_counted(self):
         config = RunConfig(d=8)
         bank = _filled_bank(16, frames=2)
-        buffer = FeatureBuffer(np.zeros((2, 4, 8)))
-        buffer_store(buffer, 2)
+        buffer = FrameStore(np.zeros((2, 4, 8)))
         report = accounting_report(bank, buffer, config)
         assert report.buffer_token_count == 8
         assert report.bytes_estimates["buffer"] == 8 * 8 * 4
