@@ -16,16 +16,18 @@ FlashAttention does (Dao et al., arXiv 2205.14135). So each read projects
 and scores only the rows written since the previous one.
 
 Raw frame tokens live in one kind of store, `FrameStore`, which serves
-`block(start, end)` and `get(t)` from either an array (a synthetic
+`block(start, end)` and `get(t)` from either an array (an in-memory
 stream's, copied once) or an RWFS file read through one descriptor (a
 loaded stream, as `load_stream` opens it, or a spill, as
-`DiskFeatureBuffer` opens it). A file-backed store holds no frame between
-reads. Stage 1's feature buffer is a store of the stream's frames and a
-count of those buffered so far, advanced once per sub-clip and never read
-during Stage 1; Stage 2 pools the selected frames through it. Its spill
-keeps frames in the same order, so a frame's index is its position there
-too, and the spill's header alone locates every frame; for a file-backed
-buffer the spill is a kernel-side copy of the file's first frames.
+`DiskFeatureBuffer` opens it). Every stream's frames are such a store. An
+array store's blocks are views and a file-backed store holds no frame
+between reads. Stage 1's feature buffer shares the stream's store and
+counts the frames buffered so far, advanced once per sub-clip and never
+read during Stage 1; Stage 2 pools the selected frames through it. Its
+spill keeps frames in the same order, so a frame's index is its position
+there too, and the spill's header alone locates every frame; for a
+file-backed buffer the spill is a kernel-side copy of the file's first
+frames.
 
 Everything here holds the dtype Stage 1 computes in, float32 for a run of
 the pipeline: the bank's tokens, the buffered frames, and the read state
@@ -322,24 +324,24 @@ class FrameStore:
     """The raw (P, d) tokens of a stream's first `len(store)` frames,
     bit-exact, read a block at a time.
 
-    A store is backed by an array or by an RWFS file. An array, a synthetic
-    stream's or a caller's, is copied once in its own dtype, so a caller's
-    later writes never reach the store; `block` and `get` return read-only
-    views of the copy. A file (`FrameStore.open`, as `load_stream` returns,
-    or a spill, `DiskFeatureBuffer`) is read through one descriptor:
-    `block` and `get` read only the frames asked for into a fresh
-    read-only float32 array. `FrameStore(store, count)` holds the other
-    store's first `count` frames, sharing its array or descriptor.
+    A store is backed by an array or by an RWFS file. An array (T, P, d),
+    a synthetic stream's or a caller's, is copied once in its own dtype,
+    so a caller's later writes never reach the store; `block` and `get`
+    return read-only views of the copy. A file (`FrameStore.open`, as
+    `load_stream` opens it, or a spill, `DiskFeatureBuffer`) is read
+    through one descriptor: `block` and `get` read only the frames asked
+    for into a fresh read-only float32 array. `FrameStore(store, count)`
+    holds the other store's first `count` frames (all of them by default),
+    sharing its array or descriptor: a stream's prefix, or Stage 1's
+    buffer, which holds none at first and which `buffer_store` advances
+    one sub-clip at a time. Indexing takes a frame or a contiguous slice,
+    negative positions counting from the end.
 
-    Stage 1 keeps its buffer as such a store of the stream's frames,
-    holding none of them at first; `buffer_store` advances the count one
-    sub-clip at a time. `resident_bytes` counts what the store holds: the
-    buffered frames of an array, or the largest block read from a file.
-    `close` closes a file's descriptor; a store is also its own context
-    manager.
+    `resident_bytes` counts what the store's reads allocate: nothing for
+    an array, whose blocks are views, and the largest block read from a
+    file. `close` closes a file's descriptor; a store is also its own
+    context manager.
     """
-
-    ndim = 3
 
     def __init__(self, frames, count=None):
         if isinstance(frames, FrameStore):
@@ -347,7 +349,10 @@ class FrameStore:
         elif isinstance(frames, _RWFSFile):
             self._frames, self._file = None, frames
         else:
-            self._frames, self._file = np.array(frames), None
+            frames = np.array(frames)
+            if frames.ndim != 3:
+                raise ValueError("frames must be a T x P x d array")
+            self._frames, self._file = frames, None
         self._limit, self.P, self.d = frames.shape
         self.dtype = frames.dtype
         self._count = self._limit if count is None else count
@@ -404,14 +409,13 @@ class FrameStore:
             if step != 1:
                 raise ValueError("a frame store reads contiguous frames")
             return self.block(start, max(start, stop))
-        return self.get(key)
+        return self.get(key + self._count if key < 0 else key)
 
     def __iter__(self):
         return (self.get(t) for t in range(self._count))
 
     def __array__(self, dtype=None, copy=None):
-        frames = self.block(0, self._count)
-        return frames if dtype is None else frames.astype(dtype)
+        return np.array(self.block(0, self._count), dtype, copy=copy)
 
     def frame_indices(self):
         return list(range(self._count))
@@ -420,9 +424,7 @@ class FrameStore:
         return self._count * self.P
 
     def resident_bytes(self) -> int:
-        if self._file is None:
-            return self._frames[:self._count].nbytes
-        return self._file.largest_read
+        return 0 if self._file is None else self._file.largest_read
 
 
 def buffer_store(buffer: FrameStore, end: int) -> None:

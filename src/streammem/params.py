@@ -122,7 +122,8 @@ def save_params(params: ModelParams, path) -> None:
 
 def load_params(path) -> ModelParams:
     h, values = RWPM.load(path)
-    if (h.heads < 1 or h.d < 1 or h.d % h.heads
+    if (min(h.heads, h.d, h.layers, h.n_read, h.n_write) < 1
+            or h.d % h.heads or h.hidden != _ffn_hidden(h.d)
             or h.temporal_mode >= len(TEMPORAL_MODES)):
         raise MalformedArtifactError(f"RWPM header {tuple(h)} is not a model")
     pos = 0

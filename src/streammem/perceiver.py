@@ -8,7 +8,7 @@ position-wise feed-forward. In "final" temporal mode the temporal sublayer
 runs once after the whole stack (using the last layer's temporal weights)
 instead of inside every layer.
 
-A sub-clip is an (F, P, d) slice of the stream's array, and its F frames
+A sub-clip is an (F, P, d) block of the stream's frames, and its F frames
 are processed together: the state is one stacked (F, N_Q, d) array and
 each sublayer is one batched call; the sub-clip's (F, W, d) memory tokens
 come from one write-attention call and enter the bank as one block. Stage
@@ -128,17 +128,16 @@ def process_stream(stream: FrameTokenStream, instruction: InstructionEncoding,
     """Run the full read-perceive-write cycle over a stream.
 
     Sub-clips are processed strictly in order, each as
-    `stream.frames[start:end]`: a view of a synthetic stream's array, or a
-    block read from a loaded stream's file, so a loaded stream is held one
-    sub-clip at a time. Per sub-clip the bank is read once, the frames
+    `stream.frames[start:end]`: a view of an in-memory stream's array, or
+    a block read from a loaded stream's file, so a loaded stream is held
+    one sub-clip at a time. Per sub-clip the bank is read once, the frames
     perceived and buffered raw, and the (F, W, d) tokens of all of them
     written by one attention call and appended to the bank as one block,
     so bank row t holds frame t. `on_subclip(frames, bank, buffer)` is
     called after each. The bank is sized for the stream's T frames up
     front, in the dtype Stage 1 computes in (the frames' and weights'
-    common dtype). The buffer is a FrameStore of the stream's frames: a
-    copy of an array, or the loaded stream's file. Returns the populated
-    (bank, buffer).
+    common dtype). The buffer is a FrameStore sharing the stream's array
+    or file, so it copies no frame. Returns the populated (bank, buffer).
     """
     W = queries.n_write
     bank = MemoryBank(W=W, d=params.d, capacity=stream.T,

@@ -137,8 +137,8 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
 
     Tracks, after every sub-clip, the bytes held by the bank (its live
     rows and the streaming read state, whose size does not depend on T)
-    and by the buffer, plus the model's weights, resident through Stage 1,
-    and two workspaces that do not grow with T:
+    and by reads of the stream's frames, plus the model's weights,
+    resident through Stage 1, and two workspaces that do not grow with T:
     - the read's: every head's N_R x W*min(F, T) scores over the rows of
       one sub-clip;
     - the perceiver's, for a sub-clip of f frames with P+I keys each: three
@@ -149,12 +149,12 @@ def stage1_peak_resident_bytes(config: RunConfig, stream: FrameTokenStream,
       narrower temporaries around them), and the scratch of the GELU's
       erf.
     Every term counts the itemsize Stage 1 runs at, the bank's: 4 bytes
-    for a float32 run. The buffer counts what it holds
-    (`FrameStore.resident_bytes`): P*d of it per buffered frame of a
-    synthetic stream's copied array, and one sub-clip's block read from a
-    loaded stream's file. The peak demonstrates the absence of any state
-    that grows faster than linearly in T; for a loaded stream only the
-    bank grows with T.
+    for a float32 run. The stream's frames count what Stage 1's reads of
+    them allocate (`FrameStore.resident_bytes`): one sub-clip's block read
+    from a loaded stream's file, and nothing for an in-memory stream,
+    whose sub-clips are views of the array it already holds. The peak
+    demonstrates the absence of any state that grows faster than linearly
+    in T: only the bank grows with T.
     """
     config.validate()
     params = init_model_params(config)

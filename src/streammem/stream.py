@@ -1,14 +1,15 @@
 """Frame token streams, instruction encodings, sub-clip partitioning, and
 the RWFS on-disk stream format.
 
-A stream's frames are (T, P, d): an array for a synthetic stream, or, for
-a stream loaded from an RWFS file, a file-backed `memory.FrameStore` that
-holds none of the payload. A sub-clip is the frames between two bounds of
-`split_into_subclips`: a view of an array, or one block read from the
-file. Synthetic streams stand in for a real visual encoder: frame t is
-drawn from a counter-based generator keyed by (seed, t), so a stream's
-prefix never depends on its total length. Instruction rows are
-hash-seeded unit-norm vectors, one per whitespace-delimited word.
+A stream's (T, P, d) frames are a `memory.FrameStore`: a copy of an
+in-memory array, or, for a stream loaded from an RWFS file, the file read
+through one descriptor, holding none of the payload. A sub-clip is the
+frames between two bounds of `split_into_subclips`: a view of the array,
+or one block read from the file. Synthetic streams stand in for a real
+visual encoder: frame t is drawn from a counter-based generator keyed by
+(seed, t), so a stream's prefix never depends on its total length.
+Instruction rows are hash-seeded unit-norm vectors, one per
+whitespace-delimited word.
 """
 
 import functools
@@ -25,27 +26,22 @@ _WORD_CACHE = 1024  # (word, d) vectors kept by `_word_vector`
 
 
 class FrameTokenStream:
-    """T frames of P d-wide tokens: a (T, P, d) float32 array for a
-    synthetic stream, or the file-backed FrameStore of a loaded one, which
-    reads float32 frames from the file as they are asked for. Stage 1
-    computes in the frames' dtype.
+    """T >= 1 frames of P d-wide tokens, held as `frames`, a FrameStore:
+    `FrameStore(frames)`, which shares a store's array or file and copies
+    any other (T, P, d) array once. Stage 1 computes in the frames' dtype,
+    float32 for a synthetic or loaded stream.
     """
 
-    def __init__(self, frames: np.ndarray):
-        if frames.ndim != 3 or len(frames) < 1:
-            raise ValueError("frames must be a T x P x d array, T >= 1")
-        self.frames = frames
-        self.T, self.P, self.d = frames.shape
+    def __init__(self, frames):
+        self.frames = FrameStore(frames)
+        self.T, self.P, self.d = self.frames.shape
+        if self.T < 1:
+            raise ValueError("a stream holds at least one frame")
 
     def prefix(self, t: int) -> "FrameTokenStream":
-        """The first t frames as a stream of their own, viewing this one's
-        array or sharing its file."""
-        if not (1 <= t <= self.T):
-            raise ValueError("prefix length out of range")
-        frames = self.frames
-        if isinstance(frames, FrameStore):
-            return FrameTokenStream(FrameStore(frames, count=t))
-        return FrameTokenStream(frames[:t])
+        """The first 1 <= t <= T frames as a stream of their own, sharing
+        this one's store."""
+        return FrameTokenStream(FrameStore(self.frames, count=t))
 
 
 @dataclass

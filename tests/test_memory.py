@@ -394,7 +394,28 @@ class TestFeatureBuffer:
         buffer_store(buffer, 2)
         assert len(buffer) == 2
         assert buffer.token_count() == 6
-        assert buffer.resident_bytes() == 2 * 3 * 4 * 8
+        # an array store's blocks are views of its one copy, so its reads
+        # allocate nothing
+        buffer.block(0, 2)
+        assert buffer.resident_bytes() == 0
+
+    def test_negative_index_counts_from_the_end(self, tmp_path):
+        """store[-k] is frame len - k, as store[-k:] starts there, for an
+        array store, a file-backed one and a shorter store sharing it;
+        `get` takes only positions inside the store."""
+        path = tmp_path / "s.rwfs"
+        _write_stream_file(path, 5, 3, 4)
+        with load_stream(path).frames as loaded:
+            for store in (loaded, FrameStore(loaded, count=3),
+                          synth_stream(3, 5, 3, 4).frames):
+                n = len(store)
+                for k in range(1, n + 1):
+                    assert store[-k].tobytes() == store.get(n - k).tobytes()
+                    assert store[-k].tobytes() == store[-k:][0].tobytes()
+                with pytest.raises(MalformedArtifactError):
+                    store[-n - 1]
+                with pytest.raises(MalformedArtifactError):
+                    store.get(-1)
 
     def test_spill_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -681,9 +702,10 @@ class TestReadScoreCache:
     def test_stage1_peak_counts_the_read_workspace(self):
         """The modelled peak holds every head's N_R x W*min(F, T) read scores
         and the perceiver's workspace, cross-attention scores and erf
-        scratch included, on top of the weights, the bank's rows and read
-        state and the buffer, all at float32 but the read state's float64
-        sums."""
+        scratch included, on top of the weights and the bank's rows and
+        read state, all at float32 but the read state's float64 sums. An
+        in-memory stream's frames add nothing: Stage 1 reads views of
+        them and its buffer shares them."""
         config = RunConfig(d=16, heads=2, layers=1, n_read=4, n_write=2,
                            subclip_frames=4).validate()
         T, P, d, W, F = 18, 3, 16, 2, 4
@@ -696,7 +718,7 @@ class TestReadScoreCache:
         peak = 0
         for start in range(0, T, F):
             n, f = min(start + F, T), min(F, T - start)
-            resident = weights + n * W * d * 4 + state + n * P * d * 4
+            resident = weights + n * W * d * 4 + state
             read_scores = 2 * 4 * W * F * 4  # heads x N_R x W*F
             hidden = f * 4 * 4 * d  # f x N_Q x 4d
             perceive = 4 * (f * (3 * n_keys * d + 2 * 4 * n_keys)
@@ -730,7 +752,8 @@ class TestZeroCopyStream:
     """A loaded stream is never held whole: its frames are read from the
     file a block at a time, bit-exact, into read-only arrays, and the
     feature buffer shares the file rather than copying it. An array input
-    is copied once, so a caller's later writes never reach the store."""
+    is copied once, so a caller's later writes never reach the store, and
+    Stage 1's buffer shares that copy."""
 
     def test_loaded_frames_are_bit_equal_to_the_file(self, tmp_path):
         path = tmp_path / "s.rwfs"
@@ -821,17 +844,28 @@ class TestZeroCopyStream:
         assert buffer.get(0)[0, 0] == 1.0
 
     @staticmethod
-    def _peak_growth_per_frame(tmp_path):
-        """Bytes per frame by which the traced peak of load_stream plus
-        process_stream grows from T=512 to T=2048, at P=32, d=64, one
-        layer."""
+    def _peak_growth_per_frame(tmp_path, loaded):
+        """Bytes per frame by which the traced peak of Stage 1 grows from
+        T=512 to T=2048, at P=32, d=64, one layer: load_stream plus
+        process_stream of a file, or process_stream alone of an in-memory
+        stream built before tracing starts."""
         peaks = {}
         for T in (512, 2048):
             path = tmp_path / f"s{T}.rwfs"
-            _write_stream_file(path, T, 32, 64, seed=T)
+            if loaded:
+                _write_stream_file(path, T, 32, 64, seed=T)
+            else:
+                stream = synth_stream(T, T, 32, 64)
             tracemalloc.start()
             try:
-                _load_and_process(path)
+                if loaded:
+                    _load_and_process(path)
+                else:
+                    config = RunConfig(layers=1).validate()
+                    params = init_model_params(config)
+                    process_stream(stream, empty_instruction(64),
+                                   params.query_bank, params.perceiver,
+                                   config.subclip_frames)
                 peaks[T] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -840,7 +874,7 @@ class TestZeroCopyStream:
     def test_stage1_peak_grows_at_most_20kb_per_frame(self, tmp_path):
         """A whole-stream float64 decode plus a float64 copy per buffered
         frame grows by about 36 kB per frame."""
-        per_frame = self._peak_growth_per_frame(tmp_path)
+        per_frame = self._peak_growth_per_frame(tmp_path, loaded=True)
         assert per_frame <= 20_000, per_frame
 
     def test_stage1_peak_grows_at_most_1kb_per_frame(self, tmp_path):
@@ -848,7 +882,15 @@ class TestZeroCopyStream:
         is sized up front. A loaded stream's payload held whole would add
         its 8 kB a frame (9.4 kB a frame, measured, when `load_stream` read
         the file whole)."""
-        per_frame = self._peak_growth_per_frame(tmp_path)
+        per_frame = self._peak_growth_per_frame(tmp_path, loaded=True)
+        assert per_frame <= 1_000, per_frame
+
+    def test_in_memory_stage1_peak_grows_at_most_1kb_per_frame(self,
+                                                               tmp_path):
+        """An in-memory stream's Stage 1 grows only with the bank too: its
+        buffer shares the stream's array. A buffer copying the array added
+        its 8 kB a frame (8.7 kB a frame, measured)."""
+        per_frame = self._peak_growth_per_frame(tmp_path, loaded=False)
         assert per_frame <= 1_000, per_frame
 
 
@@ -896,8 +938,9 @@ class TestMemoryModel:
     """`stage1_peak_resident_bytes` bounds the traced peak of
     `process_stream` (with the weights it runs on) from above, and by at
     most 1.35x, for a loaded stream as for a synthetic one: the model
-    counts a synthetic stream's buffer as the copied frames and a loaded
-    stream's as the one sub-clip block it reads from the file."""
+    counts a loaded stream's frames as the one sub-clip block it reads
+    from the file, and a synthetic stream's, built before tracing, as
+    nothing, since Stage 1 only views them."""
 
     @pytest.mark.parametrize("T,layers", [(64, 2), (256, 1)])
     @pytest.mark.parametrize("loaded", [False, True])

@@ -11,7 +11,8 @@ from streammem.errors import (BadMagicError, BadVersionError,
                               MalformedArtifactError, NonFiniteDataError,
                               TruncatedPayloadError)
 from streammem.memory import bank_bytes
-from streammem.params import init_model_params, load_params, save_params
+from streammem.params import (RWPM, init_model_params, load_params,
+                              save_params)
 from streammem.perceiver import (PerceiverParams, perceive_subclip,
                                  process_stream, temporal_sublayer)
 from streammem.pipeline import run_pipeline
@@ -365,8 +366,8 @@ class TestFloat32StageOne:
         instruction = encode_instruction("who picks up the red cup",
                                          config.d)
         runs = []
-        for model, frames in ((params, stream.frames),
-                              (wide, stream.frames.astype(np.float64))):
+        wide_frames = np.asarray(stream.frames).astype(np.float64)
+        for model, frames in ((params, stream.frames), (wide, wide_frames)):
             seen = {}
             _recording(monkeypatch, ["perceive_subclip"], seen)
             bank, _ = process_stream(FrameTokenStream(frames), instruction,
@@ -393,7 +394,7 @@ class TestFloat32StageOne:
         for model, frames in (
                 (params, stream.frames),
                 (cast_model(params, np.float64),
-                 stream.frames.astype(np.float64))):
+                 np.asarray(stream.frames).astype(np.float64))):
             bank, buffer = process_stream(
                 FrameTokenStream(frames), instruction, model.query_bank,
                 model.perceiver, config.subclip_frames)
@@ -486,15 +487,22 @@ class TestCheckpointFile:
         assert struct.unpack_from("<4s8I", path.read_bytes()) == \
             (b"RWPM", 2, 8, 2, 2, 3, 2, 32, 1)
 
-    @pytest.mark.parametrize("field,value", [("heads", 0), ("heads", 3),
-                                             ("temporal_mode", 2)])
+    @pytest.mark.parametrize("field,value", [
+        ("heads", 0), ("heads", 3), ("temporal_mode", 2), ("layers", 0),
+        ("n_read", 0), ("n_write", 0), ("hidden", 5)])
     def test_bad_header_field_rejected(self, tmp_path, field, value):
+        """A checkpoint whose payload is exactly the size its header
+        declares, but whose header no config can produce, is malformed at
+        load, not an error in a later run or save: the "final" temporal
+        mode makes a 0-layer stack reach for its last layer."""
+        fields = dict(d=8, heads=2, layers=2, n_read=3, n_write=2,
+                      hidden=32, temporal_mode=1)
         path = tmp_path / "p.rwpm"
-        save_params(init_model_params(_config()), path)
-        raw = bytearray(path.read_bytes())
-        pos = {"heads": 12, "temporal_mode": 32}[field]
-        raw[pos:pos + 4] = struct.pack("<I", value)
-        path.write_bytes(bytes(raw))
+        for header in (fields, dict(fields, **{field: value})):
+            _, shape, _ = RWPM.layout(RWPM.Header(**header))
+            RWPM.save(path, np.zeros(shape, np.float32), **header)
+            if header is fields:
+                assert len(load_params(path).perceiver.layers) == 2
         with pytest.raises(MalformedArtifactError):
             load_params(path)
 

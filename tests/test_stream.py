@@ -192,7 +192,8 @@ def test_iter_subclips_views_frames():
     assert [len(c) for c in clips] == [3, 3, 1]
     assert all(np.shares_memory(c, stream.frames) for c in clips)
     assert clips[2][0].tobytes() == stream.frames[6].tobytes()
-    assert np.concatenate(clips).tobytes() == stream.frames.tobytes()
+    assert np.concatenate(clips).tobytes() == \
+        np.asarray(stream.frames).tobytes()
 
 
 def test_prefix():
