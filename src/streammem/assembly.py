@@ -6,6 +6,7 @@ import numpy as np
 
 from .codec import Format
 from .dfs import SelectionResult
+from .errors import MalformedArtifactError
 from .memory import MemoryBank
 
 RWLI = Format(b"RWLI", 2, ("d", "memory_rows", "selected_rows"),
@@ -41,7 +42,9 @@ class LLMInputSequence:
 def assemble(bank: MemoryBank, selection: SelectionResult,
              tau: np.ndarray) -> LLMInputSequence:
     """Memory tokens in temporal order, one separator row, then pooled tokens
-    of the selected frames in ascending frame order."""
+    of the selected frames in ascending frame order. The separator is a
+    copy of `tau`: a model's tau views its whole payload, which a sequence
+    must not keep alive."""
     if len(bank) == 0:
         raise ValueError("cannot assemble from an empty memory bank")
     if tau.shape != (bank.d,):
@@ -49,8 +52,8 @@ def assemble(bank: MemoryBank, selection: SelectionResult,
     pooled, centers = selection.pooled, selection.centers
     order = sorted(range(len(centers)), key=centers.__getitem__)
     selected = pooled[order].reshape(-1, pooled.shape[-1])
-    return LLMInputSequence(memory_tokens=bank.all_tokens(), separator=tau,
-                            selected_tokens=selected)
+    return LLMInputSequence(memory_tokens=bank.all_tokens(),
+                            separator=tau.copy(), selected_tokens=selected)
 
 
 def save_llm_input(seq: LLMInputSequence, path) -> None:
@@ -59,7 +62,12 @@ def save_llm_input(seq: LLMInputSequence, path) -> None:
 
 
 def load_llm_input(path) -> LLMInputSequence:
+    """The sequence an RWLI file holds. `assemble` writes at least one
+    memory row and one selected row, d wide, so a header with a zero d or
+    an empty section is malformed."""
     header, values = RWLI.load(path)
+    if min(header) < 1:
+        raise MalformedArtifactError(f"RWLI sequence {tuple(header)} is empty")
     m = header.memory_rows
     return LLMInputSequence(memory_tokens=values[:m], separator=values[m],
                             selected_tokens=values[m + 1:])

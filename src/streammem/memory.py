@@ -17,32 +17,29 @@ and scores only the rows written since the previous one.
 
 Raw frame tokens live in one kind of store, `FrameStore`, which serves
 `block(start, end)` and `get(t)` from either an array (an in-memory
-stream's, copied once) or an RWFS file read through one descriptor (a
-loaded stream, as `load_stream` opens it, or a spill, as
-`DiskFeatureBuffer` opens it). Every stream's frames are such a store. An
-array store's blocks are views and a file-backed store holds no frame
-between reads. Stage 1's feature buffer shares the stream's store and
-counts the frames buffered so far, advanced once per sub-clip and never
-read during Stage 1; Stage 2 pools the selected frames through it. Its
-spill keeps frames in the same order, so a frame's index is its position
-there too, and the spill's header alone locates every frame; for a
-file-backed buffer the spill is a kernel-side copy of the file's first
-frames.
+stream's, copied once) or an RWFS record, which the codec's one reader
+reads through one descriptor (a loaded stream, as `load_stream` opens it,
+or a spill, as `DiskFeatureBuffer` opens it); this module parses no record
+itself. Every stream's frames are such a store. An array store's blocks
+are views and a file-backed store holds no frame between reads. Stage 1's
+feature buffer shares the stream's store and counts the frames buffered so
+far, advanced once per sub-clip and never read during Stage 1; Stage 2
+pools the selected frames through it. Its spill keeps frames in the same
+order, so a frame's index is its position there too, and the spill's
+header alone locates every frame; for a file-backed buffer the spill is a
+kernel-side copy of the file's first frames.
 
 Everything here holds the dtype Stage 1 computes in, float32 for a run of
 the pipeline: the bank's tokens, the buffered frames, and the read state
 apart from its two running sums, which are a few kilobytes of float64.
 """
 
-import os
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import RWFS, Format
-from .errors import (MalformedArtifactError, NonFiniteDataError,
-                     TruncatedPayloadError)
+from .codec import RWFS, Format, Record
+from .errors import MalformedArtifactError
 from .tensor import (AttentionParams, _row_max, attention, head_scale,
                      merge_heads, shift_exp, split_heads)
 
@@ -213,113 +210,6 @@ def append(bank: MemoryBank, tokens) -> None:
     bank._count = end
 
 
-# A loaded stream is checked for non-finite values whole, at open, so a
-# bad frame fails before any Stage-1 work, and in chunks of at most this
-# many bytes, so the check never holds the payload. The freed chunk also
-# matters to Stage 1: glibc raises its dynamic mmap threshold to the size
-# of a freed mmapped block, so the perceiver's temporaries that follow
-# are reused from the heap instead of mmapped and faulted in afresh on
-# every call. Stage 1 of a 548-frame, 8-layer stream in a fresh process
-# (Linux, glibc 2.36) took about 63,000 minor faults with no scan, 5,300
-# with 1 MiB chunks and 700-800 with 2 or 4 MiB ones; of a 2192-frame,
-# 1-layer stream 17,000, 1,500 and 770-900.
-_SCAN_BYTES = 4 << 20
-
-
-class _RWFSFile:
-    """An RWFS record read through one descriptor, opened read-only.
-
-    Opening checks the header, that the file holds exactly the payload it
-    declares and that the payload holds at least one frame of one token;
-    with `scan`, it also checks every value for finiteness, a chunk at a
-    time. `read` reads whole frames with os.pread and checks, unless the
-    open scanned them, that they are finite. The descriptor closes on
-    `close` or when the file object is collected.
-    """
-
-    def __init__(self, path, scan: bool):
-        self._fd = os.open(path, os.O_RDONLY)
-        self._closer = weakref.finalize(self, os.close, self._fd)
-        try:
-            header = RWFS.read_header(os.pread(self._fd, RWFS.header_size, 0))
-            size = os.fstat(self._fd).st_size - RWFS.header_size
-            if size != RWFS.layout(header)[2]:
-                raise TruncatedPayloadError(
-                    f"RWFS payload of {size} bytes is not {tuple(header)}")
-            if header.T < 1:
-                raise MalformedArtifactError("RWFS stream holds no frames")
-            if header.P < 1:
-                raise MalformedArtifactError("RWFS frames hold no tokens")
-            if header.d < 1:
-                raise MalformedArtifactError("RWFS tokens have no dimensions")
-            self.shape = tuple(header)
-            self.frame_bytes = header.P * header.d * 4
-            self.largest_read = 0
-            self.checked = False
-            if scan:
-                self._scan(size)
-        except BaseException:
-            self.close()
-            raise
-
-    dtype = np.dtype("<f4")
-
-    @property
-    def fd(self) -> int:
-        # a closed descriptor's number may already name another file
-        if not self._closer.alive:
-            raise ValueError("read from a closed frame store")
-        return self._fd
-
-    def close(self) -> None:
-        self._closer()
-
-    def _scan(self, size: int) -> None:
-        """Check every payload value for finiteness, reading each chunk
-        into one reused buffer."""
-        chunk = np.empty(min(size, _SCAN_BYTES) // 4, dtype=self.dtype)
-        for start in range(0, size, chunk.nbytes):
-            part = chunk[:min(size - start, chunk.nbytes) // 4]
-            view, offset = memoryview(part).cast("B"), RWFS.header_size + start
-            while view:
-                got = os.preadv(self.fd, [view], offset)
-                if got == 0:
-                    raise TruncatedPayloadError("RWFS file shrank while open")
-                view, offset = view[got:], offset + got
-            if not np.isfinite(part).all():
-                raise NonFiniteDataError("RWFS payload is not finite")
-        self.checked = True
-
-    def read(self, start: int, end: int) -> np.ndarray:
-        """Frames start..end-1, a fresh read-only (end-start, P, d) array
-        viewing the bytes read for them."""
-        size = (end - start) * self.frame_bytes
-        data = os.pread(self.fd, size,
-                        RWFS.header_size + start * self.frame_bytes)
-        if len(data) != size:
-            raise TruncatedPayloadError("RWFS file shrank while open")
-        out = np.frombuffer(data, self.dtype).reshape(
-            (end - start,) + self.shape[1:])
-        if not self.checked and not np.isfinite(out).all():
-            raise NonFiniteDataError("RWFS payload is not finite")
-        self.largest_read = max(self.largest_read, size)
-        return out
-
-    def copy_to(self, frames: int, path) -> None:
-        """Write the first `frames` frames to `path` as an RWFS record of
-        their own: a fresh header, then their bytes copied by the kernel."""
-        with open(path, "wb") as out:
-            out.write(RWFS.header_bytes(
-                RWFS.Header(frames, *self.shape[1:])))
-            out.flush()
-            offset, left = RWFS.header_size, frames * self.frame_bytes
-            while left:
-                sent = os.sendfile(out.fileno(), self.fd, offset, left)
-                if sent == 0:
-                    raise TruncatedPayloadError("RWFS file shrank while open")
-                offset, left = offset + sent, left - sent
-
-
 class FrameStore:
     """The raw (P, d) tokens of a stream's first `len(store)` frames,
     bit-exact, read a block at a time.
@@ -328,14 +218,16 @@ class FrameStore:
     a synthetic stream's or a caller's, is copied once in its own dtype,
     so a caller's later writes never reach the store; `block` and `get`
     return read-only views of the copy. A file (`FrameStore.open`, as
-    `load_stream` opens it, or a spill, `DiskFeatureBuffer`) is read
-    through one descriptor: `block` and `get` read only the frames asked
-    for into a fresh read-only float32 array. `FrameStore(store, count)`
-    holds the other store's first `count` frames (all of them by default),
-    sharing its array or descriptor: a stream's prefix, or Stage 1's
-    buffer, which holds none at first and which `buffer_store` advances
-    one sub-clip at a time. Indexing takes a frame or a contiguous slice,
-    negative positions counting from the end.
+    `load_stream` opens it, or a spill, `DiskFeatureBuffer`) is a
+    `codec.Record`, read through one descriptor, which must hold at least
+    one frame of one token of one dimension or is closed and rejected:
+    `block` and `get` read only the frames asked for into a fresh
+    read-only float32 array. `FrameStore(store, count)` holds the other
+    store's first `count` frames (all of them by default), sharing its
+    array or descriptor: a stream's prefix, or Stage 1's buffer, which
+    holds none at first and which `buffer_store` advances one sub-clip at
+    a time. Indexing takes a frame or a contiguous slice, negative
+    positions counting from the end.
 
     `resident_bytes` counts what the store's reads allocate: nothing for
     an array, whose blocks are views, and the largest block read from a
@@ -346,8 +238,15 @@ class FrameStore:
     def __init__(self, frames, count=None):
         if isinstance(frames, FrameStore):
             self._frames, self._file = frames._frames, frames._file
-        elif isinstance(frames, _RWFSFile):
+        elif isinstance(frames, Record):
             self._frames, self._file = None, frames
+            for size, message in zip(frames.header, (
+                    "RWFS stream holds no frames",
+                    "RWFS frames hold no tokens",
+                    "RWFS tokens have no dimensions")):
+                if size < 1:
+                    frames.close()
+                    raise MalformedArtifactError(message)
         else:
             frames = np.array(frames)
             if frames.ndim != 3:
@@ -365,7 +264,13 @@ class FrameStore:
         """Every frame of the RWFS file at `path`, each value checked for
         finiteness now, so a non-finite stream raises NonFiniteDataError
         before anything reads it."""
-        return cls(_RWFSFile(path, scan=True))
+        store = cls(RWFS.open(path))
+        try:
+            store._file.scan()
+        except BaseException:
+            store.close()
+            raise
+        return store
 
     @property
     def shape(self):
@@ -463,15 +368,15 @@ class DiskFeatureBuffer(FrameStore):
     Opening it checks the spill once: a manifest of exactly SPILL_MANIFEST,
     then a header of at least one P x d frame and a file of exactly the
     payload it declares. Nothing is scanned at open: `get(t)` reads frame
-    t's tokens at RWFS.header_size + t*P*d*4 through the store's one
-    descriptor and checks for finiteness only the frame it reads."""
+    t's tokens through the store's one descriptor and checks for
+    finiteness only the frame it reads."""
 
     def __init__(self, data_path, manifest_path):
         with open(manifest_path, "rb") as fh:
             if fh.read(len(SPILL_MANIFEST) + 1) != SPILL_MANIFEST:
                 raise MalformedArtifactError(
                     "buffer manifest is not the one `process` writes")
-        super().__init__(_RWFSFile(data_path, scan=False))
+        super().__init__(RWFS.open(data_path))
 
 
 @dataclass

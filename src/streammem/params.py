@@ -49,21 +49,33 @@ class ModelParams:
     query_bank: QueryBank
     perceiver: PerceiverParams
     tau: np.ndarray  # (d,) separator row
+    header: tuple  # the RWPM.Header of the checkpoint
+    payload: np.ndarray  # its float32 payload: every tensor is a view of it
 
     def nbytes(self) -> int:
         """The bytes of every tensor: the weights a run keeps resident."""
-        return sum(t.nbytes for t in _model_tensors(self))
+        return self.payload.nbytes
 
 
 def _ffn_hidden(d: int) -> int:
     return 4 * d
 
 
-def _build(h, tensor) -> ModelParams:
-    """The parameters of the RWPM header `h`, drawing each tensor in draw
-    order from `tensor(shape, kind)`; kind is "normal" for the queries and
-    tau, "weight" for projections, and "ones" or "zeros"."""
+def _build(h, payload, fill=None) -> ModelParams:
+    """The parameters of the RWPM header `h`, each tensor the next slice of
+    `payload` in draw order. With `fill`, each slice is first written with
+    `fill[kind](shape)`; kind is "normal" for the queries and tau,
+    "weight" for projections, and "ones" or "zeros"."""
     d, hidden = h.d, h.hidden
+    pos = 0
+
+    def tensor(shape, kind):
+        nonlocal pos
+        pos += math.prod(shape)
+        view = payload[pos - math.prod(shape):pos].reshape(shape)
+        if fill is not None:
+            view[...] = fill[kind](shape)
+        return view
 
     def attention():
         weights = [tensor((d, d), "weight") for _ in range(4)]
@@ -80,7 +92,8 @@ def _build(h, tensor) -> ModelParams:
         for _ in range(h.layers)]
     perceiver = PerceiverParams(layers=layers, n_queries=h.n_read, d=d,
                                 temporal_mode=TEMPORAL_MODES[h.temporal_mode])
-    return ModelParams(query_bank, perceiver, tensor((d,), "normal"))
+    return ModelParams(query_bank, perceiver, tensor((d,), "normal"), h,
+                       payload)
 
 
 def init_model_params(config: RunConfig) -> ModelParams:
@@ -90,34 +103,11 @@ def init_model_params(config: RunConfig) -> ModelParams:
     h = RWPM.Header(config.d, config.heads, config.layers, config.n_read,
                     config.n_write, _ffn_hidden(config.d),
                     TEMPORAL_MODES.index(config.temporal))
-    return _build(h, lambda shape, kind: draw[kind](shape).astype(np.float32))
-
-
-def _model_tensors(params: ModelParams):
-    """Every tensor of `params` in draw order."""
-    def attention(a):
-        return [a.w_q, a.w_k, a.w_v, a.w_o, a.ln_gain, a.ln_bias]
-
-    bank = params.query_bank
-    out = [bank.read_queries, bank.write_queries,
-           *attention(bank.read_attention), *attention(bank.write_attention)]
-    for layer in params.perceiver.layers:
-        out += attention(layer.cross) + attention(layer.temporal) + [
-            layer.w1, layer.b1, layer.w2, layer.b2, layer.ffn_ln_gain,
-            layer.ffn_ln_bias]
-    return out + [params.tau]
+    return _build(h, np.empty(RWPM.layout(h)[1], np.float32), draw)
 
 
 def save_params(params: ModelParams, path) -> None:
-    bank = params.query_bank
-    perceiver = params.perceiver
-    d = perceiver.d
-    payload = np.concatenate([np.ravel(t) for t in _model_tensors(params)],
-                             dtype="<f4")
-    RWPM.save(path, payload, d=d, heads=bank.read_attention.heads,
-              layers=len(perceiver.layers), n_read=perceiver.n_queries,
-              n_write=bank.n_write, hidden=_ffn_hidden(d),
-              temporal_mode=TEMPORAL_MODES.index(perceiver.temporal_mode))
+    RWPM.save(path, params.payload, **params.header._asdict())
 
 
 def load_params(path) -> ModelParams:
@@ -126,11 +116,4 @@ def load_params(path) -> ModelParams:
             or h.d % h.heads or h.hidden != _ffn_hidden(h.d)
             or h.temporal_mode >= len(TEMPORAL_MODES)):
         raise MalformedArtifactError(f"RWPM header {tuple(h)} is not a model")
-    pos = 0
-
-    def take(shape, kind):
-        nonlocal pos
-        pos += math.prod(shape)
-        return values[pos - math.prod(shape):pos].reshape(shape)
-
-    return _build(h, take)
+    return _build(h, values)

@@ -19,9 +19,10 @@ and moved out once all nine are written, so a failed run leaves none.
 
 A stream given as a path is opened with `load_stream`, which checks it
 whole but holds none of it: Stage 1 reads it a sub-clip block at a time
-and Stage 2 pools the selected frames from it, both through one
-descriptor. `PipelineResult.buffer` keeps that descriptor open for further
-queries; `buffer.close()` closes it, as does collecting the result.
+and Stage 2 pools the selected frames from it, both through the one
+descriptor of the codec's record reader, which reads every artifact.
+`PipelineResult.buffer` keeps that descriptor open for further queries;
+`buffer.close()` closes it, as does collecting the result.
 """
 
 import os

@@ -1,15 +1,15 @@
 """Frame token streams, instruction encodings, sub-clip partitioning, and
-the RWFS on-disk stream format.
+RWFS stream files.
 
 A stream's (T, P, d) frames are a `memory.FrameStore`: a copy of an
-in-memory array, or, for a stream loaded from an RWFS file, the file read
-through one descriptor, holding none of the payload. A sub-clip is the
-frames between two bounds of `split_into_subclips`: a view of the array,
-or one block read from the file. Synthetic streams stand in for a real
-visual encoder: frame t is drawn from a counter-based generator keyed by
-(seed, t), so a stream's prefix never depends on its total length.
-Instruction rows are hash-seeded unit-norm vectors, one per
-whitespace-delimited word.
+in-memory array, or, for a stream loaded from an RWFS file, the record
+that `codec.Format.open` reads through one descriptor, holding none of the
+payload. A sub-clip is the frames between two bounds of
+`split_into_subclips`: a view of the array, or one block read from the
+file. Synthetic streams stand in for a real visual encoder: frame t is
+drawn from a counter-based generator keyed by (seed, t), so a stream's
+prefix never depends on its total length. Instruction rows are hash-seeded
+unit-norm vectors, one per whitespace-delimited word.
 """
 
 import functools
@@ -111,7 +111,7 @@ def save_stream(stream: FrameTokenStream, path) -> None:
 
 def load_stream(path) -> FrameTokenStream:
     """Open an RWFS file as a stream whose frames are a file-backed
-    FrameStore: the header and the file's exact size are checked and every
-    value is checked for finiteness now, a bounded chunk at a time, and
-    frames are read from the file again only when asked for."""
+    FrameStore: the codec checks the header and the file's exact size and,
+    a bounded chunk at a time, every value's finiteness now, and frames
+    are read from the file again only when asked for."""
     return FrameTokenStream(FrameStore.open(path))

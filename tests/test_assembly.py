@@ -7,8 +7,10 @@ from streammem.config import (RunConfig, format_config, load_config,
                               parse_config)
 from streammem.dfs import CandidateSet, ClusterDiagnostics, SelectionResult
 from streammem.errors import (BadMagicError, BadVersionError, ConfigError,
-                              NonFiniteDataError, TruncatedPayloadError)
+                              MalformedArtifactError, NonFiniteDataError,
+                              TruncatedPayloadError)
 from streammem.memory import MemoryBank, append
+from streammem.params import init_model_params
 
 from oracles import llm_input_bytes_v1, llm_input_rows_float64
 
@@ -69,6 +71,16 @@ class TestAssemble:
         # frame 1's pooled rows must come before frame 3's
         assert np.array_equal(seq.selected_tokens[0], pooled_for_1[0])
         assert np.array_equal(seq.selected_tokens[1], pooled_for_3[0])
+
+    def test_separator_does_not_hold_the_model(self):
+        """A model's tensors view its one checkpoint payload, so a sequence
+        holding tau itself would keep every weight alive with it."""
+        params = init_model_params(RunConfig(d=8, heads=2, layers=1,
+                                             n_read=3, n_write=2).validate())
+        seq = assemble(_bank(2, d=8), _selection([0], np.ones((1, 2, 8)),
+                                                 d=8), params.tau)
+        assert np.array_equal(seq.separator, params.tau)
+        assert not np.shares_memory(seq.separator, params.payload)
 
     def test_empty_bank_rejected(self):
         with pytest.raises(ValueError):
@@ -170,6 +182,21 @@ class TestLLMInputFile:
         (tmp_path / "y.rwli").write_bytes(bytes(raw))
         with pytest.raises(TruncatedPayloadError):
             load_llm_input(tmp_path / "y.rwli")
+
+    @pytest.mark.parametrize("header", [
+        dict(d=0, memory_rows=4, selected_rows=0),  # five 0-wide rows
+        dict(d=0, memory_rows=2, selected_rows=2),
+        dict(d=3, memory_rows=0, selected_rows=0),  # only the separator
+        dict(d=3, memory_rows=0, selected_rows=2),
+        dict(d=3, memory_rows=4, selected_rows=0)])
+    def test_what_no_run_writes_rejected(self, tmp_path, header):
+        """`assemble` writes at least one memory row and one selected row,
+        d >= 1 wide; a record of exactly its declared size that breaks
+        this is malformed, not an empty sequence."""
+        _, shape, _ = RWLI.layout(RWLI.Header(**header))
+        RWLI.save(tmp_path / "x.rwli", np.ones(shape, np.float32), **header)
+        with pytest.raises(MalformedArtifactError):
+            load_llm_input(tmp_path / "x.rwli")
 
 
 class TestConfig:

@@ -98,3 +98,37 @@ def test_guard_sees_dead_definitions():
     assert dead_definitions(sources) == ["a.py: X (line 2)",
                                          "a.py: Z (line 3)",
                                          "b.py: H (line 5)"]
+
+
+# the calls that open and read record files; `codec.Record` is their one
+# caller, so every binary file is read through one checked reader
+RECORD_IO = {"open", "pread", "preadv", "sendfile"}
+
+
+def record_io(source: str) -> list:
+    """Each use of os.open, os.pread, os.preadv or os.sendfile in `source`,
+    as an attribute of `os` or imported from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in RECORD_IO
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            found.append(f"os.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{alias.name} (line {node.lineno})"
+                      for alias in node.names if alias.name in RECORD_IO]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "codec.py"))
+def test_only_the_codec_reads_records(module):
+    assert record_io((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_record_io():
+    source = ("import os\nfrom os import sendfile, close\n"
+              "fd = os.open('f', os.O_RDONLY)\nos.pread(fd, 4, 0)\n"
+              "os.close(fd)\nopen('f').read()\n")
+    assert record_io(source) == ["os.open (line 3)", "os.pread (line 4)",
+                                 "os.sendfile (line 2)"]
