@@ -36,10 +36,11 @@ def _read_instruction(args) -> str:
         return fh.read()
 
 
-def _load_config_arg(path) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    return load_config(path)
+def _bank_config(args) -> RunConfig:
+    """`--config`, or else the `config.txt` that `process` wrote beside
+    `--bank`: the config the bank was made with."""
+    return load_config(args.config or os.path.join(
+        os.path.dirname(args.bank), "config.txt"))
 
 
 @functools.cache
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spill manifest; the spill's frames are read from "
                         "buffer.bin in the same directory")
     _add_instruction_args(p)
-    p.add_argument("--config")
+    p.add_argument("--config", help="default: config.txt beside --bank")
     p.add_argument("--strategy", choices=("dfs", "uniform"), default="dfs")
     p.add_argument("--out", required=True,
                    help="report path; pooled tokens go to <out>.pooled.rwfs")
@@ -82,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assemble", help="build the LLM-input sequence")
     p.add_argument("--bank", required=True)
     p.add_argument("--selection", required=True,
-                   help="selection report written by `select`")
-    p.add_argument("--config")
+                   help="selection report written by `select`; its pooled "
+                        "tokens are read from <selection>.pooled.rwfs")
+    p.add_argument("--config", help="default: config.txt beside --bank")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="print accounting for an output dir")
@@ -106,7 +108,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_process(args) -> int:
-    config = _load_config_arg(args.config)
+    config = RunConfig() if args.config is None else load_config(args.config)
     result = run_pipeline(config, args.stream, _read_instruction(args),
                           args.out_dir, select_strategy=args.select,
                           breakpoint_frame=args.breakpoint)
@@ -144,7 +146,7 @@ def _open_disk_buffer(data_path, manifest_path, bank) -> DiskFeatureBuffer:
 
 
 def _cmd_select(args) -> int:
-    config = _load_config_arg(args.config)
+    config = _bank_config(args)
     bank = _load_bank_for(config, args.bank)
     data = os.path.join(os.path.dirname(args.buffer_manifest), "buffer.bin")
     with _open_disk_buffer(data, args.buffer_manifest, bank) as buffer:
@@ -183,7 +185,7 @@ def _read_selection(path, bank):
 
 
 def _cmd_assemble(args) -> int:
-    config = _load_config_arg(args.config)
+    config = _bank_config(args)
     bank = _load_bank_for(config, args.bank)
     centers, pooled = _read_selection(args.selection, bank)
     # assemble reads only the centers and their pooled tokens

@@ -8,7 +8,7 @@ decodes to a read-only view of the bytes it was read from, never a copy.
     format  ver  header fields (u32)            payload
     RWFS    1    T P d                          T x P x d float32
     RWMB    2    count W d                      count x W x d float32
-    RWPM    2    d heads layers n_read n_write  float32 tensors in the draw
+    RWPM    3    d heads layers n_read n_write  float32 tensors in the draw
                  hidden temporal_mode           order of params.py
     RWLI    2    d memory_rows selected_rows    (memory_rows + 1 +
                                                 selected_rows) x d float32
@@ -18,9 +18,10 @@ tokens start; `buffer.manifest` is one constant line of JSON, version 3,
 read back only as those exact bytes. An RWMB entry's frame is its
 position, 0..count-1; version 1 also stored it, with a sub-clip index,
 before each entry's tokens, and is rejected. RWLI version 1 also stored
-the total row count, which the section sizes fix, and is rejected.
-RWPM's temporal_mode indexes TEMPORAL_MODES. RWFS is defined here, as
-both `stream` and `memory` use it.
+the total row count, which the section sizes fix, and is rejected. RWPM
+v2 also stored read and write layer norms that nothing applied; it and v1
+are rejected. RWPM's temporal_mode indexes TEMPORAL_MODES. RWFS is
+defined here, as both `stream` and `memory` use it.
 
 Every record is read by one reader, `Format.open`: a `Record`, read
 through one read-only descriptor a range of leading-axis rows at a time.
@@ -37,8 +38,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import (BadMagicError, BadVersionError, NonFiniteDataError,
-                     TruncatedPayloadError)
+from .errors import (BadMagicError, BadVersionError, MalformedArtifactError,
+                     NonFiniteDataError, TruncatedPayloadError)
 
 
 class Format:
@@ -110,8 +111,9 @@ _SCAN_BYTES = 4 << 20
 class Record:
     """One record read through one read-only descriptor.
 
-    Opening checks the header and that the file holds exactly the payload
-    it declares. `read(start, end)` reads rows start..end-1 of the
+    Opening checks the header, that the payload it declares has no empty
+    axis (no artifact is empty), and that the file holds exactly that
+    payload. `read(start, end)` reads rows start..end-1 of the
     payload's leading axis and checks them for finiteness, unless `scan()`
     has checked every value already; `largest_read` is the most bytes one
     read has returned. The descriptor closes on `close`, at the end of a
@@ -125,6 +127,9 @@ class Record:
         try:
             self.header = fmt.read_header(os.pread(self._fd, self._start, 0))
             self.dtype, self.shape, self.nbytes = fmt.layout(self.header)
+            if 0 in self.shape:
+                raise MalformedArtifactError(
+                    f"{self.name} payload {self.shape} is empty")
             size = os.fstat(self._fd).st_size - self._start
             if size != self.nbytes:
                 raise TruncatedPayloadError(

@@ -219,8 +219,8 @@ class FrameStore:
     so a caller's later writes never reach the store; `block` and `get`
     return read-only views of the copy. A file (`FrameStore.open`, as
     `load_stream` opens it, or a spill, `DiskFeatureBuffer`) is a
-    `codec.Record`, read through one descriptor, which must hold at least
-    one frame of one token of one dimension or is closed and rejected:
+    `codec.Record`, read through one descriptor, whose header the codec
+    rejected at open if it declares no frame, token or dimension:
     `block` and `get` read only the frames asked for into a fresh
     read-only float32 array. `FrameStore(store, count)` holds the other
     store's first `count` frames (all of them by default), sharing its
@@ -240,13 +240,6 @@ class FrameStore:
             self._frames, self._file = frames._frames, frames._file
         elif isinstance(frames, Record):
             self._frames, self._file = None, frames
-            for size, message in zip(frames.header, (
-                    "RWFS stream holds no frames",
-                    "RWFS frames hold no tokens",
-                    "RWFS tokens have no dimensions")):
-                if size < 1:
-                    frames.close()
-                    raise MalformedArtifactError(message)
         else:
             frames = np.array(frames)
             if frames.ndim != 3:
@@ -444,11 +437,10 @@ def bank_bytes(bank: MemoryBank) -> bytes:
 def load_bank(path) -> MemoryBank:
     """The bank an RWMB file holds: a float32 bank of exactly its `count`
     rows, whose tokens are the codec's read-only view of the file's bytes,
-    as Stage 1 wrote them. The codec's decode has already raised
-    NonFiniteDataError (exit 4) on a non-finite token."""
+    as Stage 1 wrote them. The codec has already rejected a header with no
+    entry, token or dimension (exit 2) and raised NonFiniteDataError
+    (exit 4) on a non-finite token."""
     header, tokens = RWMB.load(path)
-    if min(header) < 1:
-        raise MalformedArtifactError(f"RWMB bank {tuple(header)} is empty")
     bank = MemoryBank(W=header.W, d=header.d, dtype=np.float32)
     bank._tokens, bank._count = tokens, header.count
     return bank

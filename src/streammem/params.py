@@ -6,15 +6,17 @@ All parameters are derived from the run seed in one documented draw order
 
     1. read queries (N_R x d), standard normal
     2. write queries (W x d), standard normal
-    3. read attention  w_q, w_k, w_v, w_o (std 0.02), ln gain/bias (ones/zeros)
+    3. read attention w_q, w_k, w_v, w_o (d x d, std 0.02)
     4. write attention, same layout
-    5. per layer: cross attention block, temporal attention block,
-       ffn w1 (d x 4d), b1 (4d), w2 (4d x d), b2 (d), ffn ln gain/bias
+    5. per layer: cross attention block, cross ln gain/bias (ones/zeros),
+       temporal attention block, temporal ln gain/bias, ffn w1 (d x 4d),
+       b1 (4d), w2 (4d x d), b2 (d), ffn ln gain/bias
     6. separator row tau (d), standard normal
 
 Each tensor is drawn in float64 and rounded to float32 once, so the model
 that runs is exactly the one RWPM stores, and a run from a loaded
-checkpoint is the run that saved it.
+checkpoint is the run that saved it. The read and write attentions have
+no pre-norm, so RWPM v3, unlike v2, stores none for them.
 """
 
 import math
@@ -32,13 +34,13 @@ from .tensor import AttentionParams
 
 def _payload(h):
     """The float32 count of the tensors `_build` draws."""
-    attention = 4 * h.d * h.d + 2 * h.d
-    layer = 2 * attention + 2 * h.d * h.hidden + h.hidden + 3 * h.d
+    attention = 4 * h.d * h.d
+    layer = 2 * attention + 2 * h.d * h.hidden + h.hidden + 7 * h.d
     queries = (h.n_read + h.n_write + 1) * h.d
     return "<f4", (queries + 2 * attention + h.layers * layer,)
 
 
-RWPM = Format(b"RWPM", 2, ("d", "heads", "layers", "n_read", "n_write",
+RWPM = Format(b"RWPM", 3, ("d", "heads", "layers", "n_read", "n_write",
                            "hidden", "temporal_mode"), _payload)
 
 WEIGHT_STD = 0.02
@@ -78,17 +80,19 @@ def _build(h, payload, fill=None) -> ModelParams:
         return view
 
     def attention():
-        weights = [tensor((d, d), "weight") for _ in range(4)]
-        return AttentionParams(h.heads, d, *weights, tensor((d,), "ones"),
-                               tensor((d,), "zeros"))
+        return AttentionParams(h.heads, d, *(tensor((d, d), "weight")
+                                             for _ in range(4)))
+
+    def norm():
+        return tensor((d,), "ones"), tensor((d,), "zeros")
 
     query_bank = QueryBank(tensor((h.n_read, d), "normal"),
                            tensor((h.n_write, d), "normal"),
                            attention(), attention())
     layers = [PerceiverLayerParams(
-        attention(), attention(), tensor((d, hidden), "weight"),
-        tensor((hidden,), "zeros"), tensor((hidden, d), "weight"),
-        tensor((d,), "zeros"), tensor((d,), "ones"), tensor((d,), "zeros"))
+        attention(), *norm(), attention(), *norm(),
+        tensor((d, hidden), "weight"), tensor((hidden,), "zeros"),
+        tensor((hidden, d), "weight"), tensor((d,), "zeros"), *norm())
         for _ in range(h.layers)]
     perceiver = PerceiverParams(layers=layers, n_queries=h.n_read, d=d,
                                 temporal_mode=TEMPORAL_MODES[h.temporal_mode])

@@ -4,9 +4,9 @@ Each perceiver layer runs three pre-norm residual sublayers per sub-clip:
 per-frame cross-attention from the query states onto the frame tokens with
 instruction rows appended as extra keys/values, bidirectional self-attention
 across the sub-clip's frames taken independently at each query index, and a
-position-wise feed-forward. In "final" temporal mode the temporal sublayer
-runs once after the whole stack (using the last layer's temporal weights)
-instead of inside every layer.
+position-wise feed-forward; each takes the layer and reads its pre-norm
+from it. In "final" temporal mode the temporal sublayer runs once after the
+whole stack (with the last layer's) instead of inside every layer.
 
 A sub-clip is an (F, P, d) block of the stream's frames, and its F frames
 are processed together: the state is one stacked (F, N_Q, d) array and
@@ -30,9 +30,13 @@ from .tensor import AttentionParams, attention, gelu, layer_norm
 
 
 @dataclass
-class PerceiverLayerParams:
+class PerceiverLayerParams:  # RWPM's draw order: `_build` fills by position
     cross: AttentionParams
+    cross_ln_gain: np.ndarray
+    cross_ln_bias: np.ndarray
     temporal: AttentionParams
+    temporal_ln_gain: np.ndarray
+    temporal_ln_bias: np.ndarray
     w1: np.ndarray  # (d, 4d)
     b1: np.ndarray  # (4d,)
     w2: np.ndarray  # (4d, d)
@@ -52,7 +56,7 @@ class PerceiverParams:
 def cross_sublayer(state, kv, layer: PerceiverLayerParams):
     """Cross-attention of the (F, N_Q, d) states onto the (F, P+I, d) keys,
     frame by frame. A shared (N_Q, d) state broadcasts over the F frames."""
-    normed = layer_norm(state, layer.cross.ln_gain, layer.cross.ln_bias)
+    normed = layer_norm(state, layer.cross_ln_gain, layer.cross_ln_bias)
     # the residual goes into attention's fresh output, as in `ffn_sublayer`
     out = attention(normed, kv, kv, layer.cross)
     out += state
@@ -72,13 +76,13 @@ def ffn_sublayer(state, layer: PerceiverLayerParams):
     return out
 
 
-def temporal_sublayer(states, params: AttentionParams):
+def temporal_sublayer(states, layer: PerceiverLayerParams):
     """Bidirectional self-attention over the frame axis, independently at
     each query index: attention over the (N_Q, F, d) view of the
     (F, N_Q, d) states."""
     seq = states.swapaxes(0, 1)
-    normed = layer_norm(seq, params.ln_gain, params.ln_bias)
-    out = attention(normed, normed, normed, params)
+    normed = layer_norm(seq, layer.temporal_ln_gain, layer.temporal_ln_bias)
+    out = attention(normed, normed, normed, layer.temporal)
     out += seq
     return out.swapaxes(0, 1)
 
@@ -115,10 +119,10 @@ def perceive_subclip(frames: np.ndarray, context,
     for layer in params.layers:
         states = cross_sublayer(states, keys, layer)
         if params.temporal_mode == "per_layer":
-            states = temporal_sublayer(states, layer.temporal)
+            states = temporal_sublayer(states, layer)
         states = ffn_sublayer(states, layer)
     if params.temporal_mode == "final":
-        states = temporal_sublayer(states, params.layers[-1].temporal)
+        states = temporal_sublayer(states, params.layers[-1])
     return states
 
 

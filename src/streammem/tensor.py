@@ -33,12 +33,9 @@ def _require_finite(x: np.ndarray, what: str) -> None:
 
 @dataclass
 class AttentionParams:
-    """Projection weights for one attention block.
-
-    ln_gain/ln_bias are the pre-norm parameters of the sublayer this block
-    lives in; attention() itself does not apply them. Weights are finite
-    where they enter: seeded draws, or a checkpoint the codec checked.
-    """
+    """Projection weights for one attention block; a sublayer's pre-norm
+    lives on its layer. Weights are finite where they enter: seeded
+    draws, or a checkpoint the codec checked."""
 
     heads: int
     dim_model: int
@@ -46,8 +43,6 @@ class AttentionParams:
     w_k: np.ndarray
     w_v: np.ndarray
     w_o: np.ndarray
-    ln_gain: np.ndarray
-    ln_bias: np.ndarray
 
     def __post_init__(self):
         if self.dim_model % self.heads != 0:
@@ -275,7 +270,7 @@ def grad_check(f, theta: np.ndarray, h: float = 1e-5,
 
 def make_attention_params(rng: np.random.Generator, d: int, heads: int,
                           weight_std: float = 0.02) -> AttentionParams:
-    """Seeded init: scaled-normal projections, identity layer norm."""
+    """Seeded init: scaled-normal projections."""
     return AttentionParams(
         heads=heads,
         dim_model=d,
@@ -283,6 +278,4 @@ def make_attention_params(rng: np.random.Generator, d: int, heads: int,
         w_k=rng.standard_normal((d, d)) * weight_std,
         w_v=rng.standard_normal((d, d)) * weight_std,
         w_o=rng.standard_normal((d, d)) * weight_std,
-        ln_gain=np.ones(d),
-        ln_bias=np.zeros(d),
     )

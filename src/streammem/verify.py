@@ -65,8 +65,7 @@ def attention_grad_error(seed: int, d: int = 8, heads: int = 2, n_q: int = 3,
 
     def loss(q, k, v, wq, wk, wv, wo):
         params = AttentionParams(heads=heads, dim_model=d, w_q=wq, w_k=wk,
-                                 w_v=wv, w_o=wo,
-                                 ln_gain=np.ones(d), ln_bias=np.zeros(d))
+                                 w_v=wv, w_o=wo)
         return attention(q, k, v, params).sum()
 
     return _grad_error(loss, shapes, theta0, h)
@@ -115,11 +114,11 @@ def perceiver_layer_grad_error(seed: int, d: int = 8, heads: int = 2,
     def loss(cwq, cwk, cwv, cwo, cg, cb, twq, twk, twv, two, tg, tb,
              w1, b1, w2, b2, fg, fb):
         layer = PerceiverLayerParams(
-            cross=AttentionParams(heads, d, cwq, cwk, cwv, cwo, cg, cb),
-            temporal=AttentionParams(heads, d, twq, twk, twv, two, tg, tb),
-            w1=w1, b1=b1, w2=w2, b2=b2, ffn_ln_gain=fg, ffn_ln_bias=fb)
+            AttentionParams(heads, d, cwq, cwk, cwv, cwo), cg, cb,
+            AttentionParams(heads, d, twq, twk, twv, two), tg, tb,
+            w1, b1, w2, b2, fg, fb)
         states = cross_sublayer(context, keys, layer)
-        states = temporal_sublayer(states, layer.temporal)
+        states = temporal_sublayer(states, layer)
         return ffn_sublayer(states, layer).sum()
 
     return _grad_error(loss, shapes, theta0, h)

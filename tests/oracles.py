@@ -104,16 +104,18 @@ def perceive_subclip_loop(frames, context, instruction_tokens, perceiver):
         keys = list(frames)
 
     def cross(state, kv, layer):
-        normed = layer_norm(state, layer.cross.ln_gain, layer.cross.ln_bias)
+        normed = layer_norm(state, layer.cross_ln_gain, layer.cross_ln_bias)
         return state + attention(normed, kv, kv, layer.cross)
 
-    def temporal(states, t):
+    def temporal(states, layer):
         stacked = np.stack(states)
         out = np.empty_like(stacked)
         for q in range(stacked.shape[1]):
             seq = stacked[:, q, :]
-            normed = layer_norm(seq, t.ln_gain, t.ln_bias)
-            out[:, q, :] = seq + attention(normed, normed, normed, t)
+            normed = layer_norm(seq, layer.temporal_ln_gain,
+                                layer.temporal_ln_bias)
+            out[:, q, :] = seq + attention(normed, normed, normed,
+                                           layer.temporal)
         return [out[j] for j in range(len(states))]
 
     def ffn(state, layer):
@@ -125,10 +127,10 @@ def perceive_subclip_loop(frames, context, instruction_tokens, perceiver):
     for layer in perceiver.layers:
         states = [cross(s, kv, layer) for s, kv in zip(states, keys)]
         if perceiver.temporal_mode == "per_layer":
-            states = temporal(states, layer.temporal)
+            states = temporal(states, layer)
         states = [ffn(s, layer) for s in states]
     if perceiver.temporal_mode == "final":
-        states = temporal(states, perceiver.layers[-1].temporal)
+        states = temporal(states, perceiver.layers[-1])
     return np.stack(states)
 
 

@@ -183,8 +183,10 @@ class TestProcessChain:
 class TestArtifactsReproduceProcess:
     """`assemble` on the selection that `process` wrote, and `select` with
     either strategy on its bank and spill, reproduce its bytes over random
-    stream, sub-clip and selection sizes. `select --strategy dfs` scores
-    the float32 bank on disk, which is the bank `process` scored."""
+    stream, sub-clip and selection sizes, given the run's config or
+    without `--config`, which reads the `config.txt` beside the bank.
+    `select --strategy dfs` scores the float32 bank on disk, which is the
+    bank `process` scored."""
 
     @given(T=st.integers(1, 40), P=st.integers(1, 8), F=st.integers(1, 8),
            Kc=st.integers(1, 6), pool=st.integers(1, 10),
@@ -208,25 +210,51 @@ class TestArtifactsReproduceProcess:
                              "--instruction", "who opens the door",
                              "--config", str(cfg), "--out-dir", str(out),
                              "--select", strategy]) == 0
-                (out / "selection.txt.pooled.rwfs").write_bytes(
-                    (out / "selection_pooled.rwfs").read_bytes())
-                seq = tmp / f"{strategy}.rwli"
-                assert main(["assemble", "--bank", str(out / "memory.rwmb"),
-                             "--selection", str(out / "selection.txt"),
-                             "--config", str(cfg), "--out", str(seq)]) == 0
-                assert seq.read_bytes() == \
-                    (out / "llm_input.rwli").read_bytes()
-                report = tmp / f"{strategy}.txt"
-                assert main(["select", "--bank", str(out / "memory.rwmb"),
-                             "--buffer-manifest",
-                             str(out / "buffer.manifest"),
-                             "--instruction", "who opens the door",
-                             "--config", str(cfg), "--strategy", strategy,
-                             "--out", str(report)]) == 0
-                assert report.read_bytes() == \
-                    (out / "selection.txt").read_bytes()
-                assert (tmp / f"{strategy}.txt.pooled.rwfs").read_bytes() \
-                    == (out / "selection_pooled.rwfs").read_bytes()
+                for config in (["--config", str(cfg)], []):
+                    self._reproduce(out, strategy, config)
+
+    @staticmethod
+    def _reproduce(out, strategy, config):
+        """`assemble` and then `select` on the artifacts `process` wrote
+        into `out` with `strategy`, given the extra arguments `config`,
+        write the same bytes as `process`."""
+        # `assemble --selection X` reads X.pooled.rwfs, as `select` names it
+        (out / "selection.txt.pooled.rwfs").write_bytes(
+            (out / "selection_pooled.rwfs").read_bytes())
+        seq = out / "again.rwli"
+        assert main(["assemble", "--bank", str(out / "memory.rwmb"),
+                     "--selection", str(out / "selection.txt"), *config,
+                     "--out", str(seq)]) == 0
+        assert seq.read_bytes() == (out / "llm_input.rwli").read_bytes()
+        report = out / "again.txt"
+        assert main(["select", "--bank", str(out / "memory.rwmb"),
+                     "--buffer-manifest", str(out / "buffer.manifest"),
+                     "--instruction", "who opens the door", *config,
+                     "--strategy", strategy, "--out", str(report)]) == 0
+        assert report.read_bytes() == (out / "selection.txt").read_bytes()
+        assert (out / "again.txt.pooled.rwfs").read_bytes() \
+            == (out / "selection_pooled.rwfs").read_bytes()
+
+    @pytest.mark.parametrize("strategy", ["dfs", "uniform"])
+    def test_without_config_at_a_seed_and_selection_of_its_own(
+            self, tmp_path, strategy):
+        """A run at seed 3 whose model, read and selection keys all differ
+        from the defaults: `select` and `assemble` without `--config`
+        take them from `config.txt`, not from the defaults, which would
+        not even match the bank's d."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.d=16\nmodel.heads=2\nmodel.layers=2\n"
+                       "memory.n_read=4\nstream.subclip_frames=4\n"
+                       "dfs.L=16\ndfs.knn_k=3\ndfs.Kc=4\n"
+                       "dfs.pool_tokens=3\nmode.z_repr=concat\nseed=3\n")
+        stream = tmp_path / "s.rwfs"
+        assert main(["synth", "--frames", "30", "--tokens-per-frame", "5",
+                     "--dim", "16", "--seed", "3", "--out", str(stream)]) == 0
+        out = tmp_path / "out"
+        assert main(["process", "--stream", str(stream), "--instruction",
+                     "who opens the door", "--config", str(cfg),
+                     "--out-dir", str(out), "--select", strategy]) == 0
+        self._reproduce(out, strategy, [])
 
 
 class TestExitCodes:
@@ -309,7 +337,7 @@ class TestExitCodes:
         assert main(["process", "--stream", str(bad), "--instruction", "x",
                      "--config", config_path,
                      "--out-dir", str(tmp_path / "o")]) == 2
-        assert "no tokens" in capsys.readouterr().err
+        assert "RWFS payload (20, 0, 8) is empty" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_stream_of_zero_dim_tokens_is_2(self, tmp_path, config_path,
@@ -321,7 +349,7 @@ class TestExitCodes:
         assert main(["process", "--stream", str(bad), "--instruction", "x",
                      "--config", config_path,
                      "--out-dir", str(tmp_path / "o")]) == 2
-        assert "no dimensions" in capsys.readouterr().err
+        assert "RWFS payload (4, 3, 0) is empty" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_pooled_without_tokens_is_2(self, processed, config_path, capsys):
@@ -334,7 +362,7 @@ class TestExitCodes:
         assert main(["assemble", "--bank", str(processed / "memory.rwmb"),
                      "--selection", str(processed / "selection.txt"),
                      "--config", config_path, "--out", str(out)]) == 2
-        assert "no tokens" in capsys.readouterr().err
+        assert "RWFS payload (2, 0, 8) is empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_is_1(self, tmp_path, config_path):
@@ -515,11 +543,13 @@ class TestMalformedArtifactExitCodes:
                      "--out", str(out_dir / "sel.txt")])
 
     @pytest.mark.parametrize("change", ["v1", "truncated", "oversized",
-                                        "empty"])
+                                        "empty", "empty_huge"])
     def test_bank_file_is_2(self, processed, config_path, capsys, change):
         """A bank in version 1 of the format (a frame and a sub-clip index
         before each entry's tokens), cut short, one byte long, or of no
-        entries exits 2 from every command that loads it."""
+        entries exits 2 from every command that loads it; so does a bank
+        of no entries of W x d = (2**32-1)**2 tokens, a 20-byte file whose
+        declared payload is empty but whose shape no array can take."""
         path = processed / "memory.rwmb"
         raw = path.read_bytes()
         path.write_bytes({
@@ -527,6 +557,8 @@ class TestMalformedArtifactExitCodes:
             "truncated": raw[:-3],
             "oversized": raw + b"\0",
             "empty": struct.pack("<4sIIII", b"RWMB", 2, 0, 2, 8),
+            "empty_huge": struct.pack("<4sIIII", b"RWMB", 2, 0, 2**32 - 1,
+                                      2**32 - 1),
         }[change])
         self._loaders_exit_2(processed, config_path, capsys)
 

@@ -74,10 +74,9 @@ CASES = {
     "bad version": lambda raw: raw[:4] + struct.pack("<I", 99) + raw[8:],
     "nan": lambda raw: raw[:-4] + NAN,
 }
-# bad files that a load or an open accepts: the codec checks a record's
-# layout, not that RWFS's axes are non-empty, and a spill is checked for
-# finiteness a frame at a time as Stage 2 reads it
-ACCEPTED = {("RWFS.load", "empty axis"), ("DiskFeatureBuffer", "nan")}
+# bad files that an open accepts: a spill is checked for finiteness a
+# frame at a time as Stage 2 reads it
+ACCEPTED = {("DiskFeatureBuffer", "nan")}
 
 
 def _open_fds() -> int:

@@ -712,8 +712,9 @@ class TestReadScoreCache:
         stream = synth_stream(47, T, P, d)
         n_keys = P + encode_instruction("probe", d).tokens.shape[0]
         state = (4 * d + 2 * 4) * 4 + 2 * 4 * (1 + d // 2) * 8
-        # read, write and query rows and tau; four attention blocks; FFN
-        weights = 4 * (7 * d + 4 * (4 * d * d + 2 * d) + 2 * d * 4 * d
+        # read, write and query rows and tau; four attention blocks; the
+        # cross and temporal norms; FFN
+        weights = 4 * (7 * d + 4 * 4 * d * d + 4 * d + 2 * d * 4 * d
                        + 4 * d + 3 * d)
         peak = 0
         for start in range(0, T, F):

@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from streammem.pipeline import run_pipeline
 from streammem.stream import (FrameTokenStream, InstructionEncoding,
                               empty_instruction, encode_instruction,
                               synth_stream)
+from streammem.tensor import AttentionParams
 
 from oracles import (attention_loop, cast_model, layer_norm_two_pass,
                      perceive_subclip_loop, process_stream_loop,
@@ -41,12 +43,12 @@ class TestTemporalSublayer:
         params = init_model_params(_config())
         layer = params.perceiver.layers[0]
         state = np.random.default_rng(1).standard_normal((3, 8))
-        (out,) = temporal_sublayer(state[None], layer.temporal)
+        (out,) = temporal_sublayer(state[None], layer)
         # one frame gives each query index a one-key softmax, weight 1
         for q in range(3):
             normed = np.array(layer_norm_two_pass(
-                state[q].tolist(), layer.temporal.ln_gain.tolist(),
-                layer.temporal.ln_bias.tolist(), 1e-5))
+                state[q].tolist(), layer.temporal_ln_gain.tolist(),
+                layer.temporal_ln_bias.tolist(), 1e-5))
             expected = state[q] + (normed @ layer.temporal.w_v) \
                 @ layer.temporal.w_o
             assert np.allclose(out[q], expected, atol=1e-10)
@@ -56,13 +58,13 @@ class TestTemporalSublayer:
         layer = params.perceiver.layers[0]
         rng = np.random.default_rng(2)
         states = rng.standard_normal((4, 3, 8))
-        out = temporal_sublayer(states, layer.temporal)
+        out = temporal_sublayer(states, layer)
         t = layer.temporal
         for q in range(3):
             seq = np.stack([s[q] for s in states])
             normed = np.array([layer_norm_two_pass(
-                row.tolist(), t.ln_gain.tolist(), t.ln_bias.tolist(), 1e-5)
-                for row in seq])
+                row.tolist(), layer.temporal_ln_gain.tolist(),
+                layer.temporal_ln_bias.tolist(), 1e-5) for row in seq])
             expected = seq + np.array(attention_loop(
                 normed.tolist(), normed.tolist(), normed.tolist(),
                 t.w_q.tolist(), t.w_k.tolist(), t.w_v.tolist(),
@@ -76,8 +78,8 @@ class TestTemporalSublayer:
         rng = np.random.default_rng(3)
         states = rng.standard_normal((5, 2, 8))
         perm = [3, 0, 4, 1, 2]
-        out = temporal_sublayer(states, layer.temporal)
-        out_perm = temporal_sublayer(states[perm], layer.temporal)
+        out = temporal_sublayer(states, layer)
+        out_perm = temporal_sublayer(states[perm], layer)
         for pos, j in enumerate(perm):
             assert np.allclose(out_perm[pos], out[j], atol=1e-12)
 
@@ -423,15 +425,41 @@ class TestCheckpointReproducesRun:
         assert bank_bytes(bank) == (tmp_path / "memory.rwmb").read_bytes()
 
 
+def _tensors(obj) -> list:
+    """Every array a model's dataclasses hold, in field order: for a
+    ModelParams's query bank, perceiver and tau, RWPM's draw order."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, list):
+        return [a for item in obj for a in _tensors(item)]
+    if is_dataclass(obj):
+        return [a for f in fields(obj) for a in _tensors(getattr(obj, f.name))]
+    return []
+
+
+def _model_tensors(params) -> list:
+    return _tensors([params.query_bank, params.perceiver, params.tau])
+
+
 class TestCheckpointFile:
     def test_round_trip_bitwise(self, tmp_path):
+        """Saving a loaded checkpoint gives the same bytes, and loading one
+        gives back every tensor of the saved model, bit for bit."""
         config = _config(layers=3, seed=21)
         params = init_model_params(config)
         path_a = tmp_path / "a.rwpm"
         path_b = tmp_path / "b.rwpm"
         save_params(params, path_a)
-        save_params(load_params(path_a), path_b)
+        loaded = load_params(path_a)
+        save_params(loaded, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
+        assert loaded.header == params.header
+        saved, read = _model_tensors(params), _model_tensors(loaded)
+        assert len(saved) == len(read) == 2 + 4 + 4 + 3 * 18 + 1
+        for a, b in zip(saved, read):
+            assert a.dtype == b.dtype == np.float32
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     def test_loaded_params_behave_identically(self, tmp_path):
         config = _config()
@@ -465,7 +493,7 @@ class TestCheckpointFile:
 
     @pytest.mark.parametrize("keep", [0, 10, 32, 36, 37])
     def test_cut_anywhere_is_truncated(self, tmp_path, keep):
-        # inside the 36-byte v2 header, at its end, mid-value
+        # inside the 36-byte header, at its end, mid-value
         path = tmp_path / "p.rwpm"
         save_params(init_model_params(_config()), path)
         (tmp_path / "t.rwpm").write_bytes(path.read_bytes()[:keep])
@@ -483,9 +511,9 @@ class TestCheckpointFile:
         path = tmp_path / "p.rwpm"
         save_params(init_model_params(_config(temporal="final")), path)
         assert load_params(path).perceiver.temporal_mode == "final"
-        # RWPM v2: d heads layers n_read n_write hidden temporal_mode
+        # RWPM v3: d heads layers n_read n_write hidden temporal_mode
         assert struct.unpack_from("<4s8I", path.read_bytes()) == \
-            (b"RWPM", 2, 8, 2, 2, 3, 2, 32, 1)
+            (b"RWPM", 3, 8, 2, 2, 3, 2, 32, 1)
 
     @pytest.mark.parametrize("field,value", [
         ("heads", 0), ("heads", 3), ("temporal_mode", 2), ("layers", 0),
@@ -530,6 +558,69 @@ class TestCheckpointFile:
                          + raw[36:])
         with pytest.raises(BadVersionError):
             load_params(path)
+
+
+class TestCheckpointTensors:
+    """RWPM v3 holds exactly the tensors a forward reads, each once."""
+
+    def test_attention_blocks_hold_only_projections(self):
+        names = [f.name for f in fields(AttentionParams)]
+        assert names == ["heads", "dim_model", "w_q", "w_k", "w_v", "w_o"]
+        queries = init_model_params(_config()).query_bank
+        for block in (queries.read_attention, queries.write_attention):
+            assert [a.shape for a in _tensors(block)] == [(8, 8)] * 4
+
+    @pytest.mark.parametrize("temporal", ["per_layer", "final"])
+    def test_tensors_tile_the_payload(self, temporal):
+        """The tensors are consecutive views of the payload, in draw order,
+        and cover it whole: no payload value belongs to no field."""
+        params = init_model_params(_config(temporal=temporal))
+        base = params.payload.__array_interface__["data"][0]
+        pos = 0
+        for a in _model_tensors(params):
+            assert a.base is params.payload
+            assert a.__array_interface__["data"][0] == base + 4 * pos
+            pos += a.size
+        assert pos == params.payload.size
+
+    @pytest.mark.parametrize("temporal", ["per_layer", "final"])
+    def test_every_tensor_is_read(self, temporal):
+        """Changing any one tensor changes Stage 1's memory tokens, except
+        tau, which `assemble` copies as the separator row: a tensor that
+        no forward reads would leave the bank as it was. Two sub-clips of
+        two frames each make the read, the read and temporal queries and
+        keys, and every norm matter. Stage 1 runs in float64, where the
+        read's queries and keys move the bank by far less than a float32
+        ulp."""
+        model = init_model_params(_config(temporal=temporal, layers=1))
+        stream = FrameTokenStream(_clip(40, n_frames=4, P=3))
+        instr = encode_instruction("open the box", 8)
+
+        def bank(params):
+            tokens, _ = process_stream(stream, instr, params.query_bank,
+                                       params.perceiver, F=2)
+            return tokens.tokens
+
+        base = bank(cast_model(model, np.float64))
+        rng = np.random.default_rng(41)
+        for k in range(len(_model_tensors(model)) - 1):  # the last is tau
+            params = cast_model(model, np.float64)
+            tensor = _model_tensors(params)[k]
+            # not a constant: a layer-normed row's sum is 0
+            tensor += rng.standard_normal(tensor.shape) * 0.25
+            assert not np.array_equal(bank(params), base), k
+
+    def test_version_2_rejected(self, tmp_path):
+        """A v2 checkpoint, whose read and write attentions each carried a
+        d-wide gain and bias, is a format error (exit 2), not loaded."""
+        h = init_model_params(_config()).header
+        v2_floats = RWPM.layout(h)[1][0] + 4 * h.d
+        path = tmp_path / "p.rwpm"
+        path.write_bytes(struct.pack("<4s8I", b"RWPM", 2, *h)
+                         + np.zeros(v2_floats, "<f4").tobytes())
+        with pytest.raises(BadVersionError) as info:
+            load_params(path)
+        assert info.value.exit_code == 2
 
 
 def test_init_is_seed_deterministic():

@@ -288,8 +288,7 @@ class TestAttention:
     def test_heads_must_divide_dim(self):
         with pytest.raises(ValueError):
             AttentionParams(heads=3, dim_model=8, w_q=np.eye(8),
-                            w_k=np.eye(8), w_v=np.eye(8), w_o=np.eye(8),
-                            ln_gain=np.ones(8), ln_bias=np.zeros(8))
+                            w_k=np.eye(8), w_v=np.eye(8), w_o=np.eye(8))
 
 
 class TestAttendInPlace:
