@@ -1,4 +1,8 @@
-"""LLM-input sequence construction and the RWLI serialization."""
+"""LLM-input sequence construction and the RWLI serialization.
+
+An RWLI record is written straight from the sequence's three sections by
+the codec's one writer, `Format.save`, so writing an LLM input copies
+none of its rows; the memory section is a view of the bank's tokens."""
 
 from dataclasses import dataclass
 
@@ -31,13 +35,6 @@ class LLMInputSequence:
     def total_rows(self) -> int:
         return self.memory_rows + 1 + self.selected_rows
 
-    def rows(self) -> np.ndarray:
-        """The three sections stacked into one (total_rows, d) array of
-        RWLI's float32 payload, each value cast once on the way in, so no
-        float64 copy of the rows is made."""
-        return np.concatenate([self.memory_tokens, self.separator[None, :],
-                               self.selected_tokens], axis=0, dtype="<f4")
-
 
 def assemble(bank: MemoryBank, selection: SelectionResult,
              tau: np.ndarray) -> LLMInputSequence:
@@ -57,7 +54,11 @@ def assemble(bank: MemoryBank, selection: SelectionResult,
 
 
 def save_llm_input(seq: LLMInputSequence, path) -> None:
-    RWLI.save(path, seq.rows(), d=seq.separator.shape[0],
+    """Write the sequence as one RWLI record of three sections, memory
+    rows, separator row and selected rows, each written as it is or, if it
+    is not float32, cast on its own: no stacked copy of the rows is made."""
+    RWLI.save(path, seq.memory_tokens, seq.separator[None, :],
+              seq.selected_tokens, d=seq.separator.shape[0],
               memory_rows=seq.memory_rows, selected_rows=seq.selected_rows)
 
 

@@ -10,7 +10,7 @@ import os
 import sys
 
 from .assembly import assemble, save_llm_input
-from .config import RunConfig, load_config
+from .config import RunConfig, check_stage2_override, load_config
 from .dfs import (SelectionResult, dfs_select, format_selection_report,
                   parse_selection_centers, uniform_select)
 from .errors import ConfigError, EngineError, MalformedArtifactError
@@ -34,13 +34,6 @@ def _read_instruction(args) -> str:
         return args.instruction
     with open(args.instruction_file, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _bank_config(args) -> RunConfig:
-    """`--config`, or else the `config.txt` that `process` wrote beside
-    `--bank`: the config the bank was made with."""
-    return load_config(args.config or os.path.join(
-        os.path.dirname(args.bank), "config.txt"))
 
 
 @functools.cache
@@ -75,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spill manifest; the spill's frames are read from "
                         "buffer.bin in the same directory")
     _add_instruction_args(p)
-    p.add_argument("--config", help="default: config.txt beside --bank")
+    p.add_argument("--config", help="the config.txt beside --bank with other "
+                   "dfs.* or mode.z_repr values; default: that file")
     p.add_argument("--strategy", choices=("dfs", "uniform"), default="dfs")
     p.add_argument("--out", required=True,
                    help="report path; pooled tokens go to <out>.pooled.rwfs")
@@ -85,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selection", required=True,
                    help="selection report written by `select`; its pooled "
                         "tokens are read from <selection>.pooled.rwfs")
-    p.add_argument("--config", help="default: config.txt beside --bank")
+    p.add_argument("--config", help="the config.txt beside --bank with other "
+                   "dfs.* or mode.z_repr values; default: that file")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="print accounting for an output dir")
@@ -128,6 +123,21 @@ def _load_bank_for(config: RunConfig, path):
     return bank
 
 
+def _load_run(args):
+    """The config Stage 2 runs with and the bank at `--bank`. The config
+    is `--config`, or else the `config.txt` that `process` wrote beside
+    the bank, which is read either way: a given config may differ from it
+    only in Stage-2 keys, so it cannot contradict the bank, the spill or
+    the model whose tau `assemble` draws. A bank of another d than the
+    given config's is reported as such first."""
+    run_path = os.path.join(os.path.dirname(args.bank), "config.txt")
+    config = load_config(args.config or run_path)
+    bank = _load_bank_for(config, args.bank)
+    if args.config is not None:
+        check_stage2_override(load_config(run_path), config)
+    return config, bank
+
+
 def _open_disk_buffer(data_path, manifest_path, bank) -> DiskFeatureBuffer:
     """The spilled buffer, once it is known to hold as many frames as the
     bank, each the bank's d wide, so a mismatch fails before any selection
@@ -146,8 +156,7 @@ def _open_disk_buffer(data_path, manifest_path, bank) -> DiskFeatureBuffer:
 
 
 def _cmd_select(args) -> int:
-    config = _bank_config(args)
-    bank = _load_bank_for(config, args.bank)
+    config, bank = _load_run(args)
     data = os.path.join(os.path.dirname(args.buffer_manifest), "buffer.bin")
     with _open_disk_buffer(data, args.buffer_manifest, bank) as buffer:
         p = min(config.pool_tokens, buffer.P)
@@ -185,8 +194,7 @@ def _read_selection(path, bank):
 
 
 def _cmd_assemble(args) -> int:
-    config = _bank_config(args)
-    bank = _load_bank_for(config, args.bank)
+    config, bank = _load_run(args)
     centers, pooled = _read_selection(args.selection, bank)
     # assemble reads only the centers and their pooled tokens
     selection = SelectionResult(centers=centers, pooled=pooled,

@@ -23,11 +23,16 @@ v2 also stored read and write layer norms that nothing applied; it and v1
 are rejected. RWPM's temporal_mode indexes TEMPORAL_MODES. RWFS is
 defined here, as both `stream` and `memory` use it.
 
-Every record is read by one reader, `Format.open`: a `Record`, read
-through one read-only descriptor a range of leading-axis rows at a time.
-`Format.load` reads every row at once; `memory.FrameStore` reads a stream
-or a spill a block of frames at a time, after `Record.scan` has checked a
-stream's finiteness a bounded chunk at a time (see `_SCAN_BYTES`).
+Every record is written by one writer, `Format.save`: the header, then
+the arrays the caller holds, as sections stacked along the payload's
+leading axis (a bank's tokens; an LLM input's memory rows, separator row
+and selected rows), each written where it lies, so no write joins or
+concatenates a copy of the payload. Every record is read by one reader,
+`Format.open`: a `Record`, read through one read-only descriptor a range
+of leading-axis rows at a time. `Format.load` reads every row at once;
+`memory.FrameStore` reads a stream or a spill a block of frames at a
+time, after `Record.scan` has checked a stream's finiteness a bounded
+chunk at a time (see `_SCAN_BYTES`).
 """
 
 import math
@@ -59,22 +64,26 @@ class Format:
         dtype = np.dtype(dtype)
         return dtype, shape, dtype.itemsize * math.prod(shape)
 
-    def encode(self, payload, **fields):
-        """One record: its header bytes and `payload` in the header's dtype."""
-        header = self.Header(**fields)
-        dtype, shape, _ = self.layout(header)
-        payload = np.ascontiguousarray(payload, dtype=dtype)
-        if payload.shape != shape:
-            raise ValueError(f"{self.name} payload shape {payload.shape} "
-                             f"is not the declared {shape}")
-        return self.header_bytes(header), payload
-
     def header_bytes(self, header) -> bytes:
         return self._struct.pack(self.magic, self.version, *header)
 
-    def save(self, path, payload, **fields) -> None:
+    def save(self, path, *sections, **fields) -> None:
+        """Write one record: the header of `fields`, then each section as
+        it is, cast to the payload's dtype only if it has another. Stacked
+        along their leading axis, the sections must be exactly the payload
+        the header declares; that is checked before the file is opened, so
+        a mismatch raises ValueError and writes nothing."""
+        header = self.Header(**fields)
+        dtype, shape, _ = self.layout(header)
+        shapes = [np.shape(section) for section in sections]
+        if (any(len(s) != len(shape) or s[1:] != shape[1:] for s in shapes)
+                or sum(s[0] for s in shapes) != shape[0]):
+            raise ValueError(f"{self.name} sections {shapes} do not stack "
+                             f"to the declared payload {shape}")
         with open(path, "wb") as fh:
-            fh.writelines(self.encode(payload, **fields))
+            fh.write(self.header_bytes(header))
+            for section in sections:
+                fh.write(np.ascontiguousarray(section, dtype))
 
     def read_header(self, data: bytes):
         if len(data) < self.header_size:

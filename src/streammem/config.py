@@ -72,6 +72,23 @@ _KEYS = {
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 
+# the keys only Stage 2 reads; every other key shaped the bank, the spill
+# or the model whose tau `assemble` draws
+STAGE2_KEYS = ("dfs.L", "dfs.knn_k", "dfs.Kc", "dfs.pool_tokens",
+               "mode.z_repr")
+
+
+def check_stage2_override(run: RunConfig, given: RunConfig) -> None:
+    """Raise ConfigError naming the first key, other than a Stage-2 key,
+    in which `given` differs from `run`, the config the run was made
+    with."""
+    for key, (attr, _) in _KEYS.items():
+        value, run_value = getattr(given, attr), getattr(run, attr)
+        if key not in STAGE2_KEYS and value != run_value:
+            raise ConfigError(f"{key}={value} differs from the run's "
+                              f"{run_value}; a config may change only "
+                              f"{', '.join(STAGE2_KEYS)}")
+
 
 def parse_config(text: str) -> RunConfig:
     config = RunConfig()

@@ -425,13 +425,9 @@ def write_frame(perceived: np.ndarray, queries: QueryBank) -> np.ndarray:
 
 
 def save_bank(bank: MemoryBank, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(bank_bytes(bank))
-
-
-def bank_bytes(bank: MemoryBank) -> bytes:
-    return b"".join(RWMB.encode(bank.tokens, count=len(bank), W=bank.W,
-                                d=bank.d))
+    """Write the bank as one RWMB record whose one section is its token
+    rows, written where they lie: the file is the run's only other copy."""
+    RWMB.save(path, bank.tokens, count=len(bank), W=bank.W, d=bank.d)
 
 
 def load_bank(path) -> MemoryBank:

@@ -515,4 +515,4 @@ def llm_input_bytes_v1(seq):
     header = struct.pack("<4sIIIII", b"RWLI", 1, seq.total_rows,
                          seq.separator.shape[0], seq.memory_rows,
                          seq.selected_rows)
-    return header + seq.rows().tobytes()
+    return header + llm_input_rows_float64(seq).astype("<f4").tobytes()

@@ -10,7 +10,7 @@ import pytest
 from streammem.assembly import load_llm_input, save_llm_input
 from streammem.config import RunConfig
 from streammem.dfs import dfs_select, uniform_select
-from streammem.memory import MemoryBank, append, bank_bytes, load_bank, save_bank
+from streammem.memory import MemoryBank, append, load_bank, save_bank
 from streammem.params import init_model_params, load_params, save_params
 from streammem.perceiver import process_stream
 from streammem.pipeline import run_pipeline, stage1_peak_resident_bytes

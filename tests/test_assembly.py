@@ -43,9 +43,11 @@ class TestAssemble:
         assert seq.total_rows == 12
         assert seq.memory_rows == 8
         assert seq.selected_rows == 3
-        assert seq.rows().shape == (12, 3)
+        assert llm_input_rows_float64(seq).shape == (12, 3)
 
-    def test_section_contents_and_order(self):
+    def test_section_contents_and_order(self, tmp_path):
+        """The saved payload holds the memory rows, the separator and the
+        selected rows in that order, each as float32."""
         bank = _bank(1)
         rng = np.random.default_rng(1)
         pooled_a = rng.standard_normal((2, 3))
@@ -53,8 +55,10 @@ class TestAssemble:
         tau = rng.standard_normal(3)
         selection = _selection([1, 3], np.stack([pooled_a, pooled_b]))
         seq = assemble(bank, selection, tau)
-        rows = seq.rows()
-        assert rows.dtype == np.dtype("<f4")
+        save_llm_input(seq, tmp_path / "x.rwli")
+        rows = np.frombuffer((tmp_path / "x.rwli").read_bytes(), "<f4",
+                             offset=RWLI.header_size).reshape(-1, 3)
+        assert len(rows) == 13
         f32 = np.float32
         assert np.array_equal(rows[:8], bank.all_tokens().astype(f32))
         assert np.array_equal(rows[8], tau.astype(f32))

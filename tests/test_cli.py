@@ -18,7 +18,8 @@ from streammem.dfs import parse_selection_centers
 from streammem.memory import SPILL_MANIFEST, load_bank
 from streammem.stream import load_stream
 
-from oracles import bank_bytes_v1, spill_manifest_v2
+from oracles import (bank_bytes_loop, bank_bytes_v1,
+                     llm_input_rows_float64, spill_manifest_v2)
 
 
 CONFIG_TEXT = """\
@@ -104,7 +105,8 @@ class TestProcessChain:
         pipe_seq = load_llm_input(out_dir / "llm_input.rwli")
         assert seq.total_rows == 2 * 10 + 1 + 2 * 2
         assert pipe_seq.total_rows == seq.total_rows
-        assert np.allclose(seq.rows(), pipe_seq.rows(), atol=1e-6)
+        assert np.allclose(llm_input_rows_float64(seq),
+                           llm_input_rows_float64(pipe_seq), atol=1e-6)
 
         assert main(["report", "--out-dir", str(out_dir)]) == 0
         assert "llm_input_length=25" in capsys.readouterr().out
@@ -511,6 +513,40 @@ class TestArtifactSet:
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
+class TestArtifactBytes:
+    """`process` writes `memory.rwmb` and `llm_input.rwli` as independent
+    encodings of the bank and the sequence its run computes, at 1 and 8
+    layers in both temporal modes: the RWMB v2 header and each frame's
+    tokens, and the RWLI v2 header packed by hand and the float64 rows
+    cast to float32 once."""
+
+    @pytest.mark.parametrize("temporal", ["per_layer", "final"])
+    @pytest.mark.parametrize("layers", [1, 8])
+    def test_bank_and_llm_input(self, tmp_path, layers, temporal):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model.d=16\nmodel.layers={layers}\n"
+                       f"mode.temporal={temporal}\nseed={layers}\n")
+        stream = tmp_path / "s.rwfs"
+        assert main(["synth", "--frames", "40", "--tokens-per-frame", "8",
+                     "--dim", "16", "--seed", "2", "--out",
+                     str(stream)]) == 0
+        out = tmp_path / "out"
+        assert main(["process", "--stream", str(stream), "--instruction",
+                     "who opens the door", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        result = streammem.run_pipeline(streammem.load_config(cfg), stream,
+                                        "who opens the door",
+                                        tmp_path / "again")
+        result.buffer.close()
+        assert (out / "memory.rwmb").read_bytes() == \
+            bank_bytes_loop(result.bank)
+        # W*T = 80 memory rows; Kc = 8 frames pooled to min(32, P) = 8 rows
+        header = struct.pack("<4sIIII", b"RWLI", 2, 16, 80, 64)
+        rows = llm_input_rows_float64(result.sequence).astype("<f4")
+        assert (out / "llm_input.rwli").read_bytes() == \
+            header + rows.tobytes()
+
+
 class TestAccountingMatchesArtifacts:
     @pytest.mark.parametrize("pool_tokens", [2, 4, 64])  # P is 4
     def test_llm_input_length_is_the_written_row_count(
@@ -858,6 +894,71 @@ class TestAssembleInputs:
         raw[12:20] = struct.pack("<II", 4, 4)
         path.write_bytes(bytes(raw))
         assert self._assemble(processed, config_path) == 2
+
+
+# a new value for each key that shaped the bank, the spill or tau, unlike
+# the one in CONFIG_TEXT or the default
+STAGE1_CHANGES = {
+    "model.d": "16", "model.heads": "4", "model.layers": "3",
+    "memory.n_read": "4", "memory.n_write": "3",
+    "stream.subclip_frames": "5", "mode.residual_read": "off",
+    "mode.temporal": "final", "seed": "7",
+}
+
+
+def _config_with(changes: dict) -> str:
+    """CONFIG_TEXT with each key of `changes` set to its value."""
+    lines = [line for line in CONFIG_TEXT.splitlines()
+             if line.split("=")[0] not in changes]
+    return "\n".join(lines + [f"{k}={v}" for k, v in changes.items()]) + "\n"
+
+
+class TestStage2Config:
+    """`select` and `assemble` read the `config.txt` beside `--bank` also
+    when `--config` is given, which may differ from it only in the
+    Stage-2 keys `dfs.*` and `mode.z_repr`: any other key would run
+    Stage 2 against a bank, a spill or a tau that the run did not make."""
+
+    @staticmethod
+    def _run(processed, command, cfg, out):
+        if command == "select":
+            return main(["select", "--bank", str(processed / "memory.rwmb"),
+                         "--buffer-manifest",
+                         str(processed / "buffer.manifest"),
+                         "--instruction", "x", "--config", str(cfg),
+                         "--out", str(out)])
+        (processed / "selection.txt.pooled.rwfs").write_bytes(
+            (processed / "selection_pooled.rwfs").read_bytes())
+        return main(["assemble", "--bank", str(processed / "memory.rwmb"),
+                     "--selection", str(processed / "selection.txt"),
+                     "--config", str(cfg), "--out", str(out)])
+
+    @pytest.mark.parametrize("key", list(STAGE1_CHANGES))
+    @pytest.mark.parametrize("command", ["select", "assemble"])
+    def test_stage1_key_is_3(self, tmp_path, processed, capsys, command,
+                             key):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(_config_with({key: STAGE1_CHANGES[key]}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert self._run(processed, command, cfg, out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert key in err[0], err
+        assert not out.exists()
+
+    def test_stage2_keys_may_differ(self, tmp_path, processed):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(_config_with({
+            "dfs.L": "5", "dfs.knn_k": "2", "dfs.Kc": "3",
+            "dfs.pool_tokens": "1", "mode.z_repr": "concat"}))
+        report = tmp_path / "sel.txt"
+        assert self._run(processed, "select", cfg, report) == 0
+        assert len(parse_selection_centers(report.read_text())) == 3
+        seq = tmp_path / "seq.rwli"
+        assert self._run(processed, "assemble", cfg, seq) == 0
+        assert seq.read_bytes() == \
+            (processed / "llm_input.rwli").read_bytes()
 
 
 class TestConfigArtifact:

@@ -1,6 +1,8 @@
-"""The codec's one record reader: every loader and every file-backed frame
-store reads through `Format.open`, and no descriptor it opens outlives a
-load, whether the file is good or is rejected at any check."""
+"""The codec's one record reader and one record writer: every loader and
+every file-backed frame store reads through `Format.open`, and no
+descriptor it opens outlives a load, whether the file is good or is
+rejected at any check; `Format.save` writes a record from sections that
+stack to exactly its declared payload, or writes nothing."""
 
 import os
 import struct
@@ -20,9 +22,9 @@ FDS = "/proc/self/fd"
 
 def _record(fmt, **fields):
     """One record of `fmt` with every payload value 1."""
-    _, shape, _ = fmt.layout(fmt.Header(**fields))
-    return b"".join(np.asarray(part).tobytes() for part in
-                    fmt.encode(np.ones(shape, np.float32), **fields))
+    header = fmt.Header(**fields)
+    _, shape, _ = fmt.layout(header)
+    return fmt.header_bytes(header) + np.ones(shape, "<f4").tobytes()
 
 
 RWFS_GOOD = dict(T=3, P=2, d=4)
@@ -120,3 +122,42 @@ def test_copy_to_needs_a_first_field_that_counts_rows(tmp_path):
             else:
                 with pytest.raises(ValueError):
                     record.copy_to(2, tmp_path / "copy.bin")
+
+
+# sections of an RWLI record declaring d=3, 4 memory and 2 selected rows
+RWLI_FIELDS = dict(d=3, memory_rows=4, selected_rows=2)
+BAD_SECTIONS = {
+    "rows short": [np.ones((4, 3)), np.ones((1, 3)), np.ones((1, 3))],
+    "rows over": [np.ones((4, 3)), np.ones((1, 3)), np.ones((3, 3))],
+    "trailing shape": [np.ones((4, 3)), np.ones((1, 4)), np.ones((2, 3))],
+    "rank": [np.ones((4, 3)), np.ones(3), np.ones((2, 3))],
+    "no section": [],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SECTIONS))
+def test_save_rejects_sections_that_are_not_the_payload(tmp_path, case):
+    """Sections whose rows do not add up to the declared count, or whose
+    trailing shape or rank differs from the payload's, raise ValueError
+    before the file is created."""
+    path = tmp_path / "x.rwli"
+    with pytest.raises(ValueError):
+        RWLI.save(path, *BAD_SECTIONS[case], **RWLI_FIELDS)
+    assert not path.exists()
+
+
+def test_save_writes_sections_in_order(tmp_path):
+    """The record is the header, then each section's rows in turn; a
+    float64 section is its float32 cast, bit for bit, also where the cast
+    rounds, goes subnormal or flushes to zero, and a strided one is its
+    rows in order."""
+    rng = np.random.default_rng(3)
+    memory = rng.standard_normal((4, 3)).astype(np.float32)
+    separator = np.array([[1.0 + 2.0 ** -30, 1e-46, -3e-39]])
+    selected = (rng.standard_normal((2, 6)) * 1e30)[:, ::2]
+    RWLI.save(tmp_path / "x.rwli", memory, separator, selected,
+              **RWLI_FIELDS)
+    header = struct.pack("<4sIIII", b"RWLI", 2, 3, 4, 2)
+    assert (tmp_path / "x.rwli").read_bytes() == \
+        header + memory.tobytes() + separator.astype("<f4").tobytes() \
+        + selected.astype("<f4").tobytes()

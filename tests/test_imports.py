@@ -132,3 +132,40 @@ def test_guard_sees_record_io():
               "os.close(fd)\nopen('f').read()\n")
     assert record_io(source) == ["os.open (line 3)", "os.pread (line 4)",
                                  "os.sendfile (line 2)"]
+
+
+# the ways to pack record bytes; `codec.Format.save` is their one user, so
+# every binary file is written through one checked writer
+RECORD_PACKING = {"tobytes", "tofile", "writelines"}
+
+
+def record_packing(source: str) -> list:
+    """Each import of `struct` in `source`, and each use of a `tobytes`,
+    `tofile` or `writelines` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"struct (line {node.lineno})" for alias in node.names
+                      if alias.name == "struct"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "struct":
+            found.append(f"struct (line {node.lineno})")
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in RECORD_PACKING):
+            found.append(f".{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "codec.py"))
+def test_only_the_codec_packs_records(module):
+    assert record_packing((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_record_packing():
+    source = ("import os, struct\nfrom struct import pack\n"
+              "import numpy as np\nnp.ones(2).tobytes()\n"
+              "fh.writelines([b''])\nwrite = x.tofile\nx.tolist()\n")
+    assert record_packing(source) == [".tobytes (line 4)",
+                                      ".tofile (line 6)",
+                                      ".writelines (line 5)",
+                                      "struct (line 1)", "struct (line 2)"]

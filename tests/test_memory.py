@@ -17,12 +17,12 @@ from streammem.errors import (BadMagicError, BadVersionError, ConfigError,
                               TruncatedPayloadError)
 from streammem.memory import (SPILL_MANIFEST, DiskFeatureBuffer, FrameStore,
                               MemoryBank, QueryBank, accounting_report,
-                              append, bank_bytes, buffer_store, load_bank,
+                              append, buffer_store, load_bank,
                               read_context, save_bank, save_buffer_spill,
                               write_frame)
 from streammem.params import init_model_params
 from streammem.perceiver import process_stream
-from streammem.pipeline import stage1_peak_resident_bytes
+from streammem.pipeline import run_pipeline, stage1_peak_resident_bytes
 from streammem.stream import (empty_instruction, encode_instruction,
                               load_stream, synth_stream)
 from streammem.tensor import make_attention_params
@@ -227,7 +227,7 @@ class TestAppend:
         assert len(loaded) == 47
         assert np.array_equal(loaded.tokens, np.concatenate([saved, more]))
         assert np.array_equal(load_bank(path).tokens, saved)
-        assert path.read_bytes() == bank_bytes(load_bank(path))
+        assert path.read_bytes() == bank_bytes_loop(load_bank(path))
 
 
 class TestReadContext:
@@ -895,6 +895,31 @@ class TestZeroCopyStream:
         assert per_frame <= 1_000, per_frame
 
 
+def test_whole_run_peak_grows_only_with_the_bank(tmp_path):
+    """The traced peak of a whole `run_pipeline` from a loaded stream (1
+    layer, P=8, d=64) grows by about the bank's W*d*4 = 512 bytes a frame
+    between T=8768 and T=13152, where it lies above the finiteness scan's
+    5.25 MB chunk. A write of the bank or the LLM input that joins or
+    concatenates its rows holds a second copy of the bank while the bank
+    is alive, about 1.02 kB a frame in all."""
+    config = RunConfig(layers=1).validate()
+    peaks = {}
+    for T in (8768, 13152):
+        path = tmp_path / f"s{T}.rwfs"
+        _write_stream_file(path, T, 8, 64, seed=T)
+        tracemalloc.start()
+        try:
+            result = run_pipeline(config, path, "find the red cup",
+                                  tmp_path / f"out{T}")
+            peaks[T] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result.buffer.close()
+        path.unlink()
+    per_frame = (peaks[13152] - peaks[8768]) / (13152 - 8768)
+    assert per_frame <= 600, per_frame
+
+
 # Stage 1 of a loaded stream in a fresh process, printing the minor page
 # faults it takes: load_stream, then process_stream at 4 layers
 _FAULTS = """
@@ -978,7 +1003,8 @@ class TestBankFile:
         save_bank(bank, path)
         loaded = load_bank(path)
         assert loaded.frame_indices() == bank.frame_indices()
-        assert bank_bytes(loaded) == path.read_bytes()
+        save_bank(loaded, tmp_path / "again.rwmb")
+        assert (tmp_path / "again.rwmb").read_bytes() == path.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.rwmb"
@@ -989,7 +1015,7 @@ class TestBankFile:
     def test_bad_version(self, tmp_path):
         bank = _filled_bank(13, frames=1)
         path = tmp_path / "m.rwmb"
-        raw = bytearray(bank_bytes(bank))
+        raw = bytearray(bank_bytes_loop(bank))
         raw[4] = 9
         path.write_bytes(bytes(raw))
         with pytest.raises(BadVersionError):
@@ -1002,15 +1028,16 @@ class TestBankFile:
     def test_truncated(self, tmp_path):
         bank = _filled_bank(14, frames=2)
         path = tmp_path / "m.rwmb"
-        path.write_bytes(bank_bytes(bank)[:-3])
+        path.write_bytes(bank_bytes_loop(bank)[:-3])
         with pytest.raises(TruncatedPayloadError):
             load_bank(path)
 
     @pytest.mark.parametrize("W,d,frames", [(2, 8, 0), (2, 8, 1), (3, 5, 37),
                                             (1, 64, 20)])
-    def test_bytes_match_entry_loop(self, W, d, frames):
+    def test_bytes_match_entry_loop(self, tmp_path, W, d, frames):
         bank = _filled_bank(18 + frames, W=W, d=d, frames=frames)
-        assert bank_bytes(bank) == bank_bytes_loop(bank)
+        save_bank(bank, tmp_path / "m.rwmb")
+        assert (tmp_path / "m.rwmb").read_bytes() == bank_bytes_loop(bank)
 
     def test_unrepresentable_entry_shape_rejected(self, tmp_path):
         path = tmp_path / "m.rwmb"
@@ -1028,12 +1055,12 @@ class TestBankFile:
 
     def test_oversized_rejected(self, tmp_path):
         path = tmp_path / "m.rwmb"
-        path.write_bytes(bank_bytes(_filled_bank(19, frames=2)) + b"\0")
+        path.write_bytes(bank_bytes_loop(_filled_bank(19, frames=2)) + b"\0")
         with pytest.raises(TruncatedPayloadError):
             load_bank(path)
 
     def test_non_finite_rejected(self, tmp_path):
-        raw = bytearray(bank_bytes(_filled_bank(28, frames=3)))
+        raw = bytearray(bank_bytes_loop(_filled_bank(28, frames=3)))
         # last float32 of the last entry's tokens
         raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
         path = tmp_path / "m.rwmb"

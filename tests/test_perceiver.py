@@ -11,7 +11,6 @@ from streammem.dfs import dfs_select
 from streammem.errors import (BadMagicError, BadVersionError,
                               MalformedArtifactError, NonFiniteDataError,
                               TruncatedPayloadError)
-from streammem.memory import bank_bytes
 from streammem.params import (RWPM, init_model_params, load_params,
                               save_params)
 from streammem.perceiver import (PerceiverParams, perceive_subclip,
@@ -22,9 +21,9 @@ from streammem.stream import (FrameTokenStream, InstructionEncoding,
                               synth_stream)
 from streammem.tensor import AttentionParams
 
-from oracles import (attention_loop, cast_model, layer_norm_two_pass,
-                     perceive_subclip_loop, process_stream_loop,
-                     read_context_loop)
+from oracles import (attention_loop, bank_bytes_loop, cast_model,
+                     layer_norm_two_pass, perceive_subclip_loop,
+                     process_stream_loop, read_context_loop)
 
 
 def _config(**overrides):
@@ -283,7 +282,7 @@ class TestProcessStream:
                                 params.perceiver, F=4)
         assert len(pre) == 8
         assert pre.tokens.tobytes() == full.tokens[:8].tobytes()
-        assert bank_bytes(pre) != bank_bytes(full)
+        assert bank_bytes_loop(pre) != bank_bytes_loop(full)
 
     def test_on_subclip_callback_order(self):
         """Each sub-clip is a view of the stream's array, handed to the
@@ -422,7 +421,8 @@ class TestCheckpointReproducesRun:
         bank, _ = process_stream(stream, encode_instruction(text, 8),
                                  loaded.query_bank, loaded.perceiver,
                                  config.subclip_frames)
-        assert bank_bytes(bank) == (tmp_path / "memory.rwmb").read_bytes()
+        assert bank_bytes_loop(bank) == \
+            (tmp_path / "memory.rwmb").read_bytes()
 
 
 def _tensors(obj) -> list:
