@@ -13,7 +13,7 @@ from .assembly import assemble, save_llm_input
 from .config import RunConfig, check_stage2_override, load_config
 from .dfs import (SelectionResult, dfs_select, format_selection_report,
                   parse_selection_centers, uniform_select)
-from .errors import ConfigError, EngineError, MalformedArtifactError
+from .errors import EngineError, MalformedArtifactError
 from .memory import (DiskFeatureBuffer, accounting_report, load_bank)
 from .params import init_model_params
 from .pipeline import run_pipeline
@@ -113,52 +113,44 @@ def _cmd_process(args) -> int:
     return 0
 
 
-def _load_bank_for(config: RunConfig, path):
-    """The memory bank at `path`, once its tokens are known to be model.d
-    wide, so a mismatched config fails before any selection work."""
-    bank = load_bank(path)
-    if bank.d != config.d:
-        raise ConfigError(
-            f"memory bank dim {bank.d} does not match model.d {config.d}")
-    return bank
-
-
-def _load_run(args):
-    """The config Stage 2 runs with and the bank at `--bank`. The config
-    is `--config`, or else the `config.txt` that `process` wrote beside
-    the bank, which is read either way: a given config may differ from it
-    only in Stage-2 keys, so it cannot contradict the bank, the spill or
-    the model whose tau `assemble` draws. A bank of another d than the
-    given config's is reported as such first."""
-    run_path = os.path.join(os.path.dirname(args.bank), "config.txt")
-    config = load_config(args.config or run_path)
-    bank = _load_bank_for(config, args.bank)
-    if args.config is not None:
+def _load_run(bank_path, config_path=None, manifest_path=None):
+    """The config Stage 2 runs with, the bank at `bank_path` and, given
+    `manifest_path`, the spill beside it, which the caller closes (else
+    None). The config is `config_path`, or else the `config.txt` that
+    `process` wrote beside the bank, which is read either way. Before any
+    selection work, in this order:
+    - the bank's d and W must be the config's model.d and memory.n_write
+      (exit 3);
+    - a given config may differ from `config.txt` only in Stage-2 keys, so
+      it cannot contradict the bank, the spill or the model whose tau
+      `assemble` draws (exit 3);
+    - the spill's manifest must be the one `process` writes, and the spill
+      must hold as many frames as the bank, each the bank's d wide
+      (exit 2)."""
+    run_path = os.path.join(os.path.dirname(bank_path), "config.txt")
+    config = load_config(config_path or run_path)
+    bank = load_bank(bank_path)
+    config.require("d", bank.d, "memory bank dim")
+    config.require("n_write", bank.W, "memory bank W")
+    if config_path is not None:
         check_stage2_override(load_config(run_path), config)
-    return config, bank
-
-
-def _open_disk_buffer(data_path, manifest_path, bank) -> DiskFeatureBuffer:
-    """The spilled buffer, once it is known to hold as many frames as the
-    bank, each the bank's d wide, so a mismatch fails before any selection
-    work. The caller closes it."""
-    buffer = DiskFeatureBuffer(data_path, manifest_path)
-    if len(buffer) != len(bank):
+    if manifest_path is None:
+        return config, bank, None
+    buffer = DiskFeatureBuffer(
+        os.path.join(os.path.dirname(manifest_path), "buffer.bin"),
+        manifest_path)
+    if (len(buffer), buffer.d) != (len(bank), bank.d):
         buffer.close()
         raise MalformedArtifactError(
-            f"buffer of {len(buffer)} frames differs from the {len(bank)} "
-            f"frames of the memory bank")
-    if buffer.d != bank.d:
-        buffer.close()
-        raise MalformedArtifactError(
-            f"buffer dim {buffer.d} differs from the bank's {bank.d}")
-    return buffer
+            f"buffer of {len(buffer)} frames of dim {buffer.d} does not fit "
+            f"the memory bank's {len(bank)} frames of dim {bank.d}")
+    return config, bank, buffer
 
 
 def _cmd_select(args) -> int:
-    config, bank = _load_run(args)
-    data = os.path.join(os.path.dirname(args.buffer_manifest), "buffer.bin")
-    with _open_disk_buffer(data, args.buffer_manifest, bank) as buffer:
+    config, bank, buffer = _load_run(args.bank, args.config,
+                                     args.buffer_manifest)
+    with buffer:
         p = min(config.pool_tokens, buffer.P)
         if args.strategy == "uniform":
             selection = uniform_select(bank, buffer, config.Kc, p)
@@ -194,7 +186,7 @@ def _read_selection(path, bank):
 
 
 def _cmd_assemble(args) -> int:
-    config, bank = _load_run(args)
+    config, bank, _ = _load_run(args.bank, args.config)
     centers, pooled = _read_selection(args.selection, bank)
     # assemble reads only the centers and their pooled tokens
     selection = SelectionResult(centers=centers, pooled=pooled,
@@ -208,11 +200,10 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config = load_config(os.path.join(args.out_dir, "config.txt"))
-    bank = _load_bank_for(config, os.path.join(args.out_dir, "memory.rwmb"))
-    with _open_disk_buffer(os.path.join(args.out_dir, "buffer.bin"),
-                           os.path.join(args.out_dir, "buffer.manifest"),
-                           bank) as buffer:
+    config, bank, buffer = _load_run(
+        os.path.join(args.out_dir, "memory.rwmb"),
+        manifest_path=os.path.join(args.out_dir, "buffer.manifest"))
+    with buffer:
         report = accounting_report(bank, buffer, config)
     print(report.render_text(), end="")
     return 0

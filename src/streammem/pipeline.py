@@ -53,9 +53,7 @@ class PipelineResult:
 
 def _resolve_stream(stream: FrameTokenStream, config: RunConfig,
                     breakpoint_frame=None) -> FrameTokenStream:
-    if stream.d != config.d:
-        raise ConfigError(
-            f"stream dim {stream.d} does not match model.d {config.d}")
+    config.require("d", stream.d, "stream dim")
     if breakpoint_frame is not None:
         if breakpoint_frame < 1:
             raise ConfigError("breakpoint must keep at least one frame")

@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from streammem.assembly import (RWLI, LLMInputSequence, assemble,
                                 load_llm_input, save_llm_input)
-from streammem.config import (RunConfig, format_config, load_config,
-                              parse_config)
+from streammem.config import (STAGE2_KEYS, RunConfig, format_config,
+                              load_config, parse_config)
 from streammem.dfs import CandidateSet, ClusterDiagnostics, SelectionResult
 from streammem.errors import (BadMagicError, BadVersionError, ConfigError,
                               MalformedArtifactError, NonFiniteDataError,
@@ -257,6 +259,28 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert load_config(path) == config
+
+    def test_every_field_has_its_own_key(self):
+        keys = [f.metadata["key"] for f in fields(RunConfig)]
+        assert len(set(keys)) == len(keys)
+
+    def test_format_lists_every_key_once_in_field_order(self):
+        keys = [line.split("=")[0]
+                for line in format_config(RunConfig()).splitlines()]
+        assert keys == [f.metadata["key"] for f in fields(RunConfig)]
+
+    def test_every_field_off_its_default_round_trips(self):
+        config = RunConfig(d=16, heads=2, layers=3, n_read=5, n_write=3,
+                           subclip_frames=7, L=9, knn_k=2, Kc=4,
+                           pool_tokens=6, seed=11, residual_read=False,
+                           temporal="final", z_repr="concat")
+        assert all(getattr(config, f.name) != f.default
+                   for f in fields(config))
+        assert parse_config(format_config(config)) == config
+
+    def test_stage2_keys(self):
+        assert STAGE2_KEYS == ("dfs.L", "dfs.knn_k", "dfs.Kc",
+                               "dfs.pool_tokens", "mode.z_repr")
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import streammem
 from streammem import verify
 from streammem.assembly import load_llm_input
 from streammem.cli import build_parser, main
+from streammem.config import STAGE2_KEYS, RunConfig
 from streammem.dfs import parse_selection_centers
 from streammem.memory import SPILL_MANIFEST, load_bank
 from streammem.stream import load_stream
@@ -309,6 +311,37 @@ class TestExitCodes:
         assert main(args) == 3
         assert "memory bank dim 8 does not match model.d 16" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("command",
+                             ["dfs", "uniform", "assemble", "report"])
+    def test_bank_W_mismatch_is_3(self, tmp_path, processed, command,
+                                  capsys):
+        """A `config.txt` whose memory.n_write is not the bank's W: without
+        the check, `assemble` drew tau for a 3-token write bank and wrote
+        another separator row than `process`."""
+        config = processed / "config.txt"
+        text = config.read_text()
+        assert "memory.n_write=2\n" in text
+        config.write_text(text.replace("memory.n_write=2\n",
+                                       "memory.n_write=3\n"))
+        bank = str(processed / "memory.rwmb")
+        out = tmp_path / "out"
+        if command == "report":
+            args = ["report", "--out-dir", str(processed)]
+        elif command == "assemble":
+            args = ["assemble", "--bank", bank,
+                    "--selection", str(processed / "selection.txt"),
+                    "--out", str(out)]
+        else:
+            args = ["select", "--bank", bank, "--buffer-manifest",
+                    str(processed / "buffer.manifest"), "--instruction", "x",
+                    "--strategy", command, "--out", str(out)]
+        capsys.readouterr()
+        assert main(args) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: memory bank W 2 does not match "
+                       "memory.n_write 3"], err
+        assert not out.exists()
 
     def test_negative_seed_is_3(self, tmp_path, stream_path):
         cfg = tmp_path / "seed.cfg"
@@ -904,6 +937,12 @@ STAGE1_CHANGES = {
     "stream.subclip_frames": "5", "mode.residual_read": "off",
     "mode.temporal": "final", "seed": "7",
 }
+
+
+def test_stage1_changes_cover_every_stage1_key():
+    """A new Stage-1 key gets its own `test_stage1_key_is_3` cases."""
+    keys = {f.metadata["key"] for f in fields(RunConfig)}
+    assert set(STAGE1_CHANGES) == keys - set(STAGE2_KEYS)
 
 
 def _config_with(changes: dict) -> str:

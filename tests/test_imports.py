@@ -7,9 +7,12 @@ package's re-exports, and a re-export counts as a read.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from streammem.config import RunConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "streammem"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -169,3 +172,32 @@ def test_guard_sees_record_packing():
                                       ".tofile (line 6)",
                                       ".writelines (line 5)",
                                       "struct (line 1)", "struct (line 2)"]
+
+
+# the config-file keys; `config` is the one module that names them, and
+# every other module reads a setting from its `RunConfig` field
+CONFIG_KEYS = {f.metadata["key"] for f in fields(RunConfig)}
+
+
+def config_keys_named(source: str) -> list:
+    """Each string constant in `source` that equals a config-file key."""
+    return sorted(f"{node.value} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value in CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "config.py"))
+def test_only_config_names_a_key(module):
+    assert config_keys_named((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_config_keys():
+    # a file name and a message that merely contain a key are not keys
+    source = ('KEY = "model.d"\npath = "memory.rwmb"\n'
+              'msg = f"memory.n_write={3}"\nseed = {"seed": 0}["seed"]\n'
+              'text = "dfs.L is 4"\n')
+    assert config_keys_named(source) == ["model.d (line 1)",
+                                         "seed (line 4)", "seed (line 4)"]

@@ -458,6 +458,15 @@ class TestFeatureBuffer:
             save_buffer_spill(buffer, tmp_path / f"{frames}.bin", manifest)
             assert manifest.read_bytes() == SPILL_MANIFEST
 
+    # version 2 offsets: at the file's end and past it, in the magic and
+    # the header, inside a frame, past int64 either way, at its minimum,
+    # and not integers
+    OFFSETS = {"at_end": HEADER + 3 * FRAME, "past_end": 100000, "0": 0,
+               "in_header": HEADER - 1, "in_frame": HEADER + 4,
+               "mid_frame": HEADER + FRAME + FRAME // 2, "2**63": 2**63,
+               "-2**63": -2**63, "-2**63-1": -2**63 - 1,
+               "Infinity": "Infinity", "NaN": "NaN", "1e400": "1e400"}
+
     def _manifest_rejected(self, tmp_path, text):
         data, manifest = self._spilled(tmp_path)
         manifest.write_text(text)
@@ -486,27 +495,23 @@ class TestFeatureBuffer:
                                                    id="added_space"),
                                       pytest.param(SPILL_MANIFEST.decode()
                                                    + " ",
-                                                   id="trailing_byte")])
+                                                   id="trailing_byte"),
+                                      *[pytest.param('{"frames": [[0, %s]]}'
+                                                     % offset,
+                                                     id=f"offset_{name}")
+                                        for name, offset in OFFSETS.items()],
+                                      pytest.param(_manifest_v2([2, 0, 1]),
+                                                   id="v2_reordered"),
+                                      pytest.param(_manifest_v2([]),
+                                                   id="v2_no_frames"),
+                                      pytest.param('{"frames": []}',
+                                                   id="no_frames")])
     def test_malformed_manifest_rejected(self, tmp_path, text):
         """Any manifest but SPILL_MANIFEST, including the version 2 offset
-        list that earlier versions wrote for this very spill."""
+        list that earlier versions wrote for this very spill, in any order,
+        of no frames, or naming any offset: no offset is read, since the
+        header locates every frame."""
         self._manifest_rejected(tmp_path, text)
-
-    def test_offset_past_end_is_truncated(self, tmp_path):
-        """A version 2 offset past the last frame's tokens, at the end of
-        the file or beyond it, fails when the buffer is opened: no offset
-        is read, since the header locates every frame."""
-        for offset in (self.HEADER + 3 * self.FRAME, 100000):
-            self._manifest_rejected(tmp_path,
-                                    '{"frames": [[0, %d]]}' % offset)
-
-    @pytest.mark.parametrize("offset", [0, HEADER - 1, HEADER + 4,
-                                        HEADER + FRAME + FRAME // 2,
-                                        2**63, -2**63, -2**63 - 1])
-    def test_offset_off_a_frame_start_rejected(self, tmp_path, offset):
-        """Inside the header, inside a frame, past int64 either way, or at
-        its minimum: a manifest naming an offset is not SPILL_MANIFEST."""
-        self._manifest_rejected(tmp_path, '{"frames": [[0, %d]]}' % offset)
 
     @pytest.mark.parametrize("frames", [0, 2])
     def test_record_of_wrong_frame_count_rejected(self, tmp_path, frames):
@@ -538,17 +543,9 @@ class TestFeatureBuffer:
         with pytest.raises(TruncatedPayloadError):
             DiskFeatureBuffer(data, manifest).get(0)
 
-    @pytest.mark.parametrize("offset", ["Infinity", "NaN", "1e400"])
-    def test_non_integer_offset_rejected(self, tmp_path, offset):
-        self._manifest_rejected(tmp_path, '{"frames": [[0, %s]]}' % offset)
-
-    def test_manifest_order_and_empty_manifest(self, tmp_path):
-        """The manifest is SPILL_MANIFEST: a version 2 list of the same
-        frames in another order, or of no frames, is rejected, and the
-        constant opens the spill at the length its header gives."""
-        for text in (_manifest_v2([2, 0, 1]), _manifest_v2([]),
-                     '{"frames": []}'):
-            self._manifest_rejected(tmp_path, text)
+    def test_spill_manifest_opens_at_the_header_length(self, tmp_path):
+        """SPILL_MANIFEST opens the spill at the length its header gives,
+        and each frame reads back as spilled."""
         data, manifest = self._spilled(tmp_path)
         disk = DiskFeatureBuffer(data, manifest)
         assert (disk.frame_indices(), len(disk), disk.token_count()) == \
